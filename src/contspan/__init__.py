@@ -7,13 +7,12 @@ continual-learning baselines and evaluation protocol.
 """
 
 from .autodiff import Tensor, backward, finite_difference_check, seeded_rng, Adam
-from .backbone import BackboneModel, ModelConfig, SpanDistribution, \
-    span_loss, decode_answer, pooled_repr
+from .backbone import BackboneModel, ModelConfig, span_loss_batch, decode_answer
 from .data import GenConfig, Sample, DomainStream, generate_cdaq_stream, \
     generate_cdac_stream, ingest_jsonl, build_input_sequence
 from .engine import ContinualConfig, ContinualEngine, run_stream
 from .memory import Memory, MemoryItem, init_memory, update_memory, \
-    retention_weights, compute_uncertainty
+    retention_weights
 from .metrics import EvalReport, em_f1, f1_avg, f1_all
 
 __version__ = "0.1.0"

@@ -8,24 +8,12 @@ the mean-discrepancy term) through a frozen copy of the discriminator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
 LOG_FLOOR = 1e-12
-
-
-@dataclass
-class AdvBatch:
-    memory_reprs: list[Tensor]
-    current_reprs: list[Tensor]
-
-    def validate(self):
-        if not self.memory_reprs or not self.current_reprs:
-            raise ValueError("adversarial batch needs non-empty memory and current sides")
 
 
 class Discriminator:
@@ -67,12 +55,6 @@ class Discriminator:
         return ad.sigmoid(ad.reshape(logit, (reprs.data.shape[0],)))
 
 
-def discriminate(disc: Discriminator, repr_vec: Tensor) -> Tensor:
-    """Scalar memory-probability for a single h-vector."""
-    out = disc.forward(ad.reshape(repr_vec, (1, disc.hidden)))
-    return ad.index(out, 0)
-
-
 def mmd(memory_reprs: Tensor, current_reprs: Tensor) -> Tensor:
     """Linear-kernel MMD: squared norm of the difference of batch means."""
     if memory_reprs.data.shape[0] == 0 or current_reprs.data.shape[0] == 0:
@@ -103,34 +85,14 @@ def _mmd_by_kind(mem: Tensor, cur: Tensor, kernel: str) -> Tensor:
 
 
 def _core_loss(disc: Discriminator, mem: Tensor, cur: Tensor,
-               params: dict[str, Tensor] | None, include_mmd: bool,
-               kernel: str = "linear") -> Tensor:
+               params: dict[str, Tensor] | None, kernel: str = "linear") -> Tensor:
+    if mem.data.shape[0] == 0 or cur.data.shape[0] == 0:
+        raise ValueError("adversarial game needs non-empty memory and current sides")
     d_mem = disc.forward(mem, params)
     d_cur = disc.forward(cur, params)
     core = -ad.tmean(ad.log(d_mem, floor=LOG_FLOOR)) \
         - ad.tmean(ad.log(Tensor(1.0) - d_cur, floor=LOG_FLOOR))
-    if include_mmd:
-        core = core + _mmd_by_kind(mem, cur, kernel)
-    return core
-
-
-def adversarial_losses(disc: Discriminator, batch: AdvBatch) -> tuple[Tensor, Tensor]:
-    """(L_D, L_T): negated core for the discriminator, core for the encoder.
-
-    L_D is built on detached representations, so minimizing it moves only
-    discriminator parameters; L_T runs through a frozen discriminator copy,
-    so its gradient reaches only the representations (and the encoder above
-    them). The mean-discrepancy term has no discriminator gradient either
-    way and is included in both values for reporting symmetry.
-    """
-    batch.validate()
-    mem = ad.concat([ad.reshape(r, (1, disc.hidden)) for r in batch.memory_reprs], axis=0)
-    cur = ad.concat([ad.reshape(r, (1, disc.hidden)) for r in batch.current_reprs], axis=0)
-    mem_det = Tensor(mem.data.copy())
-    cur_det = Tensor(cur.data.copy())
-    l_d = -_core_loss(disc, mem_det, cur_det, None, include_mmd=True)
-    l_t = _core_loss(disc, mem, cur, disc.frozen_params(), include_mmd=True)
-    return l_d, l_t
+    return core + _mmd_by_kind(mem, cur, kernel)
 
 
 def discriminator_step(disc: Discriminator, opt: ad.Adam,
@@ -138,7 +100,7 @@ def discriminator_step(disc: Discriminator, opt: ad.Adam,
     """One maximizing update on detached representations; returns L_D."""
     mem = Tensor(mem_reprs)
     cur = Tensor(cur_reprs)
-    l_d = -_core_loss(disc, mem, cur, None, include_mmd=True)
+    l_d = -_core_loss(disc, mem, cur, None)
     opt.zero_grad()
     ad.backward(l_d)
     opt.step()
@@ -147,24 +109,9 @@ def discriminator_step(disc: Discriminator, opt: ad.Adam,
 
 def encoder_adversarial_loss(disc: Discriminator, mem: Tensor, cur: Tensor,
                              kernel: str = "linear") -> Tensor:
-    """Encoder-side core loss through a frozen discriminator copy."""
-    return _core_loss(disc, mem, cur, disc.frozen_params(), include_mmd=True,
-                      kernel=kernel)
-
-
-def minimax_step(disc: Discriminator, disc_opt: ad.Adam,
-                 mem_pooled: Tensor, cur_pooled: Tensor) -> tuple[float, Tensor]:
-    """One alternation of the two-player game on pooled (n, h) representations.
-
-    Sub-step (a) updates the discriminator on detached copies; sub-step (b)
-    returns the encoder-side loss tensor for accumulation into the joint
-    objective. Neither sub-step touches the other player's parameters.
-    """
-    if mem_pooled.data.shape[0] == 0 or cur_pooled.data.shape[0] == 0:
-        raise ValueError("minimax step needs non-empty memory and current batches")
-    l_d = discriminator_step(disc, disc_opt, mem_pooled.data, cur_pooled.data)
-    l_t = encoder_adversarial_loss(disc, mem_pooled, cur_pooled)
-    return l_d, l_t
+    """Encoder-side core loss through a frozen discriminator copy, so its
+    gradient reaches only the representations (and the encoder above them)."""
+    return _core_loss(disc, mem, cur, disc.frozen_params(), kernel=kernel)
 
 
 def discriminator_accuracy(disc: Discriminator, mem_reprs: np.ndarray,

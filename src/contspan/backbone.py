@@ -1,7 +1,8 @@
 """Span-extraction backbone: transformer encoder plus start/end heads.
 
-Desk-scale by default (h=64, 2 blocks, 2 heads, l_max=64). The full-scale
-preset mirrors the usual BERT-base geometry but is never exercised in tests.
+Desk-scale by default (h=64, 2 blocks, 2 heads, l_max=64). Every pass is
+batched: rows are padded to the longest, and padded positions carry an
+additive -1e9 bias in attention and in the span heads.
 """
 
 from __future__ import annotations
@@ -34,23 +35,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.hidden % self.n_heads != 0:
             raise ValueError(f"hidden={self.hidden} not divisible by n_heads={self.n_heads}")
-
-
-# full-scale geometry from the original BERT-base setting; documented, untested
-FULL_SCALE_PRESET = dict(hidden=768, n_layers=12, n_heads=12, l_max=384)
-
-
-@dataclass
-class SpanDistribution:
-    """Start/end logits and their softmaxes for one sequence of length l."""
-    start_logits: Tensor
-    end_logits: Tensor
-    p_start: Tensor
-    p_end: Tensor
-
-    @property
-    def length(self) -> int:
-        return self.start_logits.data.shape[-1]
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -119,13 +103,6 @@ class BackboneModel:
 
     # -- forward ------------------------------------------------------------
 
-    def encode(self, input_ids) -> Tensor:
-        """Contextual representation for one sequence; returns (l, h)."""
-        ids = np.asarray(input_ids, dtype=np.int64)
-        self._check_ids(ids)
-        h_batch, _ = self.encode_batch([ids])
-        return ad.index(h_batch, 0)
-
     def encode_batch(self, id_lists) -> tuple[Tensor, np.ndarray]:
         """Pad, embed and run the encoder over a batch.
 
@@ -180,15 +157,6 @@ class BackboneModel:
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise ValueError(f"token id out of range for vocab {self.config.vocab_size}")
 
-    def predict_spans(self, h_l: Tensor) -> SpanDistribution:
-        """Start/end head over one (l, h) representation."""
-        if h_l.data.ndim != 2 or h_l.data.shape[1] != self.config.hidden:
-            raise ValueError(f"expected (l, {self.config.hidden}) input, got {h_l.data.shape}")
-        start_logits = ad.matmul(h_l, self.params["w_start"])
-        end_logits = ad.matmul(h_l, self.params["w_end"])
-        return SpanDistribution(start_logits, end_logits,
-                                ad.softmax(start_logits), ad.softmax(end_logits))
-
     def span_logits_batch(self, h: Tensor, mask: np.ndarray) -> tuple[Tensor, Tensor]:
         """Batched head; padded positions get an additive -1e9 bias."""
         bias = Tensor(NEG_INF * (1.0 - mask))
@@ -240,17 +208,7 @@ class BackboneModel:
 
 
 # ---------------------------------------------------------------------------
-# free functions on distributions
-
-def span_loss(dist: SpanDistribution, y_s: int, y_e: int) -> Tensor:
-    """Cross-entropy of the gold start and end indices."""
-    l = dist.length
-    if not (0 <= y_s < l and 0 <= y_e < l):
-        raise ValueError(f"gold span ({y_s}, {y_e}) out of range for length {l}")
-    ls = ad.log_softmax(dist.start_logits)
-    le = ad.log_softmax(dist.end_logits)
-    return -(ad.index(ls, y_s) + ad.index(le, y_e))
-
+# free functions on batched span logits and probabilities
 
 def span_loss_batch(start_logits: Tensor, end_logits: Tensor,
                     y_s: np.ndarray, y_e: np.ndarray) -> Tensor:
@@ -260,24 +218,19 @@ def span_loss_batch(start_logits: Tensor, end_logits: Tensor,
     return ad.tmean(-(ls + le))
 
 
-def decode_answer(dist: SpanDistribution, max_answer_len: int,
-                  valid_len: int | None = None) -> tuple[int, int]:
-    """Best (i, j) with i <= j < i + max_answer_len by p_start[i] * p_end[j].
+def decode_answer(p_start: np.ndarray, p_end: np.ndarray, mask: np.ndarray,
+                  max_answer_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the best (i, j) by p_start[i] * p_end[j] with
+    i <= j < i + max_answer_len, both inside the row's valid (mask) length.
 
-    Ties break toward smaller i, then smaller j (row-major argmax order).
+    Inputs are (B, l); returns the (B,) start and end indices. Ties break
+    toward smaller i, then smaller j (row-major argmax order).
     """
     if max_answer_len < 1:
         raise ValueError("max_answer_len must be >= 1")
-    ps = dist.p_start.data
-    pe = dist.p_end.data
-    l = ps.shape[-1] if valid_len is None else valid_len
-    scores = np.outer(ps[:l], pe[:l])
+    B, l = p_start.shape
     ii, jj = np.indices((l, l))
-    scores[(jj < ii) | (jj >= ii + max_answer_len)] = -1.0
-    flat = int(np.argmax(scores))
-    return flat // l, flat % l
-
-
-def pooled_repr(h_l: Tensor) -> Tensor:
-    """Sequence-start row, used as the whole-input representation."""
-    return ad.index(h_l, 0)
+    band = (jj >= ii) & (jj < ii + max_answer_len)
+    valid = band & (mask[:, :, None] > 0) & (mask[:, None, :] > 0)
+    scores = np.where(valid, p_start[:, :, None] * p_end[:, None, :], -1.0)
+    return np.divmod(scores.reshape(B, l * l).argmax(axis=1), l)

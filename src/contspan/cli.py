@@ -6,7 +6,7 @@ import argparse
 import json
 import logging
 import sys
-from pathlib import Path
+from dataclasses import asdict
 
 from . import data as dat
 from . import gradcheck
@@ -129,7 +129,7 @@ def cmd_eval(args) -> int:
     per_domain, pooled = engine.evaluate(model, seen)
     from .metrics import f1_avg, f1_all, StepResult
     report = EvalReport(metadata={
-        "config": cfg.to_dict(), "config_hash": "", "method": "eval",
+        "config": asdict(cfg), "config_hash": "", "method": "eval",
         "seed": cfg.seed, "order": seen,
         "domains": [d.name for d in stream.domains], "setting": stream.setting})
     report.steps.append(StepResult(

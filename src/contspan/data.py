@@ -46,6 +46,9 @@ class Sample:
     input_ids: list[int] = field(default_factory=list)
 
     def assemble(self, l_max: int) -> "Sample":
+        if not 0 <= self.answer_start <= self.answer_end:
+            raise ValueError(f"sample {self.id}: malformed answer span "
+                             f"({self.answer_start}, {self.answer_end})")
         s, offset, kept = build_input_sequence(self.question_ids, self.passage_ids, l_max)
         if self.answer_end >= len(s) - 1:
             raise ValueError(f"sample {self.id}: answer span truncated away")

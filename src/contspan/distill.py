@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbone import BackboneModel, SpanDistribution
+from .backbone import BackboneModel
 
 
 def snapshot_teacher(model: BackboneModel) -> BackboneModel:
@@ -18,35 +18,22 @@ def snapshot_teacher(model: BackboneModel) -> BackboneModel:
     return model.copy(requires_grad=False)
 
 
-def kl_distill_loss(teacher: SpanDistribution, student: SpanDistribution,
-                    temperature: float = 1.0) -> Tensor:
-    """KL(teacher || student) on start plus end softmaxes; teacher constant."""
-    if teacher.length != student.length:
-        raise ValueError(f"length mismatch: teacher {teacher.length} vs "
-                         f"student {student.length}")
-    return (_kl_term(teacher.start_logits.data, student.start_logits, temperature)
-            + _kl_term(teacher.end_logits.data, student.end_logits, temperature))
-
-
 def _kl_term(teacher_logits: np.ndarray, student_logits: Tensor,
              temperature: float) -> Tensor:
-    t = _softmax_np(teacher_logits / temperature)
+    if teacher_logits.shape != student_logits.data.shape:
+        raise ValueError(f"length mismatch: teacher {teacher_logits.shape} vs "
+                         f"student {student_logits.data.shape}")
+    t = ad.softmax(Tensor(teacher_logits / temperature)).data
     log_t = np.log(np.maximum(t, 1e-300))
     log_s = ad.log_softmax(student_logits * (1.0 / temperature))
-    # sum over positions, mean over any batch axis
-    per = ad.tsum(Tensor(t) * (Tensor(log_t) - log_s), axis=-1)
-    return ad.tmean(per) if per.data.ndim else per
+    # sum over positions, mean over the batch
+    return ad.tmean(ad.tsum(Tensor(t) * (Tensor(log_t) - log_s), axis=-1))
 
 
 def kl_distill_loss_batch(teacher_sl: np.ndarray, teacher_el: np.ndarray,
                           student_sl: Tensor, student_el: Tensor,
                           temperature: float = 1.0) -> Tensor:
-    """Batched form over (B, l) logit arrays; averaged over the batch."""
+    """KL(teacher || student) on start plus end softmaxes over (B, l) logit
+    arrays, averaged over the batch; the teacher side is constant."""
     return (_kl_term(teacher_sl, student_sl, temperature)
             + _kl_term(teacher_el, student_el, temperature))
-
-
-def _softmax_np(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)

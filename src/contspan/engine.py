@@ -8,12 +8,11 @@ the run seed, so identical configs reproduce bit-identical trajectories.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +22,8 @@ from . import adversarial as adv
 from . import distill
 from . import memory as mem
 from .autodiff import Tensor
-from .backbone import BackboneModel, ModelConfig, SpanDistribution, NEG_INF, \
-    decode_answer, span_loss_batch
+from .backbone import BackboneModel, ModelConfig, NEG_INF, decode_answer, \
+    span_loss_batch
 from .data import DomainStream, Sample
 from .metrics import EvalReport, StepResult, em_f1, f1_avg, f1_all, config_hash
 
@@ -75,21 +74,11 @@ class ContinualConfig:
     def order(self, n_domains: int) -> list[int]:
         return list(self.domain_order) if self.domain_order else list(range(n_domains))
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
-
 
 @dataclass
 class FisherState:
     fisher: dict[str, np.ndarray]
     anchor: dict[str, np.ndarray]
-
-
-def _softmax_np(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def agem_project(g: np.ndarray, g_ref: np.ndarray) -> np.ndarray:
@@ -170,8 +159,8 @@ class ContinualEngine:
         cfg = self.cfg
         order = cfg.order(len(self.stream))
         report = EvalReport(metadata={
-            "config": cfg.to_dict(),
-            "config_hash": config_hash(cfg.to_dict()),
+            "config": asdict(cfg),
+            "config_hash": config_hash(asdict(cfg)),
             "method": cfg.method,
             "seed": cfg.seed,
             "order": order,
@@ -273,13 +262,16 @@ class ContinualEngine:
     # -- shared machinery ---------------------------------------------------
 
     def _fit(self, model: BackboneModel, samples: list[Sample],
-             rng: np.random.Generator, batch_hook=None,
-             loss_hook=None) -> list[float]:
+             rng: np.random.Generator, batch_hook=None, loss_hook=None,
+             mix_hook=None) -> list[float]:
         """Adam epochs over shuffled batches of the span loss.
 
-        loss_hook(batch_samples, sl, el, h, mask) may return an extra loss
-        tensor; batch_hook(grads_flat) may rewrite the flat gradient before
-        the optimizer step (gradient-projection methods).
+        mix_hook(batch_samples) may return the batch extended by replayed
+        rows, which then share the forward pass and the span loss;
+        loss_hook(batch_samples, loss, sl, el, h, mask) returns the loss to
+        minimise, built on the span loss; batch_hook(grads_flat) may rewrite
+        the flat gradient before the optimizer step (gradient-projection
+        methods).
         """
         cfg = self.cfg
         opt = ad.Adam(model.parameters(), lr=cfg.lr)
@@ -291,14 +283,14 @@ class ContinualEngine:
             nb = 0
             for lo in range(0, len(samples), cfg.batch_size):
                 batch = [samples[i] for i in perm[lo:lo + cfg.batch_size]]
+                if mix_hook is not None:
+                    batch = mix_hook(batch)
                 h, mask, sl, el = model.forward_batch([s.input_ids for s in batch])
                 y_s = np.array([s.answer_start for s in batch])
                 y_e = np.array([s.answer_end for s in batch])
                 loss = span_loss_batch(sl, el, y_s, y_e)
                 if loss_hook is not None:
-                    extra = loss_hook(batch, sl, el, h, mask)
-                    if extra is not None:
-                        loss = loss + extra
+                    loss = loss_hook(batch, loss, sl, el, h, mask)
                 opt.zero_grad()
                 ad.backward(loss)
                 if batch_hook is not None:
@@ -351,8 +343,8 @@ class ContinualEngine:
                   else self.fisher_states)
         lam = self.cfg.ewc_lambda
 
-        def hook(batch, sl, el, h, mask):
-            return ewc_penalty(model, states, lam)
+        def hook(batch, loss, sl, el, h, mask):
+            return loss + ewc_penalty(model, states, lam)
 
         self._fit(model, d_train, self._rng(_S_TRAIN, t), loss_hook=hook)
 
@@ -393,9 +385,8 @@ class ContinualEngine:
         def hook(flat):
             k = min(self.cfg.batch_size, len(mem_items))
             pick = rng.choice(len(mem_items), size=k, replace=False)
-            g = flat.copy()
             g_ref = self._span_grad(model, [mem_items[i].sample for i in pick])
-            return agem_project(g, g_ref)
+            return agem_project(flat, g_ref)
 
         self._fit(model, d_train, rng, batch_hook=hook)
 
@@ -414,7 +405,7 @@ class ContinualEngine:
         alpha = self.cfg.der_alpha
         beta = self.cfg.derpp_beta if self.cfg.method == "derpp" else 0.0
 
-        def hook(batch, sl, el, h, mask):
+        def hook(batch, loss, sl, el, h, mask):
             k = min(self.cfg.batch_size, len(mem_items))
             pick = rng.choice(len(mem_items), size=k, replace=False)
             items = [mem_items[i] for i in pick]
@@ -427,72 +418,54 @@ class ContinualEngine:
                     np.array([it.sample.answer_start for it in items]),
                     np.array([it.sample.answer_end for it in items]))
                 extra = extra + replay * beta
-            return extra
+            return loss + extra
 
         self._fit(model, d_train, rng, loss_hook=hook)
 
     def incremental_step(self, model, d_train, t, order) -> dict:
         """Full method: mixed-batch replay + adversarial game + distillation."""
         cfg = self.cfg
-        rng = self._rng(_S_TRAIN, t)
         mem_items = self.memory.items if self.memory else []
         if not mem_items:
             log.warning("empty memory at step %d; degenerating to plain fine-tuning", t)
             self.lower_bound_step(model, d_train, t, order)
             return {}
 
+        rng = self._rng(_S_TRAIN, t)
         teacher = distill.snapshot_teacher(model)
         disc = adv.Discriminator(cfg.hidden, self._rng(_S_DISC, t))
         disc_opt = ad.Adam(disc.parameters(), lr=cfg.disc_lr)
-        opt = ad.Adam(model.parameters(), lr=cfg.lr)
-        n_mem = max(1, math.ceil(cfg.batch_size * cfg.memory_frac))
+        k = min(max(1, math.ceil(cfg.batch_size * cfg.memory_frac)), len(mem_items))
 
-        for _ in range(cfg.epochs):
-            perm = rng.permutation(len(d_train))
-            for lo in range(0, len(d_train), cfg.batch_size):
-                cur = [d_train[i] for i in perm[lo:lo + cfg.batch_size]]
-                k = min(n_mem, len(mem_items))
-                pick = rng.choice(len(mem_items), size=k, replace=False)
-                mem_batch = [mem_items[i].sample for i in pick]
-                batch = cur + mem_batch
-                h, mask, sl, el = model.forward_batch([s.input_ids for s in batch])
+        def mix(cur):
+            pick = rng.choice(len(mem_items), size=k, replace=False)
+            return cur + [mem_items[i].sample for i in pick]
 
-                # replay-augmented span loss over the whole mixed batch
-                loss = span_loss_batch(
-                    sl, el,
-                    np.array([s.answer_start for s in batch]),
-                    np.array([s.answer_end for s in batch]))
-
+        def hook(batch, loss, sl, el, h, mask):
+            # the replayed memory rows are the batch's last k
+            n = len(batch) - k
+            if cfg.adv_weight != 0.0:
                 pooled = ad.index(h, (slice(None), 0))
-                cur_pooled = ad.index(pooled, slice(0, len(cur)))
-                mem_pooled = ad.index(pooled, slice(len(cur), len(batch)))
+                cur_pooled = ad.index(pooled, slice(0, n))
+                mem_pooled = ad.index(pooled, slice(n, len(batch)))
+                adv.discriminator_step(disc, disc_opt, mem_pooled.data, cur_pooled.data)
+                l_t = adv.encoder_adversarial_loss(disc, mem_pooled, cur_pooled,
+                                                   kernel=cfg.mmd_kernel)
+                loss = loss + l_t * cfg.adv_weight
+            if cfg.kl_weight != 0.0:
+                _, t_mask, t_sl, t_el = teacher.forward_batch(
+                    [s.input_ids for s in batch[n:]])
+                pad_s = np.full((k, mask.shape[1]), NEG_INF)
+                pad_e = np.full((k, mask.shape[1]), NEG_INF)
+                pad_s[:, :t_mask.shape[1]] = t_sl.data
+                pad_e[:, :t_mask.shape[1]] = t_el.data
+                l_kl = distill.kl_distill_loss_batch(
+                    pad_s, pad_e, ad.index(sl, slice(n, len(batch))),
+                    ad.index(el, slice(n, len(batch))), cfg.kl_temperature)
+                loss = loss + l_kl * cfg.kl_weight
+            return loss
 
-                if cfg.adv_weight != 0.0:
-                    adv.discriminator_step(disc, disc_opt,
-                                           mem_pooled.data, cur_pooled.data)
-                    l_t = adv.encoder_adversarial_loss(disc, mem_pooled, cur_pooled,
-                                                       kernel=cfg.mmd_kernel)
-                    loss = loss + l_t * cfg.adv_weight
-
-                if cfg.kl_weight != 0.0:
-                    t_h, t_mask, t_sl, t_el = teacher.forward_batch(
-                        [s.input_ids for s in mem_batch])
-                    width = mask.shape[1]
-                    pad_s = np.full((k, width), NEG_INF)
-                    pad_e = np.full((k, width), NEG_INF)
-                    tw = t_mask.shape[1]
-                    pad_s[:, :tw] = t_sl.data
-                    pad_e[:, :tw] = t_el.data
-                    s_sl = ad.index(sl, slice(len(cur), len(batch)))
-                    s_el = ad.index(el, slice(len(cur), len(batch)))
-                    l_kl = distill.kl_distill_loss_batch(pad_s, pad_e, s_sl, s_el,
-                                                         cfg.kl_temperature)
-                    loss = loss + l_kl * cfg.kl_weight
-
-                opt.zero_grad()
-                ad.backward(loss)
-                opt.step()
-
+        self._fit(model, d_train, rng, loss_hook=hook, mix_hook=mix)
         extra = {}
         if cfg.adv_weight != 0.0:
             disc_acc, probe_acc = self._disc_holdout_accuracy(model, disc, t, order)
@@ -539,6 +512,7 @@ class ContinualEngine:
         return probe_acc
 
     def _pooled_reprs(self, model: BackboneModel, samples: list[Sample]) -> np.ndarray:
+        model = model.copy(requires_grad=False)  # forward only: record no tape
         out = []
         for lo in range(0, len(samples), self.cfg.eval_batch):
             chunk = samples[lo:lo + self.cfg.eval_batch]
@@ -550,6 +524,7 @@ class ContinualEngine:
 
     def evaluate(self, model: BackboneModel, seen_domains: list[int]):
         """Per-domain EM/F1 over the seen test sets, in introduction order."""
+        model = model.copy(requires_grad=False)  # forward only: record no tape
         per_domain = []
         pooled = []
         for d in seen_domains:
@@ -558,15 +533,10 @@ class ContinualEngine:
             for lo in range(0, len(dom.test), self.cfg.eval_batch):
                 chunk = dom.test[lo:lo + self.cfg.eval_batch]
                 _, mask, sl, el = model.forward_batch([s.input_ids for s in chunk])
-                ps = _softmax_np(sl.data)
-                pe = _softmax_np(el.data)
-                for i, s in enumerate(chunk):
-                    n = int(mask[i].sum())
-                    dist = SpanDistribution(Tensor(sl.data[i, :n]), Tensor(el.data[i, :n]),
-                                            Tensor(ps[i, :n]), Tensor(pe[i, :n]))
-                    i0, j0 = decode_answer(dist, self.cfg.max_answer_len)
-                    pred = s.input_ids[i0:j0 + 1]
-                    e, f = em_f1(pred, s.answer_ids)
+                starts, ends = decode_answer(ad.softmax(sl).data, ad.softmax(el).data,
+                                             mask, self.cfg.max_answer_len)
+                for s, i0, j0 in zip(chunk, starts, ends):
+                    e, f = em_f1(s.input_ids[i0:j0 + 1], s.answer_ids)
                     ems.append(e)
                     f1s.append(f)
             per_domain.append({"domain": d,

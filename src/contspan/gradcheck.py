@@ -7,16 +7,16 @@ by the `gradcheck` CLI subcommand and the acceptance suite.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import autodiff as ad
 from . import adversarial as adv
 from . import distill
 from .autodiff import Tensor
-from .backbone import BackboneModel, ModelConfig, span_loss_batch, NEG_INF
-from .engine import FisherState, ewc_penalty
+from .backbone import BackboneModel, ModelConfig, span_loss_batch
+from .data import Sample
+from .engine import FisherState, ewc_penalty, der_replay_mse
+from .memory import MemoryItem
 
 TOLERANCE = 1e-4
 
@@ -41,17 +41,27 @@ def _param_check(model, name, loss_fn, eps=1e-5):
     return ad.finite_difference_check(f, original.detach(), eps)
 
 
-def _batch(rng, model, n, l):
-    ids = [rng.integers(0, model.config.vocab_size, size=l).tolist() for _ in range(n)]
-    y_s = rng.integers(0, l, size=n)
-    y_e = np.array([rng.integers(s, l) for s in y_s])
-    return ids, y_s, y_e
+def _ragged_samples(rng, model, passage_lens):
+    """Assembled one-token-question samples with passages of the given
+    lengths, so a batch of them carries padding."""
+    vocab, out = model.config.vocab_size, []
+    for n in passage_lens:
+        a = int(rng.integers(0, n))
+        b = int(rng.integers(a, n))
+        out.append(Sample(id=str(len(out)), domain=0,
+                          question_ids=[int(rng.integers(3, vocab))],
+                          passage_ids=rng.integers(3, vocab, size=n).tolist(),
+                          answer_start=3 + a, answer_end=3 + b)
+                   .assemble(model.config.l_max))
+    ids = [s.input_ids for s in out]
+    return out, ids, np.array([s.answer_start for s in out]), \
+        np.array([s.answer_end for s in out])
 
 
 def check_span_loss(seed=0) -> float:
     model = _tiny_model(seed)
     rng = ad.seeded_rng(seed, 10)
-    ids, y_s, y_e = _batch(rng, model, 2, 8)
+    _, ids, y_s, y_e = _ragged_samples(rng, model, [4, 2])
 
     def loss():
         _, _, sl, el = model.forward_batch(ids)
@@ -95,7 +105,7 @@ def check_kl_loss(seed=0) -> float:
     for p in teacher.params.values():
         p.data += 0.01  # make teacher and student genuinely differ
     rng = ad.seeded_rng(seed, 12)
-    ids, _, _ = _batch(rng, model, 2, 7)
+    _, ids, _, _ = _ragged_samples(rng, model, [3, 1])
     _, _, t_sl, t_el = teacher.forward_batch(ids)
 
     def loss():
@@ -122,17 +132,19 @@ def check_ewc_penalty(seed=0) -> float:
 
 
 def check_der_terms(seed=0) -> float:
+    """DER++'s logit replay plus gold-label replay, as in a DER step."""
     model = _tiny_model(seed)
     rng = ad.seeded_rng(seed, 14)
-    ids, y_s, y_e = _batch(rng, model, 2, 6)
-    cached_s = rng.normal(size=(2, 6))
-    cached_e = rng.normal(size=(2, 6))
+    samples, ids, y_s, y_e = _ragged_samples(rng, model, [2, 4, 3])
+    items = [MemoryItem(sample=s, origin_domain=0,
+                        teacher_start_logits=rng.normal(size=len(s.input_ids)),
+                        teacher_end_logits=rng.normal(size=len(s.input_ids)))
+             for s in samples]
 
     def loss():
         _, mask, sl, el = model.forward_batch(ids)
-        mse = ad.tmean(ad.tsum(ad.square(sl - Tensor(cached_s)), axis=1)) \
-            + ad.tmean(ad.tsum(ad.square(el - Tensor(cached_e)), axis=1))
-        return mse * 0.5 + span_loss_batch(sl, el, y_s, y_e) * 0.5
+        return der_replay_mse(items, sl, el, mask) * 0.5 \
+            + span_loss_batch(sl, el, y_s, y_e) * 0.5
 
     return max(_param_check(model, "w_start", loss),
                _param_check(model, "blk0.wo", loss))
@@ -146,9 +158,10 @@ def check_combined_loss(seed=0) -> float:
     teacher = distill.snapshot_teacher(model)
     for p in teacher.params.values():
         p.data += 0.01
-    ids, y_s, y_e = _batch(rng, model, 4, 7)
+    _, ids, y_s, y_e = _ragged_samples(rng, model, [4, 2, 1, 3])
     mem = slice(2, 4)
-    _, _, t_sl, t_el = teacher.forward_batch(ids[mem])
+    # teacher logits at the student batch's width, as in training
+    _, _, t_sl, t_el = teacher.forward_batch(ids)
 
     def loss():
         h, _, sl, el = model.forward_batch(ids)
@@ -157,7 +170,7 @@ def check_combined_loss(seed=0) -> float:
         total = total + adv.encoder_adversarial_loss(
             disc, ad.index(pooled, mem), ad.index(pooled, slice(0, 2)))
         total = total + distill.kl_distill_loss_batch(
-            t_sl.data, t_el.data, ad.index(sl, mem), ad.index(el, mem))
+            t_sl.data[mem], t_el.data[mem], ad.index(sl, mem), ad.index(el, mem))
         return total
 
     return max(_param_check(model, "blk0.wq", loss),
@@ -165,9 +178,9 @@ def check_combined_loss(seed=0) -> float:
 
 
 ALL_CHECKS = [
-    ("span_loss", check_span_loss),
+    ("span_loss_batch", check_span_loss),
     ("adversarial_loss", check_adversarial_loss),
-    ("kl_distill_loss", check_kl_loss),
+    ("kl_distill", check_kl_loss),
     ("ewc_penalty", check_ewc_penalty),
     ("der_terms", check_der_terms),
     ("combined_loss", check_combined_loss),

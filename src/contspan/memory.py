@@ -13,10 +13,10 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .backbone import BackboneModel
 from .data import Sample
 
@@ -49,29 +49,26 @@ class Memory:
             counts[it.origin_domain] = counts.get(it.origin_domain, 0) + 1
         return counts
 
-    def samples(self) -> list[Sample]:
-        return [it.sample for it in self.items]
-
 
 def _observe(model: BackboneModel, items: list[MemoryItem], kind: str,
              batch_size: int = 64):
-    """Fresh uncertainty pass over items; updates last and running best."""
+    """Fresh uncertainty pass over items; updates last and running best.
+
+    entropy: log p_start[gold] + log p_end[gold] (0 at perfect confidence).
+    prob: max_i p_start[i] + max_j p_end[j], equal to the exhaustive
+    max over (i, j) pairs of p_start[i] + p_end[j].
+    """
+    model = model.copy(requires_grad=False)  # forward only: record no tape
     for lo in range(0, len(items), batch_size):
         chunk = items[lo:lo + batch_size]
-        _, mask, sl, el = model.forward_batch([it.sample.input_ids for it in chunk])
-        ps = _masked_softmax(sl.data, mask)
-        pe = _masked_softmax(el.data, mask)
+        _, _, sl, el = model.forward_batch([it.sample.input_ids for it in chunk])
+        ps = ad.softmax(sl).data
+        pe = ad.softmax(el).data
         for i, it in enumerate(chunk):
             u = _uncertainty_value(ps[i], pe[i],
                                    it.sample.answer_start, it.sample.answer_end, kind)
             it.last_uncertainty = u
             it.best_uncertainty = max(it.best_uncertainty, u)
-
-
-def _masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z) * mask
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _uncertainty_value(ps, pe, y_s, y_e, kind: str) -> float:
@@ -82,19 +79,9 @@ def _uncertainty_value(ps, pe, y_s, y_e, kind: str) -> float:
     raise ValueError(f"unknown uncertainty kind {kind!r}")
 
 
-def compute_uncertainty(model: BackboneModel, item: MemoryItem, kind: str) -> float:
-    """Confidence score under the current model; side-effects the item.
-
-    entropy: log p_start[gold] + log p_end[gold] (0 at perfect confidence).
-    prob: max_i p_start[i] + max_j p_end[j], equal to the exhaustive
-    max over (i, j) pairs of p_start[i] + p_end[j].
-    """
-    _observe(model, [item], kind)
-    return item.last_uncertainty
-
-
 def _cache_teacher_logits(model: BackboneModel, items: list[MemoryItem],
                           batch_size: int = 64):
+    model = model.copy(requires_grad=False)  # forward only: record no tape
     for lo in range(0, len(items), batch_size):
         chunk = items[lo:lo + batch_size]
         _, mask, sl, el = model.forward_batch([it.sample.input_ids for it in chunk])

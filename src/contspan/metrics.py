@@ -12,7 +12,6 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 SCHEMA_VERSION = 1
 

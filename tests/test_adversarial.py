@@ -47,10 +47,11 @@ def test_output_monotone_in_final_logit():
 
 def test_discriminate_matches_batched_forward():
     d = make_disc(seed=3)
-    v = ad.seeded_rng(6).normal(size=H)
-    single = adv.discriminate(d, Tensor(v)).item()
-    batched = d.forward(Tensor(v[None, :])).data[0]
-    assert single == pytest.approx(batched, abs=1e-15)
+    x = ad.seeded_rng(6).normal(size=(5, H))
+    batched = d.forward(Tensor(x)).data
+    for i in range(5):
+        single = d.forward(Tensor(x[i:i + 1])).data[0]
+        assert single == pytest.approx(batched[i], abs=1e-15)
 
 
 def test_mmd_zero_iff_means_match():
@@ -96,36 +97,45 @@ class _ConstDisc(adv.Discriminator):
         return Tensor(vals)
 
 
+MEM = np.array([[1.0, 0.0]])
+CUR = np.array([[-1.0, 0.0]])
+
+
+def game_losses(disc):
+    """(L_D, L_T) from the two halves of one game alternation."""
+    l_d = adv.discriminator_step(disc, ad.Adam(disc.parameters()), MEM, CUR)
+    return l_d, adv.encoder_adversarial_loss(disc, Tensor(MEM), Tensor(CUR)).item()
+
+
 def test_core_loss_values_with_stubbed_outputs():
-    mem = [Tensor(np.array([1.0, 0.0]))]
-    cur = [Tensor(np.array([-1.0, 0.0]))]
-    batch = adv.AdvBatch(mem, cur)
-    d_mmd = adv.mmd(Tensor([[1.0, 0.0]]), Tensor([[-1.0, 0.0]])).item()
+    d_mmd = adv.mmd(Tensor(MEM), Tensor(CUR)).item()
 
     # an undecided discriminator: core = 2 log 2 + mmd, and L_D = -core
-    l_d, l_t = adv.adversarial_losses(_ConstDisc(0.5, 0.5), batch)
-    assert l_t.item() == pytest.approx(2 * math.log(2) + d_mmd, abs=1e-12)
-    assert l_d.item() == pytest.approx(-l_t.item(), abs=1e-12)
+    l_d, l_t = game_losses(_ConstDisc(0.5, 0.5))
+    assert l_t == pytest.approx(2 * math.log(2) + d_mmd, abs=1e-12)
+    assert l_d == pytest.approx(-l_t, abs=1e-12)
 
     # a near-perfect discriminator drives the core toward the mmd floor
     for eps in (0.1, 0.01):
-        _, l_t = adv.adversarial_losses(_ConstDisc(1 - eps, eps), batch)
-        assert l_t.item() == pytest.approx(-2 * math.log(1 - eps) + d_mmd, abs=1e-12)
-    _, l_strong = adv.adversarial_losses(_ConstDisc(0.99, 0.01), batch)
-    _, l_weak = adv.adversarial_losses(_ConstDisc(0.9, 0.1), batch)
-    assert l_strong.item() < l_weak.item()
+        _, l_t = game_losses(_ConstDisc(1 - eps, eps))
+        assert l_t == pytest.approx(-2 * math.log(1 - eps) + d_mmd, abs=1e-12)
+    _, l_strong = game_losses(_ConstDisc(0.99, 0.01))
+    _, l_weak = game_losses(_ConstDisc(0.9, 0.1))
+    assert l_strong < l_weak
 
 
 def test_adversarial_batch_validation():
+    d = make_disc()
+    empty, one = np.zeros((0, H)), np.zeros((1, H))
     with pytest.raises(ValueError, match="non-empty"):
-        adv.AdvBatch([], [Tensor(np.zeros(H))]).validate()
+        adv.encoder_adversarial_loss(d, Tensor(empty), Tensor(one))
+    with pytest.raises(ValueError, match="non-empty"):
+        adv.discriminator_step(d, ad.Adam(d.parameters()), one, empty)
 
 
 def test_log_floor_keeps_core_finite():
-    mem = [Tensor(np.array([1.0, 0.0]))]
-    cur = [Tensor(np.array([-1.0, 0.0]))]
-    _, l_t = adv.adversarial_losses(_ConstDisc(0.0, 1.0), adv.AdvBatch(mem, cur))
-    assert np.isfinite(l_t.item())
+    l_d, l_t = game_losses(_ConstDisc(0.0, 1.0))
+    assert np.isfinite(l_t) and np.isfinite(l_d)
 
 
 def test_discriminator_step_decreases_l_d():
@@ -147,12 +157,19 @@ def test_minimax_step_parameter_isolation():
     mem = Tensor(rng.normal(size=(4, H)), requires_grad=True)
     cur = Tensor(rng.normal(size=(4, H)), requires_grad=True)
 
-    _, l_t = adv.minimax_step(d, opt, mem, cur)
+    # the discriminator's update runs on detached copies of the representations
+    start = {k: v.data.copy() for k, v in d.params.items()}
+    adv.discriminator_step(d, opt, mem.data, cur.data)
+    assert any(not np.array_equal(v.data, start[k]) for k, v in d.params.items())
+    assert not mem.grad.any() and not cur.grad.any()
+
+    # the encoder's loss runs through a frozen copy of the discriminator
+    l_t = adv.encoder_adversarial_loss(d, mem, cur)
     before = {k: v.data.copy() for k, v in d.params.items()}
     d.zero_grad()
     ad.backward(l_t)
     for k, v in d.params.items():
-        np.testing.assert_array_equal(v.data, before[k])  # frozen copy used
+        np.testing.assert_array_equal(v.data, before[k])
         assert not v.grad.any()
     assert mem.grad.any() and cur.grad.any()
 
@@ -171,7 +188,8 @@ def test_alternating_game_reduces_separability():
     d_opt = ad.Adam(d.parameters(), lr=1e-2)
     rep_opt = ad.Adam([mem, cur], lr=1e-1)
     for _ in range(200):
-        _, l_t = adv.minimax_step(d, d_opt, mem, cur)
+        adv.discriminator_step(d, d_opt, mem.data, cur.data)
+        l_t = adv.encoder_adversarial_loss(d, mem, cur)
         rep_opt.zero_grad()
         ad.backward(l_t)
         rep_opt.step()

@@ -49,6 +49,24 @@ def test_sample_assemble_rejects_truncated_span():
         s.assemble(12)
 
 
+@pytest.mark.parametrize("start,end", [(-1, 5), (6, 5)])
+def test_sample_assemble_rejects_malformed_span(start, end):
+    s = Sample(id="x", domain=0, question_ids=[10, 11],
+               passage_ids=list(range(20, 30)), answer_start=start, answer_end=end)
+    with pytest.raises(ValueError, match="malformed answer span"):
+        s.assemble(16)
+
+
+def test_ingest_drops_malformed_token_span(tmp_path):
+    path = tmp_path / "d.jsonl"
+    rec = {"id": "t", "domain": 0, "question_ids": [10, 11],
+           "passage_ids": list(range(20, 30)), "answer_start": 4, "answer_end": 5}
+    _write_jsonl(path, [rec, dict(rec, id="neg", answer_start=-1),
+                        dict(rec, id="rev", answer_start=6)])
+    samples, _, dropped = ingest_jsonl(path)
+    assert [s.id for s in samples] == ["t"] and dropped == 2
+
+
 def test_sample_answer_ids_is_input_slice():
     s = Sample(id="x", domain=0, question_ids=[10], passage_ids=[20, 21, 22],
                answer_start=4, answer_end=5).assemble(16)

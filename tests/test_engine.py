@@ -272,13 +272,13 @@ def test_teacher_constant_during_incremental_step(monkeypatch):
 
     def spy(model):
         teacher = orig(model)
-        seen["before"] = teacher.encode(probe).data.copy()
+        seen["before"] = teacher.encode_batch([probe])[0].data.copy()
         seen["teacher"] = teacher
         return teacher
 
     monkeypatch.setattr(distill, "snapshot_teacher", spy)
     engine.run()
-    np.testing.assert_array_equal(seen["teacher"].encode(probe).data,
+    np.testing.assert_array_equal(seen["teacher"].encode_batch([probe])[0].data,
                                   seen["before"])
 
 
@@ -288,6 +288,33 @@ def test_empty_memory_incremental_step_warns_and_finetunes(caplog):
     with caplog.at_level("WARNING"):
         run_stream(stream, cfg)
     assert "empty memory" in caplog.text
+
+
+def test_forward_only_passes_record_no_tape(monkeypatch):
+    """Scoring, memory and probe passes forward without building a graph."""
+    nodes = []
+    make = ad._make
+
+    def counting_make(*args):
+        out = make(*args)
+        if out._backward is not None:
+            nodes.append(out._op)
+        return out
+
+    monkeypatch.setattr(ad, "_make", counting_make)
+    stream = small_stream(n_domains=2)
+    engine = ContinualEngine(stream, small_config("ma_mrc"))
+    model = BackboneModel(engine.model_cfg, ad.seeded_rng(0))
+    model.forward_batch([stream.domains[0].test[0].input_ids])
+    assert nodes  # a tracked model does record a tape
+    nodes.clear()
+
+    d0, d1 = stream.domains[0].train, stream.domains[1].train
+    memory = mem.init_memory(d0, 6, model, ad.seeded_rng(0, 1))
+    mem.update_memory(memory, d1, model, 2, ad.seeded_rng(0, 2))
+    engine.evaluate(model, [0, 1])
+    engine._pooled_reprs(model, stream.domains[1].test)
+    assert nodes == []
 
 
 def test_evaluate_reports_per_domain_in_seen_order():

@@ -38,6 +38,12 @@ def make_item(domain=0, best=-math.inf, last=-math.inf, idx=0):
                           best_uncertainty=best, last_uncertainty=last)
 
 
+def observe(model, item, kind):
+    """One item's fresh uncertainty, through the batched scoring pass."""
+    mem._observe(model, [item], kind)
+    return item.last_uncertainty
+
+
 def _no_observe(monkeypatch):
     monkeypatch.setattr(mem, "_observe", lambda *a, **k: None)
     monkeypatch.setattr(mem, "_cache_teacher_logits", lambda *a, **k: None)
@@ -50,7 +56,7 @@ def test_entropy_uncertainty_uniform_length_8():
     model = make_model(zero_heads=True)
     item = make_item()
     assert len(item.sample.input_ids) == 8
-    u = mem.compute_uncertainty(model, item, "entropy")
+    u = observe(model, item, "entropy")
     assert u == pytest.approx(-2 * math.log(8), abs=1e-9)
     assert item.last_uncertainty == u and item.best_uncertainty == u
 
@@ -63,7 +69,7 @@ def test_entropy_uncertainty_is_zero_at_full_confidence():
 def test_prob_uncertainty_uniform_matches_brute_force():
     model = make_model(zero_heads=True)
     item = make_item()
-    u = mem.compute_uncertainty(model, item, "prob")
+    u = observe(model, item, "prob")
     assert u == pytest.approx(0.25, abs=1e-9)
     # exhaustive max over (i, j) pairs of p_start[i] + p_end[j]
     ps = pe = np.full(8, 1 / 8)
@@ -79,9 +85,9 @@ def test_unknown_uncertainty_kind_rejected():
 def test_best_uncertainty_is_running_max():
     model = make_model(seed=1)
     item = make_item()
-    u1 = mem.compute_uncertainty(model, item, "entropy")
+    u1 = observe(model, item, "entropy")
     model.params["w_start"].data += 0.5  # perturb: u changes either way
-    u2 = mem.compute_uncertainty(model, item, "entropy")
+    u2 = observe(model, item, "entropy")
     assert item.best_uncertainty == max(u1, u2)
     assert item.last_uncertainty == u2
 
