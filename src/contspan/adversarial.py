@@ -63,36 +63,15 @@ def mmd(memory_reprs: Tensor, current_reprs: Tensor) -> Tensor:
     return ad.tsum(ad.square(diff))
 
 
-def mmd_rbf(memory_reprs: Tensor, current_reprs: Tensor, bandwidth: float = 1.0) -> Tensor:
-    """Gaussian-kernel MMD estimate; optional alternative to the linear form."""
-    def pair_kernel_mean(x: Tensor, y: Tensor) -> Tensor:
-        x2 = ad.reshape(ad.tsum(ad.square(x), axis=1), (x.data.shape[0], 1))
-        y2 = ad.reshape(ad.tsum(ad.square(y), axis=1), (1, y.data.shape[0]))
-        d2 = x2 + y2 - 2.0 * ad.matmul(x, ad.transpose(y, (1, 0)))
-        return ad.tmean(ad.exp(d2 * (-1.0 / (2.0 * bandwidth ** 2))))
-
-    return (pair_kernel_mean(memory_reprs, memory_reprs)
-            + pair_kernel_mean(current_reprs, current_reprs)
-            - 2.0 * pair_kernel_mean(memory_reprs, current_reprs))
-
-
-def _mmd_by_kind(mem: Tensor, cur: Tensor, kernel: str) -> Tensor:
-    if kernel == "linear":
-        return mmd(mem, cur)
-    if kernel == "rbf":
-        return mmd_rbf(mem, cur)
-    raise ValueError(f"unknown mmd kernel {kernel!r}")
-
-
 def _core_loss(disc: Discriminator, mem: Tensor, cur: Tensor,
-               params: dict[str, Tensor] | None, kernel: str = "linear") -> Tensor:
+               params: dict[str, Tensor] | None) -> Tensor:
     if mem.data.shape[0] == 0 or cur.data.shape[0] == 0:
         raise ValueError("adversarial game needs non-empty memory and current sides")
     d_mem = disc.forward(mem, params)
     d_cur = disc.forward(cur, params)
     core = -ad.tmean(ad.log(d_mem, floor=LOG_FLOOR)) \
         - ad.tmean(ad.log(Tensor(1.0) - d_cur, floor=LOG_FLOOR))
-    return core + _mmd_by_kind(mem, cur, kernel)
+    return core + mmd(mem, cur)
 
 
 def discriminator_step(disc: Discriminator, opt: ad.Adam,
@@ -107,11 +86,10 @@ def discriminator_step(disc: Discriminator, opt: ad.Adam,
     return l_d.item()
 
 
-def encoder_adversarial_loss(disc: Discriminator, mem: Tensor, cur: Tensor,
-                             kernel: str = "linear") -> Tensor:
+def encoder_adversarial_loss(disc: Discriminator, mem: Tensor, cur: Tensor) -> Tensor:
     """Encoder-side core loss through a frozen discriminator copy, so its
     gradient reaches only the representations (and the encoder above them)."""
-    return _core_loss(disc, mem, cur, disc.frozen_params(), kernel=kernel)
+    return _core_loss(disc, mem, cur, disc.frozen_params())
 
 
 def discriminator_accuracy(disc: Discriminator, mem_reprs: np.ndarray,

@@ -159,10 +159,11 @@ def square(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading dims broadcast as in ``np.matmul``."""
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ValueError(f"matmul requires at least 1-d operands, got shapes "
-                         f"{a.data.shape} and {b.data.shape}")
+    """Matrix product; leading dims broadcast as in ``np.matmul``. The left
+    operand is at least 2-d, the right at least 1-d."""
+    if a.data.ndim < 2 or b.data.ndim == 0:
+        raise ValueError(f"matmul requires a left operand of at least 2-d and a right "
+                         f"of at least 1-d, got shapes {a.data.shape} and {b.data.shape}")
     try:
         data = np.matmul(a.data, b.data)
     except ValueError as e:
@@ -170,19 +171,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g, _a=a, _b=b):
         ad, bd = _a.data, _b.data
-        if ad.ndim == 1 and bd.ndim == 1:
-            yield _a, g * bd
-            yield _b, g * ad
-            return
         if bd.ndim == 1:
             yield _a, _unbroadcast(g[..., None] * bd, ad.shape)
             gb = (np.swapaxes(ad, -1, -2) @ g[..., None])[..., 0]
             yield _b, _unbroadcast(gb, bd.shape)
-            return
-        if ad.ndim == 1:
-            yield _a, _unbroadcast((g[..., None, :] @ np.swapaxes(bd, -1, -2))[..., 0, :],
-                                   ad.shape)
-            yield _b, _unbroadcast(ad[:, None] * g[..., None, :], bd.shape)
             return
         ga = g @ np.swapaxes(bd, -1, -2)
         gb = np.swapaxes(ad, -1, -2) @ g

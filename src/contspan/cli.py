@@ -37,8 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--method", choices=METHODS)
     r.add_argument("--data", help="dataset directory from `gen`")
     r.add_argument("--memory-size", type=int)
-    r.add_argument("--norm", choices=["norm1", "norm2"])
-    r.add_argument("--uncertainty", choices=["entropy", "prob", "random"])
+    r.add_argument("--norm", dest="norm_strategy", choices=["norm1", "norm2"])
+    r.add_argument("--uncertainty", dest="uncertainty_kind",
+                   choices=["entropy", "prob", "random"])
     r.add_argument("--order", help="comma-separated domain permutation, e.g. 2,0,1")
     r.add_argument("--seed", type=int)
     r.add_argument("--epochs", type=int)
@@ -77,14 +78,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-_RUN_FLAG_MAP = {
-    "method": "method", "memory_size": "memory_size", "norm": "norm_strategy",
-    "uncertainty": "uncertainty_kind", "seed": "seed", "epochs": "epochs",
-    "batch_size": "batch_size", "lr": "lr", "adv_weight": "adv_weight",
-    "kl_weight": "kl_weight",
-}
-
-
 def cmd_run(args) -> int:
     manifest: dict = {}
     if args.config:
@@ -95,16 +88,16 @@ def cmd_run(args) -> int:
         print("error: no data directory (use --data or a 'data' manifest key)",
               file=sys.stderr)
         return 2
-    known = {f.name for f in ContinualConfig.__dataclass_fields__.values()}
-    unknown = set(manifest) - known
+    fields = ContinualConfig.__dataclass_fields__
+    unknown = set(manifest) - set(fields)
     if unknown:
         print(f"error: unknown manifest keys: {sorted(unknown)}", file=sys.stderr)
         return 2
     cfg = ContinualConfig(**manifest)
-    for flag, field in _RUN_FLAG_MAP.items():
-        val = getattr(args, flag, None)
+    for name in fields:  # run flags share their config field's name
+        val = getattr(args, name, None)
         if val is not None:
-            setattr(cfg, field, val)
+            setattr(cfg, name, val)
     if args.order:
         cfg.domain_order = [int(x) for x in args.order.split(",")]
 

@@ -418,7 +418,8 @@ def ingest_jsonl(path, l_max: int = 64, vocab: dict[str, int] | None = None):
     return samples, vocab, dropped
 
 
-def _tokenize(text: str, vocab: dict[str, int], extend: bool):
+def _tokenize(text: str, vocab: dict[str, int]):
+    """Whitespace tokens as ids, adding unseen tokens to the vocab."""
     ids = []
     spans = []  # (char_start, char_end) per token
     pos = 0
@@ -426,13 +427,7 @@ def _tokenize(text: str, vocab: dict[str, int], extend: bool):
         start = text.index(tok, pos)
         spans.append((start, start + len(tok)))
         pos = start + len(tok)
-        if tok not in vocab:
-            if extend:
-                vocab[tok] = len(vocab)
-            else:
-                ids.append(UNK_ID)
-                continue
-        ids.append(vocab[tok])
+        ids.append(vocab.setdefault(tok, len(vocab)))
     return ids, spans
 
 
@@ -440,8 +435,8 @@ def _sample_from_text(rec, vocab, l_max, path, lineno):
     for key in ("id", "domain", "question", "passage", "answer_text", "answer_char_start"):
         if key not in rec:
             raise ValueError(f"{path}:{lineno}: missing field {key!r}")
-    q_ids, _ = _tokenize(rec["question"], vocab, extend=True)
-    p_ids, p_spans = _tokenize(rec["passage"], vocab, extend=True)
+    q_ids, _ = _tokenize(rec["question"], vocab)
+    p_ids, p_spans = _tokenize(rec["passage"], vocab)
     if not q_ids or not p_ids:
         return None
     char_start = int(rec["answer_char_start"])

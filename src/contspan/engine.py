@@ -34,6 +34,14 @@ METHODS = ("ma_mrc", "lower", "upper", "ewc", "online_ewc", "agem", "der", "derp
 # rng substream ids
 _S_INIT, _S_TRAIN, _S_MEM, _S_FISHER, _S_DISC, _S_PROBE = 0, 1, 2, 3, 4, 5
 
+# Every caller uses one value of these, so they are constants, not config.
+# (Likewise the KL runs at temperature 1 and the MMD kernel is linear.)
+DISC_LR = 3e-3           # discriminator Adam step size
+EWC_LAMBDA = 10.0        # Fisher-penalty strength
+ONLINE_EWC_GAMMA = 0.95  # decay of the running Fisher
+DER_ALPHA = 0.5          # weight of DER's logit replay
+MEMORY_FRAC = 0.25       # share of a mixed batch replayed from memory
+
 
 @dataclass
 class ContinualConfig:
@@ -44,20 +52,13 @@ class ContinualConfig:
     epochs: int = 3
     batch_size: int = 16
     lr: float = 3e-3                     # from-scratch desk preset; 3e-5 suits pretrained
-    disc_lr: float = 3e-3
     domain_order: list[int] | None = None
     seed: int = 0
     adv_weight: float = 1.0
     kl_weight: float = 1.0
-    kl_temperature: float = 1.0
-    mmd_kernel: str = "linear"           # linear | rbf
-    ewc_lambda: float = 10.0
-    online_ewc_gamma: float = 0.95
-    der_alpha: float = 0.5
     derpp_beta: float = 0.5
     n_fisher: int = 256
     max_answer_len: int = 8
-    memory_frac: float = 0.25
     hidden: int = 64
     n_layers: int = 2
     n_heads: int = 2
@@ -66,6 +67,9 @@ class ContinualConfig:
     def validate(self, n_domains: int):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+        for name, lo in (("memory_size", 0), ("batch_size", 1), ("eval_batch", 1)):
+            if getattr(self, name) < lo:
+                raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
         order = self.order(n_domains)
         if sorted(order) != list(range(n_domains)):
             raise ValueError(f"domain_order {order} is not a permutation of "
@@ -203,10 +207,8 @@ class ContinualEngine:
                     extra.update(step_extra)
 
             # post-step bookkeeping: memory, fisher
-            if uses_memory and cfg.memory_size >= 0:
-                kind = cfg.uncertainty_kind
-                if cfg.method in ("agem", "der", "derpp"):
-                    kind = "random"
+            if uses_memory:
+                kind = cfg.uncertainty_kind if cfg.method == "ma_mrc" else "random"
                 if t == 1:
                     self.memory = mem.init_memory(dom.train, cfg.memory_size, model,
                                                   self._rng(_S_MEM, t), kind)
@@ -341,10 +343,9 @@ class ContinualEngine:
     def ewc_step(self, model, d_train, t, order):
         states = ([self.online_fisher] if self.cfg.method == "online_ewc"
                   else self.fisher_states)
-        lam = self.cfg.ewc_lambda
 
         def hook(batch, loss, sl, el, h, mask):
-            return loss + ewc_penalty(model, states, lam)
+            return loss + ewc_penalty(model, states, EWC_LAMBDA)
 
         self._fit(model, d_train, self._rng(_S_TRAIN, t), loss_hook=hook)
 
@@ -370,8 +371,8 @@ class ContinualEngine:
         if self.online_fisher is None:
             self.online_fisher = state
         else:
-            g = self.cfg.online_ewc_gamma
-            merged = {k: g * self.online_fisher.fisher[k] + fisher[k] for k in fisher}
+            merged = {k: ONLINE_EWC_GAMMA * self.online_fisher.fisher[k] + fisher[k]
+                      for k in fisher}
             self.online_fisher = FisherState(fisher=merged, anchor=anchor)
 
     def agem_step(self, model, d_train, t, order):
@@ -402,7 +403,6 @@ class ContinualEngine:
             log.warning("empty memory at step %d; DER degenerates to fine-tuning", t)
             self._fit(model, d_train, rng)
             return
-        alpha = self.cfg.der_alpha
         beta = self.cfg.derpp_beta if self.cfg.method == "derpp" else 0.0
 
         def hook(batch, loss, sl, el, h, mask):
@@ -411,7 +411,7 @@ class ContinualEngine:
             items = [mem_items[i] for i in pick]
             _, m_mask, m_sl, m_el = model.forward_batch(
                 [it.sample.input_ids for it in items])
-            extra = der_replay_mse(items, m_sl, m_el, m_mask) * alpha
+            extra = der_replay_mse(items, m_sl, m_el, m_mask) * DER_ALPHA
             if beta != 0.0:
                 replay = span_loss_batch(
                     m_sl, m_el,
@@ -434,8 +434,8 @@ class ContinualEngine:
         rng = self._rng(_S_TRAIN, t)
         teacher = distill.snapshot_teacher(model)
         disc = adv.Discriminator(cfg.hidden, self._rng(_S_DISC, t))
-        disc_opt = ad.Adam(disc.parameters(), lr=cfg.disc_lr)
-        k = min(max(1, math.ceil(cfg.batch_size * cfg.memory_frac)), len(mem_items))
+        disc_opt = ad.Adam(disc.parameters(), lr=DISC_LR)
+        k = min(max(1, math.ceil(cfg.batch_size * MEMORY_FRAC)), len(mem_items))
 
         def mix(cur):
             pick = rng.choice(len(mem_items), size=k, replace=False)
@@ -449,8 +449,7 @@ class ContinualEngine:
                 cur_pooled = ad.index(pooled, slice(0, n))
                 mem_pooled = ad.index(pooled, slice(n, len(batch)))
                 adv.discriminator_step(disc, disc_opt, mem_pooled.data, cur_pooled.data)
-                l_t = adv.encoder_adversarial_loss(disc, mem_pooled, cur_pooled,
-                                                   kernel=cfg.mmd_kernel)
+                l_t = adv.encoder_adversarial_loss(disc, mem_pooled, cur_pooled)
                 loss = loss + l_t * cfg.adv_weight
             if cfg.kl_weight != 0.0:
                 _, t_mask, t_sl, t_el = teacher.forward_batch(
@@ -461,7 +460,7 @@ class ContinualEngine:
                 pad_e[:, :t_mask.shape[1]] = t_el.data
                 l_kl = distill.kl_distill_loss_batch(
                     pad_s, pad_e, ad.index(sl, slice(n, len(batch))),
-                    ad.index(el, slice(n, len(batch))), cfg.kl_temperature)
+                    ad.index(el, slice(n, len(batch))))
                 loss = loss + l_kl * cfg.kl_weight
             return loss
 

@@ -50,25 +50,31 @@ class Memory:
         return counts
 
 
-def _observe(model: BackboneModel, items: list[MemoryItem], kind: str,
-             batch_size: int = 64):
-    """Fresh uncertainty pass over items; updates last and running best.
+def _forward_chunks(model: BackboneModel, items: list[MemoryItem],
+                    batch_size: int = 64):
+    """Yield (chunk, mask, start logits, end logits) per chunk of items."""
+    model = model.copy(requires_grad=False)  # forward only: record no tape
+    for lo in range(0, len(items), batch_size):
+        chunk = items[lo:lo + batch_size]
+        _, mask, sl, el = model.forward_batch([it.sample.input_ids for it in chunk])
+        yield chunk, mask, sl, el
+
+
+def _score(chunk: list[MemoryItem], sl, el, kind: str):
+    """Record each item's uncertainty from its start/end logit rows;
+    updates last and running best.
 
     entropy: log p_start[gold] + log p_end[gold] (0 at perfect confidence).
     prob: max_i p_start[i] + max_j p_end[j], equal to the exhaustive
     max over (i, j) pairs of p_start[i] + p_end[j].
     """
-    model = model.copy(requires_grad=False)  # forward only: record no tape
-    for lo in range(0, len(items), batch_size):
-        chunk = items[lo:lo + batch_size]
-        _, _, sl, el = model.forward_batch([it.sample.input_ids for it in chunk])
-        ps = ad.softmax(sl).data
-        pe = ad.softmax(el).data
-        for i, it in enumerate(chunk):
-            u = _uncertainty_value(ps[i], pe[i],
-                                   it.sample.answer_start, it.sample.answer_end, kind)
-            it.last_uncertainty = u
-            it.best_uncertainty = max(it.best_uncertainty, u)
+    ps = ad.softmax(sl).data
+    pe = ad.softmax(el).data
+    for i, it in enumerate(chunk):
+        u = _uncertainty_value(ps[i], pe[i],
+                               it.sample.answer_start, it.sample.answer_end, kind)
+        it.last_uncertainty = u
+        it.best_uncertainty = max(it.best_uncertainty, u)
 
 
 def _uncertainty_value(ps, pe, y_s, y_e, kind: str) -> float:
@@ -79,12 +85,18 @@ def _uncertainty_value(ps, pe, y_s, y_e, kind: str) -> float:
     raise ValueError(f"unknown uncertainty kind {kind!r}")
 
 
-def _cache_teacher_logits(model: BackboneModel, items: list[MemoryItem],
-                          batch_size: int = 64):
-    model = model.copy(requires_grad=False)  # forward only: record no tape
-    for lo in range(0, len(items), batch_size):
-        chunk = items[lo:lo + batch_size]
-        _, mask, sl, el = model.forward_batch([it.sample.input_ids for it in chunk])
+def _observe(model: BackboneModel, items: list[MemoryItem], kind: str):
+    """Fresh uncertainty pass over items already in memory."""
+    for chunk, _, sl, el in _forward_chunks(model, items):
+        _score(chunk, sl, el, kind)
+
+
+def _cache_teacher_logits(model: BackboneModel, items: list[MemoryItem], kind: str):
+    """Cache new items' logits and, unless kind is random, score their
+    uncertainty, from one forward pass."""
+    for chunk, mask, sl, el in _forward_chunks(model, items):
+        if kind != "random":
+            _score(chunk, sl, el, kind)
         for i, it in enumerate(chunk):
             n = int(mask[i].sum())
             it.teacher_start_logits = sl.data[i, :n].copy()
@@ -93,19 +105,9 @@ def _cache_teacher_logits(model: BackboneModel, items: list[MemoryItem],
 
 def init_memory(d1_train: list[Sample], capacity: int, model: BackboneModel,
                 rng: np.random.Generator, kind: str = "entropy") -> Memory:
-    """Uniform sample of the first domain, scored by the trained step-1 model."""
-    if len(d1_train) < capacity:
-        log.warning("memory capacity %d exceeds first domain size %d; storing all",
-                    capacity, len(d1_train))
-        chosen = list(range(len(d1_train)))
-    else:
-        chosen = sorted(rng.choice(len(d1_train), size=capacity, replace=False).tolist())
-    items = [MemoryItem(sample=d1_train[i], origin_domain=d1_train[i].domain)
-             for i in chosen]
-    if kind != "random":
-        _observe(model, items, kind)
-    _cache_teacher_logits(model, items)
-    return Memory(capacity=capacity, items=items)
+    """Uniform sample of the first domain, scored by the trained step-1 model:
+    the quota rule on an empty memory at t = 1."""
+    return update_memory(Memory(capacity), d1_train, model, 1, rng, kind=kind)
 
 
 def retention_weights(items: list[MemoryItem], strategy: str,
@@ -142,15 +144,13 @@ def _quotas(capacity: int, t: int) -> list[int]:
 def update_memory(memory: Memory, d_t_train: list[Sample], model: BackboneModel,
                   t: int, rng: np.random.Generator, strategy: str = "norm1",
                   kind: str = "entropy") -> Memory:
-    """Re-balance memory after training step t (1-based, t >= 2).
+    """Re-balance memory after training step t (1-based).
 
     Old domains keep a weighted sample of their quota; the current domain's
     quota is drawn uniformly from its training set, with teacher logits
     cached from the just-trained model. Any shortfall in an old domain is
     reassigned to extra current-domain draws.
     """
-    if t < 2:
-        raise ValueError("update_memory applies from the second step on")
     if kind != "random":
         _observe(model, memory.items, kind)
     quotas = _quotas(memory.capacity, t)
@@ -177,14 +177,13 @@ def update_memory(memory: Memory, d_t_train: list[Sample], model: BackboneModel,
 
     new_quota = min(quotas[t - 1] + shortfall, len(d_t_train))
     if new_quota < quotas[t - 1] + shortfall:
-        log.warning("current domain smaller than its quota; memory will be short")
+        log.warning("memory quota %d exceeds current domain size %d; storing all",
+                    quotas[t - 1] + shortfall, len(d_t_train))
     idx = rng.choice(len(d_t_train), size=new_quota, replace=False)
     new_items = [MemoryItem(sample=d_t_train[i], origin_domain=d_t_train[i].domain)
                  for i in sorted(idx.tolist())]
-    if kind != "random":
-        _observe(model, new_items, kind)
     # retained items keep the logits cached when they entered memory
-    _cache_teacher_logits(model, new_items)
+    _cache_teacher_logits(model, new_items, kind)
 
     memory.items = kept + new_items
     assert len(memory.items) <= memory.capacity

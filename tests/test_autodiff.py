@@ -16,6 +16,13 @@ def test_matmul_shape_mismatch_names_shapes():
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [(3, (3, 2)), (3, 3), ((), (3, 2)),
+                                              ((2, 3), ())])
+def test_matmul_rejects_1d_left_and_0d_operands(a_shape, b_shape):
+    with pytest.raises(ValueError, match="matmul requires"):
+        ad.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
+
+
 def test_softmax_symmetry():
     out = ad.softmax(Tensor([0.0, 0.0, 0.0]))
     np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-12)

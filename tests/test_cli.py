@@ -78,6 +78,14 @@ def test_run_rejects_unknown_manifest_key(dataset, tmp_path, capsys):
     assert "unknown manifest keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("memory_size", -1), ("batch_size", 0)])
+def test_run_rejects_out_of_range_setting(dataset, tmp_path, capsys, flag, value):
+    rc = main(run_args(dataset, tmp_path / "r.json", method="ma_mrc", **{flag: value}))
+    assert rc == 1
+    assert f"{flag} must be" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_run_requires_data(tmp_path, capsys):
     rc = main(["run", "--method", "lower", "--report", str(tmp_path / "r.json")])
     assert rc == 2

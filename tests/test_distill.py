@@ -14,11 +14,11 @@ def make_model(seed=0):
     return BackboneModel(cfg, ad.seeded_rng(seed))
 
 
-def kl(t, s, temperature=1.0):
+def kl(t, s):
     """The batched loss on one row, same logits on the start and end heads."""
     t = np.asarray(t, float)[None]
     s = s if isinstance(s, Tensor) else Tensor(np.asarray(s, float)[None])
-    return distill.kl_distill_loss_batch(t, t, s, s, temperature)
+    return distill.kl_distill_loss_batch(t, t, s, s)
 
 
 def test_snapshot_is_isolated_from_student():
@@ -80,14 +80,6 @@ def test_length_mismatch_rejected():
     with pytest.raises(ValueError, match="length mismatch"):
         distill.kl_distill_loss_batch(np.zeros((1, 4)), np.zeros((1, 4)),
                                       Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))))
-
-
-def test_temperature_softens_the_loss():
-    t = np.array([4.0, 0.0, 0.0])
-    s = np.array([0.0, 4.0, 0.0])
-    sharp = kl(t, s, temperature=1.0)
-    soft = kl(t, s, temperature=4.0)
-    assert soft.item() < sharp.item()
 
 
 def test_batched_form_averages_singles():

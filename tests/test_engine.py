@@ -103,6 +103,13 @@ def test_config_rejects_unknown_method_and_bad_order():
         ContinualEngine(small_stream(), small_config("lower", domain_order=[0, 0, 1]))
 
 
+@pytest.mark.parametrize("field, value", [("memory_size", -1), ("batch_size", 0),
+                                          ("eval_batch", 0)])
+def test_config_rejects_out_of_range_sizes(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= {value + 1}"):
+        ContinualEngine(small_stream(), small_config("ma_mrc", **{field: value}))
+
+
 # -- reductions -------------------------------------------------------------
 
 def test_ma_mrc_without_memory_reduces_to_lower():

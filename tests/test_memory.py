@@ -209,11 +209,6 @@ def test_update_memory_rebalances_to_quotas(monkeypatch):
     assert len(set(ids)) == len(ids)
 
 
-def test_update_memory_rejects_step_one():
-    with pytest.raises(ValueError, match="second step"):
-        mem.update_memory(mem.Memory(4), [], None, t=1, rng=ad.seeded_rng(0))
-
-
 def test_update_memory_shortfall_reassigned_to_current(monkeypatch):
     _no_observe(monkeypatch)
     d0 = make_samples(2, domain=0)
