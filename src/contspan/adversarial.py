@@ -63,15 +63,20 @@ def mmd(memory_reprs: Tensor, current_reprs: Tensor) -> Tensor:
     return ad.tsum(ad.square(diff))
 
 
+def _bce(disc: Discriminator, mem: Tensor, cur: Tensor,
+         params: dict[str, Tensor] | None = None) -> Tensor:
+    """-mean log D(mem) - mean log(1 - D(cur)): memory labeled 1, current 0."""
+    d_mem = disc.forward(mem, params)
+    d_cur = disc.forward(cur, params)
+    return -ad.tmean(ad.log(d_mem, floor=LOG_FLOOR)) \
+        - ad.tmean(ad.log(Tensor(1.0) - d_cur, floor=LOG_FLOOR))
+
+
 def _core_loss(disc: Discriminator, mem: Tensor, cur: Tensor,
                params: dict[str, Tensor] | None) -> Tensor:
     if mem.data.shape[0] == 0 or cur.data.shape[0] == 0:
         raise ValueError("adversarial game needs non-empty memory and current sides")
-    d_mem = disc.forward(mem, params)
-    d_cur = disc.forward(cur, params)
-    core = -ad.tmean(ad.log(d_mem, floor=LOG_FLOOR)) \
-        - ad.tmean(ad.log(Tensor(1.0) - d_cur, floor=LOG_FLOOR))
-    return core + mmd(mem, cur)
+    return _bce(disc, mem, cur, params) + mmd(mem, cur)
 
 
 def discriminator_step(disc: Discriminator, opt: ad.Adam,
@@ -108,10 +113,7 @@ def _probe_step(disc: Discriminator, opt: ad.Adam,
     This is the ordinary BCE direction, not the game's L_D, which per the
     minimax sign convention trains the discriminator against these labels.
     """
-    d_mem = disc.forward(Tensor(mem_reprs))
-    d_cur = disc.forward(Tensor(cur_reprs))
-    bce = -ad.tmean(ad.log(d_mem, floor=LOG_FLOOR)) \
-        - ad.tmean(ad.log(Tensor(1.0) - d_cur, floor=LOG_FLOOR))
+    bce = _bce(disc, Tensor(mem_reprs), Tensor(cur_reprs))
     opt.zero_grad()
     ad.backward(bce)
     opt.step()

@@ -21,6 +21,7 @@ CHECKPOINT_MAGIC = b"CSPANCKP"
 CHECKPOINT_VERSION = 1
 
 NEG_INF = -1e9  # additive mask value; finite so tensors stay NaN/Inf-free
+EVAL_BATCH = 64  # rows per chunk of a forward-only pass
 
 
 @dataclass
@@ -168,6 +169,18 @@ class BackboneModel:
         sl, el = self.span_logits_batch(h, mask)
         return h, mask, sl, el
 
+    def forward_chunks(self, id_lists):
+        """Forward-only passes over id_lists, EVAL_BATCH rows at a time.
+
+        Runs through one untracked copy, so no tape is recorded. Yields
+        (rows, h, mask, sl, el) per chunk, rows being the chunk's slice of
+        id_lists.
+        """
+        model = self.copy(requires_grad=False)
+        for lo in range(0, len(id_lists), EVAL_BATCH):
+            rows = slice(lo, lo + EVAL_BATCH)
+            yield (rows, *model.forward_batch(id_lists[rows]))
+
     # -- checkpointing ------------------------------------------------------
 
     def save(self, path):
@@ -188,21 +201,26 @@ class BackboneModel:
     @classmethod
     def load(cls, path) -> "BackboneModel":
         with open(path, "rb") as f:
+            def read(n):
+                raw = f.read(n)
+                if len(raw) < n:
+                    raise ValueError(f"truncated checkpoint: {path}")
+                return raw
+
             magic = f.read(len(CHECKPOINT_MAGIC))
             if magic != CHECKPOINT_MAGIC:
                 raise ValueError(f"not a model checkpoint: {path}")
-            version, hlen = struct.unpack("<IQ", f.read(12))
+            version, hlen = struct.unpack("<IQ", read(12))
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
-            header = json.loads(f.read(hlen).decode("utf-8"))
+            header = json.loads(read(hlen).decode("utf-8"))
             model = cls.__new__(cls)
             model.config = ModelConfig(**header["config"])
             model.params = {}
             for entry in header["params"]:
                 shape = tuple(entry["shape"])
                 n = int(np.prod(shape)) if shape else 1
-                raw = f.read(8 * n)
-                arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                arr = np.frombuffer(read(8 * n), dtype="<f8").reshape(shape).copy()
                 model.params[entry["name"]] = Tensor(arr, requires_grad=True)
         return model
 

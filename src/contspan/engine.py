@@ -30,6 +30,7 @@ from .metrics import EvalReport, StepResult, em_f1, f1_avg, f1_all, config_hash
 log = logging.getLogger(__name__)
 
 METHODS = ("ma_mrc", "lower", "upper", "ewc", "online_ewc", "agem", "der", "derpp")
+REPLAY_METHODS = ("ma_mrc", "agem", "der", "derpp")
 
 # rng substream ids
 _S_INIT, _S_TRAIN, _S_MEM, _S_FISHER, _S_DISC, _S_PROBE = 0, 1, 2, 3, 4, 5
@@ -62,12 +63,11 @@ class ContinualConfig:
     hidden: int = 64
     n_layers: int = 2
     n_heads: int = 2
-    eval_batch: int = 64
 
     def validate(self, n_domains: int):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        for name, lo in (("memory_size", 0), ("batch_size", 1), ("eval_batch", 1)):
+        for name, lo in (("memory_size", 0), ("batch_size", 1)):
             if getattr(self, name) < lo:
                 raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
         order = self.order(n_domains)
@@ -108,6 +108,12 @@ def ewc_penalty(model: BackboneModel, states: list[FisherState], lam: float) -> 
             total = total + ad.tsum(Tensor(st.fisher[name])
                                     * ad.square(p - Tensor(st.anchor[name])))
     return total * (lam / 2.0)
+
+
+def gold_span_loss(sl: Tensor, el: Tensor, samples: list[Sample]) -> Tensor:
+    """Mean span cross-entropy of (B, l) logits against the samples' gold spans."""
+    return span_loss_batch(sl, el, np.array([s.answer_start for s in samples]),
+                           np.array([s.answer_end for s in samples]))
 
 
 def der_replay_mse(items: list[mem.MemoryItem], m_sl: Tensor, m_el: Tensor,
@@ -183,7 +189,7 @@ class ContinualEngine:
         elif out is not None:
             self.init_model.save(out / "init.ckpt")
 
-        uses_memory = cfg.method in ("ma_mrc", "agem", "der", "derpp")
+        uses_memory = cfg.method in REPLAY_METHODS
 
         for t in range(start_t, len(order) + 1):
             dom = self.stream.domains[order[t - 1]]
@@ -202,6 +208,10 @@ class ContinualEngine:
                     "derpp": self.der_step,
                     "ma_mrc": self.incremental_step,
                 }[cfg.method]
+                if uses_memory and not self.memory.items:
+                    log.warning("empty memory at step %d; degenerating to plain "
+                                "fine-tuning", t)
+                    step_fn = self.lower_bound_step
                 step_extra = step_fn(model, dom.train, t, order)
                 if step_extra:
                     extra.update(step_extra)
@@ -214,7 +224,8 @@ class ContinualEngine:
                                                   self._rng(_S_MEM, t), kind)
                 else:
                     mem.update_memory(self.memory, dom.train, model, t,
-                                      self._rng(_S_MEM, t), cfg.norm_strategy, kind)
+                                      self._rng(_S_MEM, t), cfg.norm_strategy, kind,
+                                      order)
             if cfg.method in ("ewc", "online_ewc"):
                 self._record_fisher(model, dom.train, t)
 
@@ -231,7 +242,7 @@ class ContinualEngine:
 
             if out is not None:
                 model.save(out / f"step{t}.ckpt")
-                if self.memory is not None:
+                if uses_memory:
                     mem.save_memory(self.memory, out / f"step{t}.memory.jsonl")
                 report.save(out / "report.partial.json")
 
@@ -253,9 +264,8 @@ class ContinualEngine:
         saved = EvalReport.load(partial)
         if saved.metadata["config_hash"] != report.metadata["config_hash"]:
             raise ValueError("resume config does not match the saved run")
-        mem_path = out / f"step{t_last}.memory.jsonl"
-        if mem_path.exists():
-            self.memory = mem.load_memory(mem_path, self.l_max)
+        if self.cfg.method in REPLAY_METHODS:
+            self.memory = mem.load_memory(out / f"step{t_last}.memory.jsonl", self.l_max)
         if self.cfg.method in ("ewc", "online_ewc"):
             raise NotImplementedError("resume for Fisher-penalty methods is not supported")
         log.info("resuming after completed step %d", t_last)
@@ -288,9 +298,7 @@ class ContinualEngine:
                 if mix_hook is not None:
                     batch = mix_hook(batch)
                 h, mask, sl, el = model.forward_batch([s.input_ids for s in batch])
-                y_s = np.array([s.answer_start for s in batch])
-                y_e = np.array([s.answer_end for s in batch])
-                loss = span_loss_batch(sl, el, y_s, y_e)
+                loss = gold_span_loss(sl, el, batch)
                 if loss_hook is not None:
                     loss = loss_hook(batch, loss, sl, el, h, mask)
                 opt.zero_grad()
@@ -312,9 +320,7 @@ class ContinualEngine:
     def _span_grad(self, model: BackboneModel, batch: list[Sample]) -> np.ndarray:
         """Flat gradient of the mean span loss on a batch."""
         _, _, sl, el = model.forward_batch([s.input_ids for s in batch])
-        loss = span_loss_batch(sl, el,
-                               np.array([s.answer_start for s in batch]),
-                               np.array([s.answer_end for s in batch]))
+        loss = gold_span_loss(sl, el, batch)
         model.zero_grad()
         ad.backward(loss)
         return np.concatenate([p.grad.reshape(-1) for p in model.parameters()])
@@ -377,11 +383,7 @@ class ContinualEngine:
 
     def agem_step(self, model, d_train, t, order):
         rng = self._rng(_S_TRAIN, t)
-        mem_items = self.memory.items if self.memory else []
-        if not mem_items:
-            log.warning("empty memory at step %d; A-GEM degenerates to fine-tuning", t)
-            self._fit(model, d_train, rng)
-            return
+        mem_items = self.memory.items
 
         def hook(flat):
             k = min(self.cfg.batch_size, len(mem_items))
@@ -394,15 +396,7 @@ class ContinualEngine:
     def der_step(self, model, d_train, t, order):
         """Logit replay; the plus-plus variant adds gold-label replay."""
         rng = self._rng(_S_TRAIN, t)
-        mem_items = [it for it in (self.memory.items if self.memory else [])
-                     if it.teacher_start_logits is not None]
-        skipped = (len(self.memory.items) - len(mem_items)) if self.memory else 0
-        if skipped:
-            log.warning("%d memory items lack cached logits; skipped", skipped)
-        if not mem_items:
-            log.warning("empty memory at step %d; DER degenerates to fine-tuning", t)
-            self._fit(model, d_train, rng)
-            return
+        mem_items = self.memory.items
         beta = self.cfg.derpp_beta if self.cfg.method == "derpp" else 0.0
 
         def hook(batch, loss, sl, el, h, mask):
@@ -413,10 +407,7 @@ class ContinualEngine:
                 [it.sample.input_ids for it in items])
             extra = der_replay_mse(items, m_sl, m_el, m_mask) * DER_ALPHA
             if beta != 0.0:
-                replay = span_loss_batch(
-                    m_sl, m_el,
-                    np.array([it.sample.answer_start for it in items]),
-                    np.array([it.sample.answer_end for it in items]))
+                replay = gold_span_loss(m_sl, m_el, [it.sample for it in items])
                 extra = extra + replay * beta
             return loss + extra
 
@@ -425,12 +416,7 @@ class ContinualEngine:
     def incremental_step(self, model, d_train, t, order) -> dict:
         """Full method: mixed-batch replay + adversarial game + distillation."""
         cfg = self.cfg
-        mem_items = self.memory.items if self.memory else []
-        if not mem_items:
-            log.warning("empty memory at step %d; degenerating to plain fine-tuning", t)
-            self.lower_bound_step(model, d_train, t, order)
-            return {}
-
+        mem_items = self.memory.items
         rng = self._rng(_S_TRAIN, t)
         teacher = distill.snapshot_teacher(model)
         disc = adv.Discriminator(cfg.hidden, self._rng(_S_DISC, t))
@@ -511,30 +497,22 @@ class ContinualEngine:
         return probe_acc
 
     def _pooled_reprs(self, model: BackboneModel, samples: list[Sample]) -> np.ndarray:
-        model = model.copy(requires_grad=False)  # forward only: record no tape
-        out = []
-        for lo in range(0, len(samples), self.cfg.eval_batch):
-            chunk = samples[lo:lo + self.cfg.eval_batch]
-            h, _ = model.encode_batch([s.input_ids for s in chunk])
-            out.append(h.data[:, 0, :])
-        return np.concatenate(out, axis=0)
+        return np.concatenate([h.data[:, 0, :] for _, h, _, _, _ in
+                               model.forward_chunks([s.input_ids for s in samples])])
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, model: BackboneModel, seen_domains: list[int]):
         """Per-domain EM/F1 over the seen test sets, in introduction order."""
-        model = model.copy(requires_grad=False)  # forward only: record no tape
         per_domain = []
         pooled = []
         for d in seen_domains:
-            dom = self.stream.domains[d]
+            test = self.stream.domains[d].test
             ems, f1s = [], []
-            for lo in range(0, len(dom.test), self.cfg.eval_batch):
-                chunk = dom.test[lo:lo + self.cfg.eval_batch]
-                _, mask, sl, el = model.forward_batch([s.input_ids for s in chunk])
+            for rows, _, mask, sl, el in model.forward_chunks([s.input_ids for s in test]):
                 starts, ends = decode_answer(ad.softmax(sl).data, ad.softmax(el).data,
                                              mask, self.cfg.max_answer_len)
-                for s, i0, j0 in zip(chunk, starts, ends):
+                for s, i0, j0 in zip(test[rows], starts, ends):
                     e, f = em_f1(s.input_ids[i0:j0 + 1], s.answer_ids)
                     ems.append(e)
                     f1s.append(f)

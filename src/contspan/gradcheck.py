@@ -13,9 +13,9 @@ from . import autodiff as ad
 from . import adversarial as adv
 from . import distill
 from .autodiff import Tensor
-from .backbone import BackboneModel, ModelConfig, span_loss_batch
+from .backbone import BackboneModel, ModelConfig
 from .data import Sample
-from .engine import FisherState, ewc_penalty, der_replay_mse
+from .engine import FisherState, ewc_penalty, der_replay_mse, gold_span_loss
 from .memory import MemoryItem
 
 TOLERANCE = 1e-4
@@ -53,19 +53,17 @@ def _ragged_samples(rng, model, passage_lens):
                           passage_ids=rng.integers(3, vocab, size=n).tolist(),
                           answer_start=3 + a, answer_end=3 + b)
                    .assemble(model.config.l_max))
-    ids = [s.input_ids for s in out]
-    return out, ids, np.array([s.answer_start for s in out]), \
-        np.array([s.answer_end for s in out])
+    return out, [s.input_ids for s in out]
 
 
 def check_span_loss(seed=0) -> float:
     model = _tiny_model(seed)
     rng = ad.seeded_rng(seed, 10)
-    _, ids, y_s, y_e = _ragged_samples(rng, model, [4, 2])
+    samples, ids = _ragged_samples(rng, model, [4, 2])
 
     def loss():
         _, _, sl, el = model.forward_batch(ids)
-        return span_loss_batch(sl, el, y_s, y_e)
+        return gold_span_loss(sl, el, samples)
 
     return max(_param_check(model, "w_start", loss),
                _param_check(model, "blk0.wq", loss),
@@ -105,7 +103,7 @@ def check_kl_loss(seed=0) -> float:
     for p in teacher.params.values():
         p.data += 0.01  # make teacher and student genuinely differ
     rng = ad.seeded_rng(seed, 12)
-    _, ids, _, _ = _ragged_samples(rng, model, [3, 1])
+    _, ids = _ragged_samples(rng, model, [3, 1])
     _, _, t_sl, t_el = teacher.forward_batch(ids)
 
     def loss():
@@ -135,7 +133,7 @@ def check_der_terms(seed=0) -> float:
     """DER++'s logit replay plus gold-label replay, as in a DER step."""
     model = _tiny_model(seed)
     rng = ad.seeded_rng(seed, 14)
-    samples, ids, y_s, y_e = _ragged_samples(rng, model, [2, 4, 3])
+    samples, ids = _ragged_samples(rng, model, [2, 4, 3])
     items = [MemoryItem(sample=s, origin_domain=0,
                         teacher_start_logits=rng.normal(size=len(s.input_ids)),
                         teacher_end_logits=rng.normal(size=len(s.input_ids)))
@@ -144,7 +142,7 @@ def check_der_terms(seed=0) -> float:
     def loss():
         _, mask, sl, el = model.forward_batch(ids)
         return der_replay_mse(items, sl, el, mask) * 0.5 \
-            + span_loss_batch(sl, el, y_s, y_e) * 0.5
+            + gold_span_loss(sl, el, samples) * 0.5
 
     return max(_param_check(model, "w_start", loss),
                _param_check(model, "blk0.wo", loss))
@@ -158,14 +156,14 @@ def check_combined_loss(seed=0) -> float:
     teacher = distill.snapshot_teacher(model)
     for p in teacher.params.values():
         p.data += 0.01
-    _, ids, y_s, y_e = _ragged_samples(rng, model, [4, 2, 1, 3])
+    samples, ids = _ragged_samples(rng, model, [4, 2, 1, 3])
     mem = slice(2, 4)
     # teacher logits at the student batch's width, as in training
     _, _, t_sl, t_el = teacher.forward_batch(ids)
 
     def loss():
         h, _, sl, el = model.forward_batch(ids)
-        total = span_loss_batch(sl, el, y_s, y_e)
+        total = gold_span_loss(sl, el, samples)
         pooled = ad.index(h, (slice(None), 0))
         total = total + adv.encoder_adversarial_loss(
             disc, ad.index(pooled, mem), ad.index(pooled, slice(0, 2)))

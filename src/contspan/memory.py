@@ -50,16 +50,6 @@ class Memory:
         return counts
 
 
-def _forward_chunks(model: BackboneModel, items: list[MemoryItem],
-                    batch_size: int = 64):
-    """Yield (chunk, mask, start logits, end logits) per chunk of items."""
-    model = model.copy(requires_grad=False)  # forward only: record no tape
-    for lo in range(0, len(items), batch_size):
-        chunk = items[lo:lo + batch_size]
-        _, mask, sl, el = model.forward_batch([it.sample.input_ids for it in chunk])
-        yield chunk, mask, sl, el
-
-
 def _score(chunk: list[MemoryItem], sl, el, kind: str):
     """Record each item's uncertainty from its start/end logit rows;
     updates last and running best.
@@ -87,14 +77,16 @@ def _uncertainty_value(ps, pe, y_s, y_e, kind: str) -> float:
 
 def _observe(model: BackboneModel, items: list[MemoryItem], kind: str):
     """Fresh uncertainty pass over items already in memory."""
-    for chunk, _, sl, el in _forward_chunks(model, items):
-        _score(chunk, sl, el, kind)
+    for rows, _, _, sl, el in model.forward_chunks([it.sample.input_ids for it in items]):
+        _score(items[rows], sl, el, kind)
 
 
 def _cache_teacher_logits(model: BackboneModel, items: list[MemoryItem], kind: str):
     """Cache new items' logits and, unless kind is random, score their
     uncertainty, from one forward pass."""
-    for chunk, mask, sl, el in _forward_chunks(model, items):
+    for rows, _, mask, sl, el in model.forward_chunks(
+            [it.sample.input_ids for it in items]):
+        chunk = items[rows]
         if kind != "random":
             _score(chunk, sl, el, kind)
         for i, it in enumerate(chunk):
@@ -143,14 +135,17 @@ def _quotas(capacity: int, t: int) -> list[int]:
 
 def update_memory(memory: Memory, d_t_train: list[Sample], model: BackboneModel,
                   t: int, rng: np.random.Generator, strategy: str = "norm1",
-                  kind: str = "entropy") -> Memory:
+                  kind: str = "entropy", order: list[int] | None = None) -> Memory:
     """Re-balance memory after training step t (1-based).
 
-    Old domains keep a weighted sample of their quota; the current domain's
-    quota is drawn uniformly from its training set, with teacher logits
-    cached from the just-trained model. Any shortfall in an old domain is
-    reassigned to extra current-domain draws.
+    order is the stream's domain order (the identity if None); the domain
+    at stream position i gets quota i. Old domains keep a weighted sample
+    of their quota; the current domain's quota is drawn uniformly from its
+    training set, with teacher logits cached from the just-trained model.
+    Any shortfall in an old domain is reassigned to extra current-domain
+    draws.
     """
+    past = list(range(t) if order is None else order)[:t - 1]
     if kind != "random":
         _observe(model, memory.items, kind)
     quotas = _quotas(memory.capacity, t)
@@ -160,12 +155,16 @@ def update_memory(memory: Memory, d_t_train: list[Sample], model: BackboneModel,
     by_domain: dict[int, list[MemoryItem]] = {}
     for it in memory.items:
         by_domain.setdefault(it.origin_domain, []).append(it)
+    stray = set(by_domain) - set(past)
+    if stray:
+        raise ValueError(f"memory holds domains {sorted(stray)}, not among the "
+                         f"earlier domains {past}")
 
     kept: list[MemoryItem] = []
     shortfall = 0
-    for d in range(t - 1):
+    for pos, d in enumerate(past):
         items = by_domain.get(d, [])
-        quota = quotas[d]
+        quota = quotas[pos]
         if len(items) <= quota:
             kept.extend(items)
             shortfall += quota - len(items)
@@ -218,7 +217,11 @@ def load_memory(path, l_max: int) -> Memory:
     capacity = 0
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f):
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"truncated or corrupt memory file {path}, "
+                                 f"line {lineno + 1}: {e}") from None
             if lineno == 0 and "_capacity" in rec:
                 capacity = int(rec["_capacity"])
                 continue

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contspan import autodiff as ad
+from contspan import backbone
 from contspan.autodiff import Tensor
 from contspan.backbone import (BackboneModel, ModelConfig, NEG_INF, span_loss_batch,
                                decode_answer)
@@ -173,12 +175,12 @@ def test_decode_answer_matches_brute_force(lens, max_len, seed):
         assert (starts[r], ends[r]) == best
 
 
-def test_pooled_repr_is_first_row():
+def test_pooled_repr_is_first_row(monkeypatch):
     stream = generate_cdaq_stream(GenConfig(n_domains=1, train_size=4, test_size=5,
                                             vocab_size=100, l_max=32,
                                             passage_len=(10, 18)))
-    engine = ContinualEngine(stream, ContinualConfig(hidden=16, n_layers=1,
-                                                     eval_batch=2))
+    monkeypatch.setattr(backbone, "EVAL_BATCH", 2)  # five rows in three chunks
+    engine = ContinualEngine(stream, ContinualConfig(hidden=16, n_layers=1))
     model = BackboneModel(engine.model_cfg, ad.seeded_rng(11))
     test = stream.domains[0].test
     h, _ = model.encode_batch([s.input_ids for s in test])
@@ -198,6 +200,18 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"NOTAMODL" + b"\x00" * 16)
         BackboneModel.load(bad)
+
+
+@pytest.mark.parametrize("cut", ["header", "payload"])
+def test_truncated_checkpoint_names_its_file(tmp_path, cut):
+    path = tmp_path / "m.ckpt"
+    make_model(seed=13).save(path)
+    raw = path.read_bytes()
+    # magic (8 bytes), version and header length (12), then the JSON header
+    keep = 8 + 12 + 10 if cut == "header" else len(raw) - 100
+    path.write_bytes(raw[:keep])
+    with pytest.raises(ValueError, match=f"truncated checkpoint: {re.escape(str(path))}"):
+        BackboneModel.load(path)
 
 
 def test_model_is_trainable_on_toy_task():

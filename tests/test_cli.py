@@ -98,6 +98,18 @@ def test_run_missing_dataset_errors_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_resume_without_saved_memory_exits_1(dataset, tmp_path, capsys):
+    ckpt_dir = tmp_path / "ckpts"
+    args = run_args(dataset, tmp_path / "r.json", out_dir=ckpt_dir, method="ma_mrc",
+                    memory_size=4)
+    assert main(args) == 0
+    # as if the run had stopped during step 2, with step 1's memory lost
+    (ckpt_dir / "step2.ckpt").unlink()
+    (ckpt_dir / "step1.memory.jsonl").unlink()
+    assert main(args + ["--resume"]) == 1
+    assert "step1.memory.jsonl" in capsys.readouterr().err
+
+
 def test_eval_checkpoint_roundtrip(dataset, tmp_path, capsys):
     ckpt_dir = tmp_path / "ckpts"
     assert main(run_args(dataset, tmp_path / "r.json", out_dir=ckpt_dir)) == 0

@@ -103,8 +103,7 @@ def test_config_rejects_unknown_method_and_bad_order():
         ContinualEngine(small_stream(), small_config("lower", domain_order=[0, 0, 1]))
 
 
-@pytest.mark.parametrize("field, value", [("memory_size", -1), ("batch_size", 0),
-                                          ("eval_batch", 0)])
+@pytest.mark.parametrize("field, value", [("memory_size", -1), ("batch_size", 0)])
 def test_config_rejects_out_of_range_sizes(field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= {value + 1}"):
         ContinualEngine(small_stream(), small_config("ma_mrc", **{field: value}))
@@ -184,6 +183,21 @@ def test_memory_quotas_across_run():
     assert len(engine.memory) <= 6
 
 
+def test_memory_quotas_follow_stream_position():
+    """Each domain holds the quota of its stream position, whatever the order."""
+    order = [2, 0, 1]
+    counts = []
+
+    def record(t, model, memory, step):
+        by_domain = memory.domain_counts()
+        counts.append([by_domain.get(d, 0) for d in order[:t]])
+
+    engine = ContinualEngine(small_stream(), small_config("ma_mrc", memory_size=12,
+                                                          domain_order=order))
+    engine.run(on_step=record)
+    assert counts == [mem._quotas(12, t) for t in (1, 2, 3)] == [[12], [6, 6], [4, 4, 4]]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     stream = small_stream()
     for name in ("a", "b"):
@@ -241,6 +255,25 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     resumed.run(out_dir=crash_dir, resume=True)
     assert (crash_dir / "report.json").read_bytes() \
         == (full_dir / "report.json").read_bytes()
+
+
+def test_resume_without_saved_memory_names_the_file(tmp_path):
+    stream = small_stream()
+
+    class Crash(Exception):
+        pass
+
+    def crash_at_3(t, model, memory, step):
+        if t == 3:
+            raise Crash
+
+    with pytest.raises(Crash):
+        ContinualEngine(stream, small_config("ma_mrc")).run(out_dir=tmp_path,
+                                                            on_step=crash_at_3)
+    (tmp_path / "step2.memory.jsonl").unlink()
+    resumed = ContinualEngine(stream, small_config("ma_mrc"))
+    with pytest.raises(FileNotFoundError, match="step2.memory.jsonl"):
+        resumed.run(out_dir=tmp_path, resume=True)
 
 
 def test_resume_rejects_config_mismatch(tmp_path):

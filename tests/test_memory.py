@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -238,6 +239,15 @@ def test_update_memory_keeps_the_forgotten_item(monkeypatch):
     assert kept_forgotten / trials > 0.999
 
 
+def test_update_memory_rejects_domains_outside_the_order(monkeypatch):
+    _no_observe(monkeypatch)
+    m = mem.Memory(capacity=4, items=[make_item(domain=2)])
+    with pytest.raises(ValueError, match=re.escape("domains [2], not among the earlier "
+                                                   "domains [0]")):
+        mem.update_memory(m, make_samples(4, domain=1), None, t=2,
+                          rng=ad.seeded_rng(0, 2))
+
+
 def test_update_memory_preserves_cached_teacher_logits():
     """Retained items keep the logits frozen at their insertion time."""
     model = make_model(seed=5)
@@ -270,3 +280,13 @@ def test_memory_roundtrip(tmp_path):
         assert a.sample.input_ids == b.sample.input_ids
         assert a.best_uncertainty == b.best_uncertainty
         np.testing.assert_array_equal(a.teacher_start_logits, b.teacher_start_logits)
+
+
+def test_truncated_memory_file_names_path_and_line(tmp_path):
+    m = mem.init_memory(make_samples(6), 3, make_model(seed=8), ad.seeded_rng(0, 5))
+    path = tmp_path / "mem.jsonl"
+    mem.save_memory(m, path)
+    text = path.read_text()
+    path.write_text(text[:len(text) - 40])  # cuts the last item's line
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 4")):
+        mem.load_memory(path, l_max=16)
