@@ -1,0 +1,80 @@
+#!/usr/bin/env bash
+# Byte-identity check for a change meant to keep behaviour.
+#
+#   scripts/refactor_check.sh OUT                run the refactor set into OUT
+#   scripts/refactor_check.sh --compare OLD NEW  cmp the outputs of two such runs
+#
+# The first form generates a tiny passage-shift stream in OUT/stream and runs,
+# with the package in this checkout's src/: every method, `eval` of the full
+# method's final checkpoint, the other uncertainty and retention rules with a
+# domain order and an odd batch size, and capacities 0, 60 and 100 (above the
+# first domain's 48 training rows) for ma_mrc, agem and der. It runs inside
+# OUT with relative paths, so eval.json records the same checkpoint path in
+# every OUT. Each command's output goes to OUT/<run>.log. Run it at both
+# commits, then compare.
+#
+# The second form compares the stream, every report, checkpoint and saved
+# memory, prints the files that differ (a file missing on one side differs)
+# and their count, and exits 1 if any differ. Logs and timing.json hold wall
+# times and are left out.
+set -euo pipefail
+
+usage() {
+    echo "usage: $0 OUT | $0 --compare OLD NEW" >&2
+    exit 2
+}
+
+outputs() {
+    (cd "$1" && shopt -s nullglob &&
+        printf '%s\n' stream/* *.json */report*.json */step*.ckpt */step*.memory.jsonl)
+}
+
+compare() {
+    local old=$1 new=$2 n=0 total=0 f
+    for f in $({ outputs "$old"; outputs "$new"; } | sort -u); do
+        total=$((total + 1))
+        if ! cmp -s "$old/$f" "$new/$f"; then
+            echo "differs: $f"
+            n=$((n + 1))
+        fi
+    done
+    echo "$n of $total files differ"
+    [ "$n" -eq 0 ]
+}
+
+contspan() {
+    local log=$1
+    shift
+    python3 -m contspan.cli "$@" >"$log.log" 2>&1 ||
+        { echo "failed: contspan $* (see $OUT/$log.log)" >&2; exit 1; }
+}
+
+run_set() {
+    export PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src"
+    mkdir -p "$OUT"
+    cd "$OUT"
+    local m c
+    contspan gen gen --setting cdac --domains 3 --train-size 48 --test-size 16 \
+        --seed 0 --out stream
+    for m in ma_mrc lower upper ewc online_ewc agem der derpp; do
+        contspan "$m" run --data stream --method "$m" --memory-size 12 --epochs 2 \
+            --report "$m.json" --out-dir "$m"
+    done
+    contspan eval eval --checkpoint ma_mrc/step3.ckpt --data stream --report eval.json
+    contspan probnorm2 run --data stream --method ma_mrc --memory-size 12 \
+        --epochs 2 --norm norm2 --uncertainty prob --order 2,0,1 --batch-size 7 \
+        --report probnorm2.json --out-dir probnorm2
+    for c in 0 60 100; do
+        for m in ma_mrc agem der; do
+            contspan "${m}_c$c" run --data stream --method "$m" --memory-size "$c" \
+                --epochs 2 --report "${m}_c$c.json" --out-dir "${m}_c$c"
+        done
+    done
+    echo "wrote the refactor set to $OUT"
+}
+
+case "${1:-}" in
+    --compare) [ $# -eq 3 ] || usage; compare "$2" "$3" ;;
+    "" | -*) usage ;;
+    *) [ $# -eq 1 ] || usage; OUT=$1; run_set ;;
+esac

@@ -6,13 +6,13 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
 
 from . import data as dat
 from . import gradcheck
-from .engine import ContinualConfig, ContinualEngine, METHODS
+from .engine import ContinualConfig, ContinualEngine, METHODS, NORM_STRATEGIES, \
+    UNCERTAINTY_KINDS
 from .backbone import BackboneModel
-from .metrics import EvalReport
+from .metrics import EvalReport, StepResult, f1_all, f1_avg
 
 log = logging.getLogger("contspan")
 
@@ -37,9 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--method", choices=METHODS)
     r.add_argument("--data", help="dataset directory from `gen`")
     r.add_argument("--memory-size", type=int)
-    r.add_argument("--norm", dest="norm_strategy", choices=["norm1", "norm2"])
-    r.add_argument("--uncertainty", dest="uncertainty_kind",
-                   choices=["entropy", "prob", "random"])
+    r.add_argument("--norm", dest="norm_strategy", choices=NORM_STRATEGIES)
+    r.add_argument("--uncertainty", dest="uncertainty_kind", choices=UNCERTAINTY_KINDS)
     r.add_argument("--order", help="comma-separated domain permutation, e.g. 2,0,1")
     r.add_argument("--seed", type=int)
     r.add_argument("--epochs", type=int)
@@ -116,14 +115,12 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     stream = dat.load_stream(args.data)
     model = BackboneModel.load(args.checkpoint)
-    cfg = ContinualConfig(max_answer_len=args.max_answer_len)
-    engine = ContinualEngine(stream, cfg)
+    engine = ContinualEngine(stream, ContinualConfig(max_answer_len=args.max_answer_len))
     seen = list(range(len(stream)))
     per_domain, pooled = engine.evaluate(model, seen)
-    from .metrics import f1_avg, f1_all, StepResult
     report = EvalReport(metadata={
-        "config": asdict(cfg), "config_hash": "", "method": "eval",
-        "seed": cfg.seed, "order": seen,
+        "checkpoint": args.checkpoint, "max_answer_len": args.max_answer_len,
+        "method": "eval", "order": seen,
         "domains": [d.name for d in stream.domains], "setting": stream.setting})
     report.steps.append(StepResult(
         step=1, trained_domain=-1, per_domain=per_domain,

@@ -56,6 +56,27 @@ class Sample:
         self.answer_ids = s[self.answer_start:self.answer_end + 1]
         return self
 
+    def record(self) -> dict:
+        """The JSON record of stream and memory files: the six token-level
+        fields, without the assembled sequence."""
+        return {"id": self.id, "domain": self.domain,
+                "question_ids": self.question_ids, "passage_ids": self.passage_ids,
+                "answer_start": self.answer_start, "answer_end": self.answer_end}
+
+    @classmethod
+    def from_record(cls, rec: dict, where: str) -> "Sample":
+        """Inverse of ``record``; ``where`` (``path:line``) names the record
+        in the error a missing field raises."""
+        for key in ("id", "domain", "question_ids", "passage_ids",
+                    "answer_start", "answer_end"):
+            if key not in rec:
+                raise ValueError(f"{where}: missing field {key!r}")
+        return cls(id=str(rec["id"]), domain=int(rec["domain"]),
+                   question_ids=list(rec["question_ids"]),
+                   passage_ids=list(rec["passage_ids"]),
+                   answer_start=int(rec["answer_start"]),
+                   answer_end=int(rec["answer_end"]))
+
 
 @dataclass
 class DomainData:
@@ -295,26 +316,6 @@ def generate_cdac_stream(cfg: GenConfig) -> DomainStream:
     return _generate_stream(cfg)
 
 
-def oracle_answer(sample: Sample, cfg: GenConfig) -> tuple[int, int]:
-    """Rule-based extractor; exact on generated data by construction.
-
-    Reads the question-type token, locates the matching marker in the
-    passage region of S, and returns the run of payload-range tokens that
-    follows it.
-    """
-    layout = VocabLayout.build(cfg)
-    s = sample.input_ids
-    ask = s[1]
-    k = ask - layout.qtype.start if cfg.setting == "cdaq" else 0
-    marker = layout.marker.start + k
-    pos = s.index(marker, 2 + len(sample.question_ids))
-    start = pos + 1
-    end = start
-    while end + 1 < len(s) and s[end + 1] in layout.payload:
-        end += 1
-    return start, end
-
-
 # ---------------------------------------------------------------------------
 # file I/O
 
@@ -325,13 +326,7 @@ def write_stream(stream: DomainStream, out_dir) -> None:
         for split, samples in (("train", dom.train), ("test", dom.test)):
             with open(out / f"{dom.name}.{split}.jsonl", "w", encoding="utf-8") as f:
                 for s in samples:
-                    f.write(json.dumps({
-                        "id": s.id, "domain": s.domain,
-                        "question_ids": s.question_ids,
-                        "passage_ids": s.passage_ids,
-                        "answer_start": s.answer_start,
-                        "answer_end": s.answer_end,
-                    }, sort_keys=True) + "\n")
+                    f.write(json.dumps(s.record(), sort_keys=True) + "\n")
     with open(out / "vocab.txt", "w", encoding="utf-8") as f:
         for tok, tid in sorted(stream.vocab.items(), key=lambda kv: kv[1]):
             f.write(f"{tok}\t{tid}\n")
@@ -390,11 +385,7 @@ def read_jsonl_samples(path, l_max: int, vocab: dict[str, int] | None = None):
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{lineno}: malformed JSON: {e}") from None
             if "question_ids" in rec:
-                sample = Sample(id=str(rec["id"]), domain=int(rec["domain"]),
-                                question_ids=list(rec["question_ids"]),
-                                passage_ids=list(rec["passage_ids"]),
-                                answer_start=int(rec["answer_start"]),
-                                answer_end=int(rec["answer_end"]))
+                sample = Sample.from_record(rec, f"{path}:{lineno}")
                 try:
                     samples.append(sample.assemble(l_max))
                 except ValueError:

@@ -31,6 +31,8 @@ log = logging.getLogger(__name__)
 
 METHODS = ("ma_mrc", "lower", "upper", "ewc", "online_ewc", "agem", "der", "derpp")
 REPLAY_METHODS = ("ma_mrc", "agem", "der", "derpp")
+NORM_STRATEGIES = ("norm1", "norm2")
+UNCERTAINTY_KINDS = ("entropy", "prob", "random")
 
 # rng substream ids
 _S_INIT, _S_TRAIN, _S_MEM, _S_FISHER, _S_DISC, _S_PROBE = 0, 1, 2, 3, 4, 5
@@ -65,8 +67,11 @@ class ContinualConfig:
     n_heads: int = 2
 
     def validate(self, n_domains: int):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+        for name, allowed in (("method", METHODS), ("norm_strategy", NORM_STRATEGIES),
+                              ("uncertainty_kind", UNCERTAINTY_KINDS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
+                                 f"choose from {allowed}")
         for name, lo in (("memory_size", 0), ("batch_size", 1)):
             if getattr(self, name) < lo:
                 raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
@@ -116,6 +121,14 @@ def gold_span_loss(sl: Tensor, el: Tensor, samples: list[Sample]) -> Tensor:
                            np.array([s.answer_end for s in samples]))
 
 
+def _pad_logits(rows, width: int) -> np.ndarray:
+    """Logit rows right-padded with NEG_INF into one (len(rows), width) array."""
+    out = np.full((len(rows), width), NEG_INF)
+    for i, row in enumerate(rows):
+        out[i, :len(row)] = row
+    return out
+
+
 def der_replay_mse(items: list[mem.MemoryItem], m_sl: Tensor, m_el: Tensor,
                    m_mask: np.ndarray) -> Tensor:
     """Mean squared error between cached and current logits, both heads.
@@ -123,18 +136,47 @@ def der_replay_mse(items: list[mem.MemoryItem], m_sl: Tensor, m_el: Tensor,
     Averaged over valid positions per sample, then over the batch; padded
     positions carry zero weight.
     """
-    k, l = m_mask.shape
-    teach_s = np.full((k, l), NEG_INF)
-    teach_e = np.full((k, l), NEG_INF)
-    inv_n = np.zeros(k)
-    for i, it in enumerate(items):
-        n = it.teacher_start_logits.size
-        teach_s[i, :n] = it.teacher_start_logits
-        teach_e[i, :n] = it.teacher_end_logits
-        inv_n[i] = 1.0 / n
+    width = m_mask.shape[1]
+    teach_s = _pad_logits([it.teacher_start_logits for it in items], width)
+    teach_e = _pad_logits([it.teacher_end_logits for it in items], width)
+    inv_n = np.array([1.0 / it.teacher_start_logits.size for it in items])
     w = Tensor(m_mask * inv_n[:, None])
     return ad.tmean(ad.tsum(ad.square(m_sl - Tensor(teach_s)) * w, axis=1)) \
         + ad.tmean(ad.tsum(ad.square(m_el - Tensor(teach_e)) * w, axis=1))
+
+
+def der_replay_loss(model: BackboneModel, items: list[mem.MemoryItem],
+                    beta: float) -> Tensor:
+    """DER's replay term on a batch of memory items: their cached-logit MSE
+    times DER_ALPHA, plus (DER++) their gold span loss times beta."""
+    _, mask, sl, el = model.forward_batch([it.sample.input_ids for it in items])
+    loss = der_replay_mse(items, sl, el, mask) * DER_ALPHA
+    if beta != 0.0:
+        loss = loss + gold_span_loss(sl, el, [it.sample for it in items]) * beta
+    return loss
+
+
+def adversarial_term(disc: adv.Discriminator, h: Tensor, n: int) -> Tensor:
+    """Encoder-side game loss of a mixed batch's (B, l, h) encodings, whose
+    pooled rows from n on are memory and the first n current."""
+    pooled = ad.index(h, (slice(None), 0))
+    return adv.encoder_adversarial_loss(disc, ad.index(pooled, slice(n, None)),
+                                        ad.index(pooled, slice(0, n)))
+
+
+def distill_term(teacher: BackboneModel, mem_rows: list[list[int]], sl: Tensor,
+                 el: Tensor, n: int) -> Tensor:
+    """KL from the teacher to the student on a mixed batch's memory rows.
+
+    The teacher forwards the memory rows (input ids) alone; its logits are
+    padded with NEG_INF to the width of the student's (B, l) logits, whose
+    rows from n on are those memory rows.
+    """
+    _, _, t_sl, t_el = teacher.forward_batch(mem_rows)
+    width = sl.data.shape[1]
+    return distill.kl_distill_loss_batch(
+        _pad_logits(t_sl.data, width), _pad_logits(t_el.data, width),
+        ad.index(sl, slice(n, None)), ad.index(el, slice(n, None)))
 
 
 class ContinualEngine:
@@ -150,7 +192,6 @@ class ContinualEngine:
                                      l_max=stream.l_max)
         self.memory: mem.Memory | None = None
         self.fisher_states: list[FisherState] = []
-        self.online_fisher: FisherState | None = None
         self.init_model: BackboneModel | None = None
         self.timings: list[float] = []
 
@@ -347,16 +388,17 @@ class ContinualEngine:
         self._fit(model, union, self._rng(_S_TRAIN, t))
 
     def ewc_step(self, model, d_train, t, order):
-        states = ([self.online_fisher] if self.cfg.method == "online_ewc"
-                  else self.fisher_states)
-
         def hook(batch, loss, sl, el, h, mask):
-            return loss + ewc_penalty(model, states, EWC_LAMBDA)
+            return loss + ewc_penalty(model, self.fisher_states, EWC_LAMBDA)
 
         self._fit(model, d_train, self._rng(_S_TRAIN, t), loss_hook=hook)
 
     def _record_fisher(self, model: BackboneModel, d_train: list[Sample], t: int):
-        """Diagonal Fisher from squared span-loss gradients on small batches."""
+        """Diagonal Fisher from squared span-loss gradients on small batches.
+
+        EWC keeps one state per step; online EWC keeps a single state, the
+        decayed running Fisher anchored at the latest parameters.
+        """
         rng = self._rng(_S_FISHER, t)
         n = min(self.cfg.n_fisher, len(d_train))
         idx = rng.choice(len(d_train), size=n, replace=False)
@@ -371,15 +413,11 @@ class ContinualEngine:
             nb += 1
         for k in fisher:
             fisher[k] /= max(nb, 1)
+        if self.cfg.method == "online_ewc" and self.fisher_states:
+            prev = self.fisher_states.pop()
+            fisher = {k: ONLINE_EWC_GAMMA * prev.fisher[k] + fisher[k] for k in fisher}
         anchor = {k: p.data.copy() for k, p in model.params.items()}
-        state = FisherState(fisher=fisher, anchor=anchor)
-        self.fisher_states.append(state)
-        if self.online_fisher is None:
-            self.online_fisher = state
-        else:
-            merged = {k: ONLINE_EWC_GAMMA * self.online_fisher.fisher[k] + fisher[k]
-                      for k in fisher}
-            self.online_fisher = FisherState(fisher=merged, anchor=anchor)
+        self.fisher_states.append(FisherState(fisher=fisher, anchor=anchor))
 
     def agem_step(self, model, d_train, t, order):
         rng = self._rng(_S_TRAIN, t)
@@ -402,14 +440,7 @@ class ContinualEngine:
         def hook(batch, loss, sl, el, h, mask):
             k = min(self.cfg.batch_size, len(mem_items))
             pick = rng.choice(len(mem_items), size=k, replace=False)
-            items = [mem_items[i] for i in pick]
-            _, m_mask, m_sl, m_el = model.forward_batch(
-                [it.sample.input_ids for it in items])
-            extra = der_replay_mse(items, m_sl, m_el, m_mask) * DER_ALPHA
-            if beta != 0.0:
-                replay = gold_span_loss(m_sl, m_el, [it.sample for it in items])
-                extra = extra + replay * beta
-            return loss + extra
+            return loss + der_replay_loss(model, [mem_items[i] for i in pick], beta)
 
         self._fit(model, d_train, rng, loss_hook=hook)
 
@@ -431,40 +462,27 @@ class ContinualEngine:
             # the replayed memory rows are the batch's last k
             n = len(batch) - k
             if cfg.adv_weight != 0.0:
-                pooled = ad.index(h, (slice(None), 0))
-                cur_pooled = ad.index(pooled, slice(0, n))
-                mem_pooled = ad.index(pooled, slice(n, len(batch)))
-                adv.discriminator_step(disc, disc_opt, mem_pooled.data, cur_pooled.data)
-                l_t = adv.encoder_adversarial_loss(disc, mem_pooled, cur_pooled)
-                loss = loss + l_t * cfg.adv_weight
+                pooled = h.data[:, 0]
+                adv.discriminator_step(disc, disc_opt, pooled[n:], pooled[:n])
+                loss = loss + adversarial_term(disc, h, n) * cfg.adv_weight
             if cfg.kl_weight != 0.0:
-                _, t_mask, t_sl, t_el = teacher.forward_batch(
-                    [s.input_ids for s in batch[n:]])
-                pad_s = np.full((k, mask.shape[1]), NEG_INF)
-                pad_e = np.full((k, mask.shape[1]), NEG_INF)
-                pad_s[:, :t_mask.shape[1]] = t_sl.data
-                pad_e[:, :t_mask.shape[1]] = t_el.data
-                l_kl = distill.kl_distill_loss_batch(
-                    pad_s, pad_e, ad.index(sl, slice(n, len(batch))),
-                    ad.index(el, slice(n, len(batch))))
-                loss = loss + l_kl * cfg.kl_weight
+                loss = loss + distill_term(teacher, [s.input_ids for s in batch[n:]],
+                                           sl, el, n) * cfg.kl_weight
             return loss
 
         self._fit(model, d_train, rng, loss_hook=hook, mix_hook=mix)
-        extra = {}
-        if cfg.adv_weight != 0.0:
-            disc_acc, probe_acc = self._disc_holdout_accuracy(model, disc, t, order)
-            extra["disc_accuracy"] = disc_acc
-            extra["probe_accuracy"] = probe_acc
-        return extra
+        if cfg.adv_weight == 0.0:
+            return {}
+        # the game discriminator's held-out accuracy and, as the sharper
+        # measure, that of a fresh probe trained on the same representations
+        mem_reprs, cur_reprs, rng = self._probe_reprs(model, t, order)
+        return {"disc_accuracy": adv.discriminator_accuracy(disc, mem_reprs, cur_reprs),
+                "probe_accuracy": adv.train_probe_discriminator(
+                    cfg.hidden, mem_reprs, cur_reprs, rng)[1]}
 
-    def _disc_holdout_accuracy(self, model, disc, t, order) -> tuple[float, float]:
-        """Separability of memory vs unseen current-test representations.
-
-        Returns the game discriminator's accuracy on held-out data and, as
-        the sharper measure, the accuracy of a fresh probe discriminator
-        trained on these representations from scratch.
-        """
+    def _probe_reprs(self, model, t, order):
+        """Pooled representations of up to 64 memory items and as many unseen
+        current-domain test rows, plus the probe's rng, which drew them."""
         cur_dom = order[t - 1]
         test = self.stream.domains[cur_dom].test
         rng = self._rng(_S_PROBE, t)
@@ -477,10 +495,7 @@ class ContinualEngine:
         mem_reprs = self._pooled_reprs(model,
                                        [mem_items[i].sample for i in mem_pick])
         cur_reprs = self._pooled_reprs(model, [test[i] for i in cur_pick])
-        disc_acc = adv.discriminator_accuracy(disc, mem_reprs, cur_reprs)
-        _, probe_acc = adv.train_probe_discriminator(self.cfg.hidden, mem_reprs,
-                                                     cur_reprs, rng)
-        return disc_acc, probe_acc
+        return mem_reprs, cur_reprs, rng
 
     def probe_separability(self, model: BackboneModel, t: int,
                            order: list[int]) -> float:
@@ -491,9 +506,8 @@ class ContinualEngine:
         """
         if self.memory is None or not self.memory.items:
             raise ValueError("probe_separability needs a populated memory")
-        _, probe_acc = self._disc_holdout_accuracy(
-            model, adv.Discriminator(self.cfg.hidden, self._rng(_S_PROBE, t)),
-            t, order)
+        _, probe_acc = adv.train_probe_discriminator(self.cfg.hidden,
+                                                     *self._probe_reprs(model, t, order))
         return probe_acc
 
     def _pooled_reprs(self, model: BackboneModel, samples: list[Sample]) -> np.ndarray:

@@ -15,7 +15,8 @@ from . import distill
 from .autodiff import Tensor
 from .backbone import BackboneModel, ModelConfig
 from .data import Sample
-from .engine import FisherState, ewc_penalty, der_replay_mse, gold_span_loss
+from .engine import FisherState, adversarial_term, der_replay_loss, distill_term, \
+    ewc_penalty, gold_span_loss
 from .memory import MemoryItem
 
 TOLERANCE = 1e-4
@@ -71,44 +72,36 @@ def check_span_loss(seed=0) -> float:
 
 
 def check_adversarial_loss(seed=0) -> float:
-    """Encoder-side minimax loss (discriminator frozen), through the encoder."""
+    """Encoder-side game loss (discriminator frozen) of a ragged mixed batch,
+    through the encoder and directly w.r.t. the encodings."""
     model = _tiny_model(seed)
     rng = ad.seeded_rng(seed, 11)
     disc = adv.Discriminator(model.config.hidden, rng)
-    mem_ids = [rng.integers(0, model.config.vocab_size, size=6).tolist() for _ in range(2)]
-    cur_ids = [rng.integers(0, model.config.vocab_size, size=6).tolist() for _ in range(2)]
+    _, ids = _ragged_samples(rng, model, [4, 2, 1, 3])
 
     def loss():
-        hm, _ = model.encode_batch(mem_ids)
-        hc, _ = model.encode_batch(cur_ids)
-        return adv.encoder_adversarial_loss(disc,
-                                            ad.index(hm, (slice(None), 0)),
-                                            ad.index(hc, (slice(None), 0)))
+        h, _, _, _ = model.forward_batch(ids)
+        return adversarial_term(disc, h, 2)
 
     err = max(_param_check(model, "blk0.wv", loss),
               _param_check(model, "ln_emb_g", loss))
-
-    # also directly w.r.t. a representation, bypassing the encoder
-    reprs = Tensor(rng.normal(size=(2, model.config.hidden)))
-
-    def f(x):
-        return adv.encoder_adversarial_loss(disc, x, Tensor(reprs.data + 0.3))
-
-    return max(err, ad.finite_difference_check(f, reprs))
+    h = Tensor(rng.normal(size=(4, 3, model.config.hidden)))
+    return max(err, ad.finite_difference_check(lambda x: adversarial_term(disc, x, 2), h))
 
 
 def check_kl_loss(seed=0) -> float:
+    """Distillation on a ragged mixed batch whose memory rows are shorter
+    than its current row, so the teacher's logits are padded."""
     model = _tiny_model(seed)
     teacher = distill.snapshot_teacher(model)
     for p in teacher.params.values():
         p.data += 0.01  # make teacher and student genuinely differ
     rng = ad.seeded_rng(seed, 12)
-    _, ids = _ragged_samples(rng, model, [3, 1])
-    _, _, t_sl, t_el = teacher.forward_batch(ids)
+    _, ids = _ragged_samples(rng, model, [3, 1, 2])
 
     def loss():
         _, _, sl, el = model.forward_batch(ids)
-        return distill.kl_distill_loss_batch(t_sl.data, t_el.data, sl, el)
+        return distill_term(teacher, ids[1:], sl, el, 1)
 
     return max(_param_check(model, "w_end", loss),
                _param_check(model, "blk0.w1", loss))
@@ -130,26 +123,25 @@ def check_ewc_penalty(seed=0) -> float:
 
 
 def check_der_terms(seed=0) -> float:
-    """DER++'s logit replay plus gold-label replay, as in a DER step."""
+    """DER++'s logit replay plus gold-label replay on ragged memory items."""
     model = _tiny_model(seed)
     rng = ad.seeded_rng(seed, 14)
-    samples, ids = _ragged_samples(rng, model, [2, 4, 3])
+    samples, _ = _ragged_samples(rng, model, [2, 4, 3])
     items = [MemoryItem(sample=s, origin_domain=0,
                         teacher_start_logits=rng.normal(size=len(s.input_ids)),
                         teacher_end_logits=rng.normal(size=len(s.input_ids)))
              for s in samples]
 
     def loss():
-        _, mask, sl, el = model.forward_batch(ids)
-        return der_replay_mse(items, sl, el, mask) * 0.5 \
-            + gold_span_loss(sl, el, samples) * 0.5
+        return der_replay_loss(model, items, beta=0.5)
 
     return max(_param_check(model, "w_start", loss),
                _param_check(model, "blk0.wo", loss))
 
 
 def check_combined_loss(seed=0) -> float:
-    """Replay span loss + adversarial + distillation, as in an incremental step."""
+    """Span loss + adversarial + distillation on a ragged mixed batch whose
+    last two rows are memory, as in an incremental step."""
     model = _tiny_model(seed)
     rng = ad.seeded_rng(seed, 15)
     disc = adv.Discriminator(model.config.hidden, rng)
@@ -157,19 +149,11 @@ def check_combined_loss(seed=0) -> float:
     for p in teacher.params.values():
         p.data += 0.01
     samples, ids = _ragged_samples(rng, model, [4, 2, 1, 3])
-    mem = slice(2, 4)
-    # teacher logits at the student batch's width, as in training
-    _, _, t_sl, t_el = teacher.forward_batch(ids)
 
     def loss():
         h, _, sl, el = model.forward_batch(ids)
-        total = gold_span_loss(sl, el, samples)
-        pooled = ad.index(h, (slice(None), 0))
-        total = total + adv.encoder_adversarial_loss(
-            disc, ad.index(pooled, mem), ad.index(pooled, slice(0, 2)))
-        total = total + distill.kl_distill_loss_batch(
-            t_sl.data[mem], t_el.data[mem], ad.index(sl, mem), ad.index(el, mem))
-        return total
+        return gold_span_loss(sl, el, samples) + adversarial_term(disc, h, 2) \
+            + distill_term(teacher, ids[2:], sl, el, 2)
 
     return max(_param_check(model, "blk0.wq", loss),
                _param_check(model, "w_start", loss))

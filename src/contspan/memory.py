@@ -196,55 +196,45 @@ def save_memory(memory: Memory, path):
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps({"_capacity": memory.capacity}, sort_keys=True) + "\n")
         for it in memory.items:
-            s = it.sample
-            rec = {
-                "id": s.id, "domain": s.domain,
-                "question_ids": s.question_ids, "passage_ids": s.passage_ids,
-                "answer_start": s.answer_start, "answer_end": s.answer_end,
-                "_memory": {
-                    "origin_domain": it.origin_domain,
-                    "best_uncertainty": it.best_uncertainty,
-                    "last_uncertainty": it.last_uncertainty,
-                    "teacher_start_logits": _arr(it.teacher_start_logits),
-                    "teacher_end_logits": _arr(it.teacher_end_logits),
-                },
+            rec = it.sample.record()
+            rec["_memory"] = {
+                "origin_domain": it.origin_domain,
+                "best_uncertainty": it.best_uncertainty,
+                "last_uncertainty": it.last_uncertainty,
+                "teacher_start_logits": it.teacher_start_logits.tolist(),
+                "teacher_end_logits": it.teacher_end_logits.tolist(),
             }
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def load_memory(path, l_max: int) -> Memory:
+    """Read a memory file: a ``_capacity`` header line, then one sample
+    record with its ``_memory`` block per item."""
     items = []
-    capacity = 0
+    capacity = None
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f):
+        for lineno, line in enumerate(f, start=1):
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"truncated or corrupt memory file {path}, "
-                                 f"line {lineno + 1}: {e}") from None
-            if lineno == 0 and "_capacity" in rec:
-                capacity = int(rec["_capacity"])
+                                 f"line {lineno}: {e}") from None
+            if lineno == 1:
+                capacity = rec.get("_capacity")
                 continue
-            ext = rec["_memory"]
-            sample = Sample(id=rec["id"], domain=rec["domain"],
-                            question_ids=rec["question_ids"],
-                            passage_ids=rec["passage_ids"],
-                            answer_start=rec["answer_start"],
-                            answer_end=rec["answer_end"]).assemble(l_max)
-            items.append(MemoryItem(
-                sample=sample,
-                origin_domain=ext["origin_domain"],
-                best_uncertainty=ext["best_uncertainty"],
-                last_uncertainty=ext["last_uncertainty"],
-                teacher_start_logits=_unarr(ext["teacher_start_logits"]),
-                teacher_end_logits=_unarr(ext["teacher_end_logits"]),
-            ))
-    return Memory(capacity=capacity, items=items)
-
-
-def _arr(a):
-    return None if a is None else [float(x) for x in a]
-
-
-def _unarr(a):
-    return None if a is None else np.array(a, dtype=np.float64)
+            where = f"{path}:{lineno}"
+            try:
+                ext = rec["_memory"]
+                items.append(MemoryItem(
+                    sample=Sample.from_record(rec, where).assemble(l_max),
+                    origin_domain=ext["origin_domain"],
+                    best_uncertainty=ext["best_uncertainty"],
+                    last_uncertainty=ext["last_uncertainty"],
+                    teacher_start_logits=np.array(ext["teacher_start_logits"], float),
+                    teacher_end_logits=np.array(ext["teacher_end_logits"], float),
+                ))
+            except KeyError as e:
+                raise ValueError(f"{where}: missing field {e}") from None
+    if capacity is None:
+        raise ValueError(f"{path}:1: missing the '_capacity' header")
+    return Memory(capacity=int(capacity), items=items)

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -86,6 +87,35 @@ def test_run_rejects_out_of_range_setting(dataset, tmp_path, capsys, flag, value
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("field, value, allowed", [
+    ("uncertainty_kind", "entopy", "('entropy', 'prob', 'random')"),
+    ("norm_strategy", "norm3", "('norm1', 'norm2')"),
+])
+def test_run_rejects_unknown_rule_before_training(dataset, tmp_path, capsys, field,
+                                                  value, allowed):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"data": str(dataset), "method": "ma_mrc",
+                                    "epochs": 1, field: value}))
+    rc = main(["run", "--config", str(manifest), "--memory-size", "0",
+               "--report", str(tmp_path / "r.json"), "--out-dir", str(tmp_path / "ck")])
+    assert rc == 1
+    assert f"unknown {field} {value!r}; choose from {allowed}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "ck").exists()
+
+
+def test_run_stream_record_missing_field_exits_1(dataset, tmp_path, capsys):
+    bad = tmp_path / "stream"
+    shutil.copytree(dataset, bad)
+    path = bad / "cdaq_d1.train.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[2])
+    del rec["answer_start"]
+    lines[2] = json.dumps(rec) + "\n"
+    path.write_text("".join(lines))
+    assert main(run_args(bad, tmp_path / "r.json")) == 1
+    assert f"{path}:3: missing field 'answer_start'" in capsys.readouterr().err
+
+
 def test_run_requires_data(tmp_path, capsys):
     rc = main(["run", "--method", "lower", "--report", str(tmp_path / "r.json")])
     assert rc == 2
@@ -120,6 +150,11 @@ def test_eval_checkpoint_roundtrip(dataset, tmp_path, capsys):
     report = EvalReport.load(report_path)
     assert len(report.steps[0].per_domain) == 2
     assert "F1_avg=" in capsys.readouterr().out
+    # the evaluation's own settings, not a training config it never used
+    assert report.metadata == {
+        "checkpoint": str(ckpt_dir / "step2.ckpt"), "max_answer_len": 8,
+        "method": "eval", "order": [0, 1], "domains": ["cdaq_d0", "cdaq_d1"],
+        "setting": "cdaq"}
 
 
 def test_report_renders_table_and_csv(dataset, tmp_path, capsys):

@@ -1,13 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from contspan import data as dat
 from contspan.autodiff import seeded_rng
-from contspan.data import (GenConfig, Sample, build_input_sequence,
+from contspan.data import (GenConfig, Sample, VocabLayout, build_input_sequence,
                            generate_cdaq_stream, generate_cdac_stream,
-                           oracle_answer, write_stream, load_stream,
+                           write_stream, load_stream,
                            ingest_jsonl, CLS_ID, SEP_ID, UNK_ID)
 from contspan.metrics import em_f1
 
@@ -87,6 +88,26 @@ def test_generator_sizes_and_disjointness(setting):
     other = dat._generate_stream(small_cfg(setting, seed=1))
     ids_b = {s.id for d in other.domains for s in d.train}
     assert ids_a.isdisjoint(ids_b)
+
+
+def oracle_answer(sample: Sample, cfg: GenConfig) -> tuple[int, int]:
+    """Rule-based extractor; exact on generated data by construction.
+
+    Reads the question-type token, locates the matching marker in the
+    passage region of S, and returns the run of payload-range tokens that
+    follows it.
+    """
+    layout = VocabLayout.build(cfg)
+    s = sample.input_ids
+    ask = s[1]
+    k = ask - layout.qtype.start if cfg.setting == "cdaq" else 0
+    marker = layout.marker.start + k
+    pos = s.index(marker, 2 + len(sample.question_ids))
+    start = pos + 1
+    end = start
+    while end + 1 < len(s) and s[end + 1] in layout.payload:
+        end += 1
+    return start, end
 
 
 @pytest.mark.parametrize("setting", ["cdaq", "cdac"])
@@ -243,6 +264,15 @@ def test_ingest_missing_field_rejected(tmp_path):
     path = tmp_path / "d.jsonl"
     _write_jsonl(path, [{"id": "a", "domain": 0, "question": "q"}])
     with pytest.raises(ValueError, match="missing field"):
+        ingest_jsonl(path)
+
+
+def test_ingest_token_record_missing_field_names_path_and_line(tmp_path):
+    path = tmp_path / "d.jsonl"
+    rec = {"id": "t", "domain": 0, "question_ids": [10, 11],
+           "passage_ids": list(range(20, 30)), "answer_start": 4, "answer_end": 5}
+    _write_jsonl(path, [rec, {k: v for k, v in rec.items() if k != "answer_start"}])
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: missing field 'answer_start'")):
         ingest_jsonl(path)
 
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from contspan import autodiff as ad
+from contspan import distill
 from contspan import memory as mem
 from contspan.autodiff import Tensor
 from contspan.backbone import BackboneModel, ModelConfig
 from contspan.data import GenConfig, Sample, generate_cdaq_stream
-from contspan.engine import (ContinualConfig, ContinualEngine, FisherState,
-                             agem_project, ewc_penalty, der_replay_mse,
-                             run_stream)
+from contspan.engine import (ONLINE_EWC_GAMMA, ContinualConfig, ContinualEngine,
+                             FisherState, agem_project, ewc_penalty, der_replay_mse,
+                             distill_term, run_stream)
 
 
 def small_stream(seed=0, n_domains=3):
@@ -130,9 +131,16 @@ def test_derpp_beta_zero_reduces_to_der():
 
 def test_ewc_equals_online_ewc_over_two_domains():
     stream = small_stream(n_domains=2)
-    m1, _, _ = run_stream(stream, small_config("ewc"))
-    m2, _, _ = run_stream(stream, small_config("online_ewc"))
+    m1, _, e1 = run_stream(stream, small_config("ewc"))
+    m2, _, e2 = run_stream(stream, small_config("online_ewc"))
     assert params_equal(m1, m2)
+    # EWC keeps a state per step; online EWC one running state
+    first, second = e1.fisher_states
+    [merged] = e2.fisher_states
+    for k, f in merged.fisher.items():
+        np.testing.assert_array_equal(f, ONLINE_EWC_GAMMA * first.fisher[k]
+                                      + second.fisher[k])
+        np.testing.assert_array_equal(merged.anchor[k], second.anchor[k])
 
 
 def test_lower_equals_upper_on_single_domain():
@@ -328,6 +336,27 @@ def test_empty_memory_incremental_step_warns_and_finetunes(caplog):
     with caplog.at_level("WARNING"):
         run_stream(stream, cfg)
     assert "empty memory" in caplog.text
+
+
+def test_distill_term_pads_short_memory_rows_exactly():
+    """Memory rows shorter than the mixed batch's widest row get the KL
+    they have when each is forwarded alone at its own width."""
+    model = BackboneModel(ModelConfig(vocab_size=40, hidden=16, n_layers=1,
+                                      n_heads=2, l_max=16), ad.seeded_rng(0))
+    teacher = distill.snapshot_teacher(model)
+    for p in teacher.params.values():
+        p.data += 0.05
+    rng = ad.seeded_rng(1)
+    ids = [rng.integers(3, 40, size=n).tolist() for n in (12, 5, 8)]
+    _, _, sl, el = model.forward_batch(ids)
+    got = distill_term(teacher, ids[1:], sl, el, 1).item()
+    alone = []
+    for row in ids[1:]:
+        _, _, t_sl, t_el = teacher.forward_batch([row])
+        _, _, s_sl, s_el = model.forward_batch([row])
+        alone.append(distill.kl_distill_loss_batch(t_sl.data, t_el.data,
+                                                   s_sl, s_el).item())
+    assert got == pytest.approx(np.mean(alone), abs=1e-12)
 
 
 def test_forward_only_passes_record_no_tape(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -289,4 +290,27 @@ def test_truncated_memory_file_names_path_and_line(tmp_path):
     text = path.read_text()
     path.write_text(text[:len(text) - 40])  # cuts the last item's line
     with pytest.raises(ValueError, match=re.escape(f"{path}, line 4")):
+        mem.load_memory(path, l_max=16)
+
+
+def test_memory_file_without_header_is_rejected(tmp_path):
+    m = mem.init_memory(make_samples(6), 3, make_model(seed=8), ad.seeded_rng(0, 5))
+    path = tmp_path / "mem.jsonl"
+    mem.save_memory(m, path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: missing the '_capacity' header")):
+        mem.load_memory(path, l_max=16)
+
+
+@pytest.mark.parametrize("field", ["_memory", "origin_domain", "teacher_end_logits"])
+def test_memory_record_without_a_field_names_path_and_line(tmp_path, field):
+    m = mem.init_memory(make_samples(6), 3, make_model(seed=8), ad.seeded_rng(0, 5))
+    path = tmp_path / "mem.jsonl"
+    mem.save_memory(m, path)
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[2])
+    del (rec if field == "_memory" else rec["_memory"])[field]
+    lines[2] = json.dumps(rec) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: missing field '{field}'")):
         mem.load_memory(path, l_max=16)
