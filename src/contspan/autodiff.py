@@ -232,10 +232,17 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Smooth gated activation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+    # In place, in the order of the formula (x**3 via np.power is slow);
+    # only commutative operands swap, so the bytes match the plain expression.
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x * x * x)  # x**3 via np.power is slow
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    t = x * 0.044715
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = x * 0.5
+    data *= t + 1.0
 
     def bw(g, _a=a, _t=t):
         x = _a.data
@@ -282,9 +289,9 @@ def exp(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
 
     def bw(g, _a=a, _y=data):
         dot = (g * _y).sum(axis=-1, keepdims=True)
@@ -311,8 +318,10 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    data = xhat * gain.data + bias.data
+    xhat = x - mu
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
 
     def bw(g, _a=a, _gain=gain, _bias=bias, _xhat=xhat, _inv=inv):
         n = _a.data.shape[-1]

@@ -1,8 +1,11 @@
 """Span-extraction backbone: transformer encoder plus start/end heads.
 
 Desk-scale by default (h=64, 2 blocks, 2 heads, l_max=64). Every pass is
-batched: rows are padded to the longest, and padded positions carry an
-additive -1e9 bias in attention and in the span heads.
+batched and returns rows padded to the longest, whose padded positions carry
+an additive -1e9 bias in attention and in the span heads. Training passes
+compute on the padded rows; forward-only passes (no parameter requires grad)
+run the per-token layers on the packed valid tokens (unpadding, Krell et al.
+2021) and pad only around attention and for the output.
 """
 
 from __future__ import annotations
@@ -108,6 +111,11 @@ class BackboneModel:
         """Pad, embed and run the encoder over a batch.
 
         Returns (B, l, h) representations and a float (B, l) validity mask.
+        A tracked model runs every layer on the padded (B, l, h) batch, which
+        keeps the tape's operation order. An untracked one runs the per-token
+        layers on the packed (n_valid, h) rows of the valid tokens alone and
+        scatters them to (B, l, h) only around attention; its valid rows
+        equal the padded pass's bit for bit, and its padded rows of h are 0.
         """
         cfg = self.config
         for ids in id_lists:
@@ -121,22 +129,32 @@ class BackboneModel:
             mask[i, :lens[i]] = 1.0
 
         P = self.params
-        x = ad.embedding(P["tok_emb"], batch) + ad.index(P["pos_emb"], slice(0, l))
+        if any(p.requires_grad for p in P.values()):
+            valid = None
+            x = ad.embedding(P["tok_emb"], batch) + ad.index(P["pos_emb"], slice(0, l))
+        else:
+            valid = mask > 0
+            x = ad.embedding(P["tok_emb"], batch[valid]) \
+                + ad.index(P["pos_emb"], np.nonzero(valid)[1])
         x = ad.layer_norm(x, P["ln_emb_g"], P["ln_emb_b"])
         attn_bias = Tensor(NEG_INF * (1.0 - mask)[:, None, None, :])
         for i in range(cfg.n_layers):
-            x = self._block(x, i, attn_bias)
-        return x, mask
+            x = self._block(x, i, attn_bias, valid)
+        return _unpack(x, valid), mask
 
-    def _block(self, x: Tensor, i: int, attn_bias: Tensor) -> Tensor:
+    def _block(self, x: Tensor, i: int, attn_bias: Tensor,
+               valid: np.ndarray | None) -> Tensor:
+        """One encoder block on padded (B, l, h) rows (valid None) or on the
+        packed rows of the (B, l) boolean mask valid."""
         P = self.params
         cfg = self.config
-        B, l, h = x.data.shape
+        B, _, _, l = attn_bias.data.shape
+        h = cfg.hidden
         nh = cfg.n_heads
         dh = h // nh
 
         def heads(t):
-            return ad.transpose(ad.reshape(t, (B, l, nh, dh)), (0, 2, 1, 3))
+            return ad.transpose(ad.reshape(_unpack(t, valid), (B, l, nh, dh)), (0, 2, 1, 3))
 
         q = heads(ad.matmul(x, P[f"blk{i}.wq"]) + P[f"blk{i}.bq"])
         k = heads(ad.matmul(x, P[f"blk{i}.wk"]) + P[f"blk{i}.bk"])
@@ -144,7 +162,7 @@ class BackboneModel:
         scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
         probs = ad.softmax(scores + attn_bias)
         ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (B, l, h))
-        attn_out = ad.matmul(ctx, P[f"blk{i}.wo"]) + P[f"blk{i}.bo"]
+        attn_out = ad.matmul(_pack(ctx, valid), P[f"blk{i}.wo"]) + P[f"blk{i}.bo"]
         x = ad.layer_norm(x + attn_out, P[f"blk{i}.ln1_g"], P[f"blk{i}.ln1_b"])
         ff = ad.matmul(ad.gelu(ad.matmul(x, P[f"blk{i}.w1"]) + P[f"blk{i}.b1"]),
                        P[f"blk{i}.w2"]) + P[f"blk{i}.b2"]
@@ -172,7 +190,8 @@ class BackboneModel:
     def forward_chunks(self, id_lists):
         """Forward-only passes over id_lists, EVAL_BATCH rows at a time.
 
-        Runs through one untracked copy, so no tape is recorded. Yields
+        Runs through one untracked copy, so no tape is recorded and the
+        encoder runs on the packed valid tokens (see encode_batch). Yields
         (rows, h, mask, sl, el) per chunk, rows being the chunk's slice of
         id_lists.
         """
@@ -223,6 +242,21 @@ class BackboneModel:
                 arr = np.frombuffer(read(8 * n), dtype="<f8").reshape(shape).copy()
                 model.params[entry["name"]] = Tensor(arr, requires_grad=True)
         return model
+
+
+def _unpack(x: Tensor, valid: np.ndarray | None) -> Tensor:
+    """Packed (n_valid, h) rows scattered to (B, l, h), zeros at padding;
+    padded rows (valid None) pass through. Untracked passes only."""
+    if valid is None:
+        return x
+    out = np.zeros(valid.shape + x.data.shape[-1:])
+    out[valid] = x.data
+    return Tensor(out)
+
+
+def _pack(x: Tensor, valid: np.ndarray | None) -> Tensor:
+    """The valid rows of (B, l, h), in row-major order; see _unpack."""
+    return x if valid is None else Tensor(x.data[valid])
 
 
 # ---------------------------------------------------------------------------

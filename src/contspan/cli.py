@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
+import platform
 import sys
 
 from . import data as dat
@@ -15,6 +17,28 @@ from .backbone import BackboneModel
 from .metrics import EvalReport, StepResult, f1_all, f1_avg
 
 log = logging.getLogger("contspan")
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
+
+
+def _keep_freed_heap() -> bool:
+    """Have glibc keep freed memory on the heap for reuse.
+
+    A forward-only pass frees its whole working set after every chunk. With
+    glibc's defaults, arrays that large are mmapped, or trimmed back to the
+    OS on free, and page-faulted in again for the next chunk. This sets the
+    mmap threshold to 32 MiB, the ceiling of glibc's own dynamic rule, and
+    the trim threshold to 64 MiB. Returns True if glibc took both settings;
+    under any other C library it does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, 32 << 20) and mallopt(M_TRIM_THRESHOLD, 64 << 20))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,6 +178,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     ap = build_parser()
     args = ap.parse_args(argv)
+    _keep_freed_heap()
     handler = {
         "gen": cmd_gen, "run": cmd_run, "eval": cmd_eval,
         "gradcheck": cmd_gradcheck, "report": cmd_report,

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from contspan import autodiff as ad
 from contspan.autodiff import Tensor
+from contspan.backbone import NEG_INF
 
 
 def test_matmul_identity():
@@ -161,3 +164,33 @@ def test_check_finite_flag_catches_nan(monkeypatch):
     with np.errstate(invalid="ignore"):  # the NaN here is the point
         with pytest.raises(FloatingPointError):
             ad.log(Tensor([-1.0]))
+
+
+def _lean_inputs():
+    """2-d and (B, l, h) inputs; the last has NEG_INF-masked positions."""
+    rng = ad.seeded_rng(6)
+    x3 = rng.normal(size=(3, 5, 8)) * 3.0
+    masked = x3.copy()
+    masked[1, :, 2:] += NEG_INF
+    masked[2, 1] = NEG_INF
+    return [rng.normal(size=(7, 9)) * 4.0, x3, masked]
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_lean_forwards_equal_plain_expressions(i):
+    """gelu, softmax and layer_norm compute in place; their forwards keep the
+    bytes of the plain expressions written out here."""
+    x = _lean_inputs()[i]
+    c = math.sqrt(2.0 / math.pi)
+    inner = c * (x + 0.044715 * x * x * x)
+    np.testing.assert_array_equal(ad.gelu(Tensor(x)).data, 0.5 * x * (1.0 + np.tanh(inner)))
+
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    np.testing.assert_array_equal(ad.softmax(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
+
+    rng = ad.seeded_rng(7)
+    gain, bias = rng.normal(size=x.shape[-1]), rng.normal(size=x.shape[-1])
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    np.testing.assert_array_equal(ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data,
+                                  (x - mu) * inv * gain + bias)

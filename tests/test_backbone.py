@@ -84,6 +84,29 @@ def test_padding_does_not_change_valid_rows():
     np.testing.assert_allclose(h.data[0, :3], short, atol=1e-10)
 
 
+@pytest.mark.parametrize("batch", ["l_max_row", "one_token_rows", "unpadded", "full_chunk"])
+def test_packed_forward_equals_padded_on_valid_positions(batch):
+    """An untracked copy packs the valid tokens; a tracked model pads. They
+    agree bit for bit on every valid position, at the desk model's size."""
+    cfg = ModelConfig(vocab_size=50, hidden=64, n_layers=2, n_heads=2, l_max=64)
+    tracked = BackboneModel(cfg, ad.seeded_rng(4))
+    rng = ad.seeded_rng(5)
+    lens = {"l_max_row": [64, 1, 17, 40],
+            "one_token_rows": [1, 3, 1, 1, 2],
+            "unpadded": [23] * 6,
+            "full_chunk": rng.integers(1, 65, size=backbone.EVAL_BATCH)}[batch]
+    id_lists = [rng.integers(0, cfg.vocab_size, size=n) for n in lens]
+    h, mask, sl, el = tracked.forward_batch(id_lists)
+    ph, pmask, psl, pel = tracked.copy(requires_grad=False).forward_batch(id_lists)
+    np.testing.assert_array_equal(pmask, mask)
+    valid = mask > 0
+    np.testing.assert_array_equal(ph.data[valid], h.data[valid])
+    np.testing.assert_array_equal(psl.data[valid], sl.data[valid])
+    np.testing.assert_array_equal(pel.data[valid], el.data[valid])
+    for logits in (psl, pel):
+        np.testing.assert_array_equal(ad.softmax(logits).data[~valid], 0.0)
+
+
 def test_predict_spans_uniform_when_head_is_zero():
     m = make_model()
     m.params["w_start"].data[:] = 0.0

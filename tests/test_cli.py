@@ -1,8 +1,11 @@
+import ctypes
 import json
+import platform
 import shutil
 
 import pytest
 
+from contspan import cli
 from contspan.cli import main
 from contspan.metrics import EvalReport
 
@@ -79,7 +82,8 @@ def test_run_rejects_unknown_manifest_key(dataset, tmp_path, capsys):
     assert "unknown manifest keys" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("memory_size", -1), ("batch_size", 0)])
+@pytest.mark.parametrize("flag, value", [("memory_size", -1), ("batch_size", 0),
+                                         ("epochs", 0)])
 def test_run_rejects_out_of_range_setting(dataset, tmp_path, capsys, flag, value):
     rc = main(run_args(dataset, tmp_path / "r.json", method="ma_mrc", **{flag: value}))
     assert rc == 1
@@ -172,3 +176,14 @@ def test_gradcheck_exits_zero(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_allocator_setting_applies_under_glibc_only(monkeypatch):
+    assert cli._keep_freed_heap() == (platform.libc_ver()[0] == "glibc")
+
+    def no_libc(*args, **kwargs):
+        raise AssertionError("C library loaded outside glibc")
+
+    monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("", ""))
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    assert cli._keep_freed_heap() is False

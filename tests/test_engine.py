@@ -104,7 +104,8 @@ def test_config_rejects_unknown_method_and_bad_order():
         ContinualEngine(small_stream(), small_config("lower", domain_order=[0, 0, 1]))
 
 
-@pytest.mark.parametrize("field, value", [("memory_size", -1), ("batch_size", 0)])
+@pytest.mark.parametrize("field, value", [("memory_size", -1), ("batch_size", 0),
+                                          ("epochs", 0), ("n_fisher", 0)])
 def test_config_rejects_out_of_range_sizes(field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= {value + 1}"):
         ContinualEngine(small_stream(), small_config("ma_mrc", **{field: value}))
@@ -383,6 +384,10 @@ def test_forward_only_passes_record_no_tape(monkeypatch):
     mem.update_memory(memory, d1, model, 2, ad.seeded_rng(0, 2))
     engine.evaluate(model, [0, 1])
     engine._pooled_reprs(model, stream.domains[1].test)
+    # the distillation teacher's forward of the memory rows
+    rows = [s.input_ids for s in d1[:3]] + [it.sample.input_ids for it in memory.items[:2]]
+    _, _, sl, el = model.copy(requires_grad=False).forward_batch(rows)
+    distill_term(distill.snapshot_teacher(model), rows[3:], sl, el, 3)
     assert nodes == []
 
 
