@@ -11,12 +11,14 @@
 # first domain's 48 training rows) for ma_mrc, agem and der. It also scores
 # that checkpoint on OUT/deskstream, made with the same generator settings
 # (so the same vocab) but 256 test rows per domain: forward-only passes then
-# run full 64-row chunks, as the benchmark's evaluation does. It runs inside
+# run full 64-row chunks, as the benchmark's evaluation does. It trains the
+# full method on OUT/cdaqstream too, a tiny question-shift stream, so the
+# paper's second setting is covered as well. It runs inside
 # OUT with relative paths, so eval.json records the same checkpoint path in
 # every OUT. Each command's output goes to OUT/<run>.log. Run it at both
 # commits, then compare.
 #
-# The second form compares both streams, every report, checkpoint and saved
+# The second form compares the three streams, every report, checkpoint and saved
 # memory, prints the files that differ (a file missing on one side differs)
 # and their count, and exits 1 if any differ. Logs and timing.json hold wall
 # times and are left out.
@@ -29,7 +31,8 @@ usage() {
 
 outputs() {
     (cd "$1" && shopt -s nullglob &&
-        printf '%s\n' stream/* deskstream/* *.json */report*.json */step*.ckpt */step*.memory.jsonl)
+        printf '%s\n' stream/* deskstream/* cdaqstream/* *.json */report*.json */step*.ckpt \
+            */step*.memory.jsonl)
 }
 
 compare() {
@@ -68,6 +71,10 @@ run_set() {
         --seed 0 --out deskstream
     contspan eval_desk eval --checkpoint ma_mrc/step3.ckpt --data deskstream \
         --report eval_desk.json
+    contspan gencdaq gen --setting cdaq --domains 3 --train-size 48 --test-size 16 \
+        --seed 0 --out cdaqstream
+    contspan ma_mrc_cdaq run --data cdaqstream --method ma_mrc --memory-size 12 --epochs 2 \
+        --report ma_mrc_cdaq.json --out-dir ma_mrc_cdaq
     contspan probnorm2 run --data stream --method ma_mrc --memory-size 12 \
         --epochs 2 --norm norm2 --uncertainty prob --order 2,0,1 --batch-size 7 \
         --report probnorm2.json --out-dir probnorm2

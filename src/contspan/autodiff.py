@@ -184,6 +184,71 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, "matmul", (a, b), bw)
 
 
+def _scatter(rows: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Packed rows scattered to valid.shape + rows.shape[1:], zeros elsewhere."""
+    out = np.zeros(valid.shape + rows.shape[1:])
+    out[valid] = rows
+    return out
+
+
+def pack(a: Tensor, valid: np.ndarray) -> Tensor:
+    """The rows of a (B, l, h) tensor where the (B, l) boolean mask valid is
+    set, in row-major order, as (n_valid, h). An (l, h) tensor is broadcast
+    over the batch first; its gradient is summed over the sequences in order,
+    as a broadcast add's would be."""
+    data = np.broadcast_to(a.data, valid.shape + a.data.shape[-1:])[valid]
+
+    def bw(g, _a=a, _valid=valid):
+        yield _a, _unbroadcast(_scatter(g, _valid), _a.data.shape)
+
+    return _make(data, "pack", (a,), bw)
+
+
+def unpack(a: Tensor, valid: np.ndarray) -> Tensor:
+    """Packed (n_valid, h) rows scattered to (B, l, h), zeros at padding;
+    the inverse of pack."""
+    data = _scatter(a.data, valid)
+
+    def bw(g, _a=a, _valid=valid):
+        yield _a, g[_valid]
+
+    return _make(data, "unpack", (a,), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, valid: np.ndarray,
+           padded: bool = False) -> Tensor:
+    """x @ w + b on the packed (n_valid, k) rows of the (B, l) boolean prefix
+    mask valid (see pack); padded=True returns the (B, l, n) scatter, with
+    zeros at padding.
+
+    The backward gives the padded (B, l, k) @ (k, n) + (n,) product's
+    gradients bit for bit. The weight and bias gradients sum in its order,
+    leaving out the padded terms, which are exact zeros: the weight gradient
+    as one GEMM per sequence, added up in sequence order; the bias gradient
+    over the sequences, then over the positions, reduced from the padded
+    output gradient as numpy lays it out (for q, k and v the gradient
+    arrives through transposes, and a transposed view sums its positions
+    pairwise). The input gradient is the padded product's own GEMM: BLAS may
+    choose its kernel, and so its rounding, by the row count (OpenBLAS does
+    on AVX-512 hosts for small products), so the rows stay l per sequence."""
+    data = x.data @ w.data
+    data += b.data
+    if padded:
+        data = _scatter(data, valid)
+
+    def bw(g, _x=x, _w=w, _b=b, _valid=valid, _padded=padded):
+        rows, gp = (g[_valid], g) if _padded else (g, _scatter(g, _valid))
+        yield _x, (gp @ _w.data.T)[_valid]
+        ends = np.cumsum(_valid.sum(axis=1))
+        gw = _x.data[:ends[0]].T @ rows[:ends[0]]
+        for o, e in zip(ends[:-1], ends[1:]):
+            gw += _x.data[o:e].T @ rows[o:e]
+        yield _w, gw
+        yield _b, _unbroadcast(gp, _b.data.shape)
+
+    return _make(data, "linear", (x, w, b), bw)
+
+
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
 
@@ -223,9 +288,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     data = table.data[ids]
 
     def bw(g, _t=table, _ids=ids):
-        full = np.zeros_like(_t.data)
-        np.add.at(full, _ids.reshape(-1), g.reshape(-1, _t.data.shape[1]))
-        yield _t, full
+        # bincount adds each cell's terms in index order, as np.add.at does
+        h = _t.data.shape[1]
+        cells = (_ids.reshape(-1, 1) * h + np.arange(h)).reshape(-1)
+        yield _t, np.bincount(cells, weights=g.reshape(-1),
+                              minlength=_t.data.size).reshape(_t.data.shape)
 
     return _make(data, "embedding", (table,), bw)
 

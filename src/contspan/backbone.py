@@ -2,10 +2,10 @@
 
 Desk-scale by default (h=64, 2 blocks, 2 heads, l_max=64). Every pass is
 batched and returns rows padded to the longest, whose padded positions carry
-an additive -1e9 bias in attention and in the span heads. Training passes
-compute on the padded rows; forward-only passes (no parameter requires grad)
-run the per-token layers on the packed valid tokens (unpadding, Krell et al.
-2021) and pad only around attention and for the output.
+an additive -1e9 bias in attention and in the span heads. Training and
+forward-only passes share one encoder path: the per-token layers run on the
+packed valid tokens (unpadding, Krell et al. 2021), padded only around
+attention and for the output, with the padded pass's values and gradients.
 """
 
 from __future__ import annotations
@@ -110,12 +110,12 @@ class BackboneModel:
     def encode_batch(self, id_lists) -> tuple[Tensor, np.ndarray]:
         """Pad, embed and run the encoder over a batch.
 
-        Returns (B, l, h) representations and a float (B, l) validity mask.
-        A tracked model runs every layer on the padded (B, l, h) batch, which
-        keeps the tape's operation order. An untracked one runs the per-token
-        layers on the packed (n_valid, h) rows of the valid tokens alone and
-        scatters them to (B, l, h) only around attention; its valid rows
-        equal the padded pass's bit for bit, and its padded rows of h are 0.
+        Returns (B, l, h) representations, zero at padded positions, and a
+        float (B, l) validity mask. The per-token layers (embeddings, layer
+        norms, linear layers, gelu, residual adds) run on the packed
+        (n_valid, h) rows of the valid tokens alone, scattered to (B, l, h)
+        only around attention. Values and gradients at valid positions equal
+        those of the padded pass bit for bit (see ad.linear).
         """
         cfg = self.config
         for ids in id_lists:
@@ -129,43 +129,38 @@ class BackboneModel:
             mask[i, :lens[i]] = 1.0
 
         P = self.params
-        if any(p.requires_grad for p in P.values()):
-            valid = None
-            x = ad.embedding(P["tok_emb"], batch) + ad.index(P["pos_emb"], slice(0, l))
-        else:
-            valid = mask > 0
-            x = ad.embedding(P["tok_emb"], batch[valid]) \
-                + ad.index(P["pos_emb"], np.nonzero(valid)[1])
+        valid = mask > 0
+        x = ad.embedding(P["tok_emb"], batch[valid]) \
+            + ad.pack(ad.index(P["pos_emb"], slice(0, l)), valid)
         x = ad.layer_norm(x, P["ln_emb_g"], P["ln_emb_b"])
         attn_bias = Tensor(NEG_INF * (1.0 - mask)[:, None, None, :])
         for i in range(cfg.n_layers):
             x = self._block(x, i, attn_bias, valid)
-        return _unpack(x, valid), mask
+        return ad.unpack(x, valid), mask
 
-    def _block(self, x: Tensor, i: int, attn_bias: Tensor,
-               valid: np.ndarray | None) -> Tensor:
-        """One encoder block on padded (B, l, h) rows (valid None) or on the
-        packed rows of the (B, l) boolean mask valid."""
+    def _block(self, x: Tensor, i: int, attn_bias: Tensor, valid: np.ndarray) -> Tensor:
+        """One encoder block on the packed rows of the (B, l) boolean mask valid."""
         P = self.params
         cfg = self.config
-        B, _, _, l = attn_bias.data.shape
+        B, l = valid.shape
         h = cfg.hidden
         nh = cfg.n_heads
         dh = h // nh
 
-        def heads(t):
-            return ad.transpose(ad.reshape(_unpack(t, valid), (B, l, nh, dh)), (0, 2, 1, 3))
+        def lin(t, nm, padded=False):
+            return ad.linear(t, P[f"blk{i}.w{nm}"], P[f"blk{i}.b{nm}"], valid, padded)
 
-        q = heads(ad.matmul(x, P[f"blk{i}.wq"]) + P[f"blk{i}.bq"])
-        k = heads(ad.matmul(x, P[f"blk{i}.wk"]) + P[f"blk{i}.bk"])
-        v = heads(ad.matmul(x, P[f"blk{i}.wv"]) + P[f"blk{i}.bv"])
+        def heads(nm):
+            return ad.transpose(ad.reshape(lin(x, nm, padded=True), (B, l, nh, dh)),
+                                (0, 2, 1, 3))
+
+        q, k, v = heads("q"), heads("k"), heads("v")
         scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
         probs = ad.softmax(scores + attn_bias)
         ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (B, l, h))
-        attn_out = ad.matmul(_pack(ctx, valid), P[f"blk{i}.wo"]) + P[f"blk{i}.bo"]
-        x = ad.layer_norm(x + attn_out, P[f"blk{i}.ln1_g"], P[f"blk{i}.ln1_b"])
-        ff = ad.matmul(ad.gelu(ad.matmul(x, P[f"blk{i}.w1"]) + P[f"blk{i}.b1"]),
-                       P[f"blk{i}.w2"]) + P[f"blk{i}.b2"]
+        x = ad.layer_norm(x + lin(ad.pack(ctx, valid), "o"),
+                          P[f"blk{i}.ln1_g"], P[f"blk{i}.ln1_b"])
+        ff = lin(ad.gelu(lin(x, "1")), "2")
         return ad.layer_norm(x + ff, P[f"blk{i}.ln2_g"], P[f"blk{i}.ln2_b"])
 
     def _check_ids(self, ids: np.ndarray):
@@ -242,21 +237,6 @@ class BackboneModel:
                 arr = np.frombuffer(read(8 * n), dtype="<f8").reshape(shape).copy()
                 model.params[entry["name"]] = Tensor(arr, requires_grad=True)
         return model
-
-
-def _unpack(x: Tensor, valid: np.ndarray | None) -> Tensor:
-    """Packed (n_valid, h) rows scattered to (B, l, h), zeros at padding;
-    padded rows (valid None) pass through. Untracked passes only."""
-    if valid is None:
-        return x
-    out = np.zeros(valid.shape + x.data.shape[-1:])
-    out[valid] = x.data
-    return Tensor(out)
-
-
-def _pack(x: Tensor, valid: np.ndarray | None) -> Tensor:
-    """The valid rows of (B, l, h), in row-major order; see _unpack."""
-    return x if valid is None else Tensor(x.data[valid])
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,8 @@ class ContinualConfig:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
                                  f"choose from {allowed}")
         for name, lo in (("memory_size", 0), ("batch_size", 1), ("epochs", 1),
-                         ("n_fisher", 1)):
+                         ("n_fisher", 1), ("max_answer_len", 1), ("hidden", 1),
+                         ("n_heads", 1)):
             if getattr(self, name) < lo:
                 raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
         order = self.order(n_domains)

@@ -237,4 +237,7 @@ def load_memory(path, l_max: int) -> Memory:
                 raise ValueError(f"{where}: missing field {e}") from None
     if capacity is None:
         raise ValueError(f"{path}:1: missing the '_capacity' header")
-    return Memory(capacity=int(capacity), items=items)
+    capacity = int(capacity)
+    if len(items) > capacity:
+        raise ValueError(f"{path}: {len(items)} items exceed its capacity of {capacity}")
+    return Memory(capacity=capacity, items=items)

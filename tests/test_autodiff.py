@@ -120,6 +120,19 @@ def test_embedding_forward_and_backward():
         ad.embedding(table, np.array([4]))
 
 
+def test_embedding_backward_adds_in_index_order():
+    """Repeated ids over a wide range of magnitudes, so the order of the
+    additions shows in the bits: the gradient equals np.add.at's."""
+    rng = ad.seeded_rng(11)
+    table = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+    ids = rng.integers(0, 3, size=(4, 50))
+    g = rng.normal(size=(4, 50, 5)) * 10.0 ** rng.integers(-8, 8, size=(4, 50, 1))
+    ad.backward(ad.tsum(ad.embedding(table, ids) * Tensor(g)))
+    expected = np.zeros((7, 5))
+    np.add.at(expected, ids.reshape(-1), g.reshape(-1, 5))
+    np.testing.assert_array_equal(table.grad, expected)
+
+
 def test_batched_matmul_gradient():
     rng = ad.seeded_rng(6)
     a = Tensor(rng.normal(size=(2, 3, 4)))
@@ -194,3 +207,52 @@ def test_lean_forwards_equal_plain_expressions(i):
     inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
     np.testing.assert_array_equal(ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data,
                                   (x - mu) * inv * gain + bias)
+
+
+def _ragged_valid():
+    """A (3, 5) prefix mask: rows of 5, 2 and 1 valid tokens."""
+    return np.arange(5) < np.array([5, 2, 1])[:, None]
+
+
+def test_pack_and_unpack_move_rows_and_gradients():
+    valid = _ragged_valid()
+    rng = ad.seeded_rng(9)
+    full = rng.normal(size=(3, 5, 4))
+    packed = ad.pack(Tensor(full), valid)
+    np.testing.assert_array_equal(packed.data, full[valid])
+    back = ad.unpack(packed, valid).data
+    np.testing.assert_array_equal(back[valid], full[valid])
+    np.testing.assert_array_equal(back[~valid], 0.0)
+    # an (l, h) input is broadcast over the batch
+    pos = rng.normal(size=(5, 4))
+    np.testing.assert_array_equal(ad.pack(Tensor(pos), valid).data,
+                                  np.broadcast_to(pos, (3, 5, 4))[valid])
+
+    wp = rng.normal(size=(int(valid.sum()), 4))
+    wf = rng.normal(size=(3, 5, 4))
+    for x, f in ((full, lambda t: ad.tsum(ad.pack(t, valid) * Tensor(wp))),
+                 (pos, lambda t: ad.tsum(ad.square(ad.pack(t, valid)) * Tensor(wp))),
+                 (full[valid], lambda t: ad.tsum(ad.square(ad.unpack(t, valid)) * Tensor(wf)))):
+        assert ad.finite_difference_check(f, Tensor(x)) < 1e-6
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_linear_gradients_on_packed_rows(padded):
+    valid = _ragged_valid()
+    rng = ad.seeded_rng(10)
+    n_valid = int(valid.sum())
+    x, w, b = (Tensor(rng.normal(size=s)) for s in ((n_valid, 4), (4, 3), (3,)))
+    out = ad.linear(x, w, b, valid, padded)
+    ref = x.data @ w.data + b.data
+    if padded:
+        np.testing.assert_array_equal(out.data[valid], ref)
+        np.testing.assert_array_equal(out.data[~valid], 0.0)
+    else:
+        np.testing.assert_array_equal(out.data, ref)
+    weights = Tensor(rng.normal(size=out.data.shape))
+    args = {"x": x, "w": w, "b": b}
+    for name in args:
+        def f(t, name=name):
+            return ad.tsum(ad.square(ad.linear(**{**args, name: t}, valid=valid,
+                                               padded=padded)) * weights)
+        assert ad.finite_difference_check(f, args[name]) < 1e-6, name

@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from contspan.autodiff import Tensor
 from contspan.backbone import (BackboneModel, ModelConfig, NEG_INF, span_loss_batch,
                                decode_answer)
 from contspan.data import GenConfig, generate_cdaq_stream
-from contspan.engine import ContinualConfig, ContinualEngine
+from contspan.engine import ContinualConfig, ContinualEngine, gold_span_loss
 
 
 def make_model(seed=0, **kw):
@@ -84,27 +85,88 @@ def test_padding_does_not_change_valid_rows():
     np.testing.assert_allclose(h.data[0, :3], short, atol=1e-10)
 
 
-@pytest.mark.parametrize("batch", ["l_max_row", "one_token_rows", "unpadded", "full_chunk"])
-def test_packed_forward_equals_padded_on_valid_positions(batch):
-    """An untracked copy packs the valid tokens; a tracked model pads. They
-    agree bit for bit on every valid position, at the desk model's size."""
+def padded_forward(model, id_lists):
+    """Reference: the encoder on padded (B, l, h) rows, every layer through
+    ad.matmul and ad.add with the padding included, then the span heads."""
+    P, cfg = model.params, model.config
+    B, l = len(id_lists), max(len(ids) for ids in id_lists)
+    batch = np.zeros((B, l), dtype=np.int64)
+    mask = np.zeros((B, l))
+    for i, ids in enumerate(id_lists):
+        batch[i, :len(ids)] = ids
+        mask[i, :len(ids)] = 1.0
+    nh = cfg.n_heads
+    dh = cfg.hidden // nh
+    x = ad.embedding(P["tok_emb"], batch) + ad.index(P["pos_emb"], slice(0, l))
+    x = ad.layer_norm(x, P["ln_emb_g"], P["ln_emb_b"])
+    attn_bias = Tensor(NEG_INF * (1.0 - mask)[:, None, None, :])
+    for i in range(cfg.n_layers):
+        def lin(t, nm):
+            return ad.matmul(t, P[f"blk{i}.w{nm}"]) + P[f"blk{i}.b{nm}"]
+
+        q, k, v = (ad.transpose(ad.reshape(lin(x, nm), (B, l, nh, dh)), (0, 2, 1, 3))
+                   for nm in "qkv")
+        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+        probs = ad.softmax(scores + attn_bias)
+        ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (B, l, cfg.hidden))
+        x = ad.layer_norm(x + lin(ctx, "o"), P[f"blk{i}.ln1_g"], P[f"blk{i}.ln1_b"])
+        x = ad.layer_norm(x + lin(ad.gelu(lin(x, "1")), "2"),
+                          P[f"blk{i}.ln2_g"], P[f"blk{i}.ln2_b"])
+    return (x, mask, *model.span_logits_batch(x, mask))
+
+
+RAGGED = ["l_max_row", "one_token_rows", "unpadded", "full_chunk"]
+
+
+def ragged_batch(batch):
+    """A desk-size model and one of four batches: a row at l_max with ragged
+    rows, 1-token rows, an unpadded batch, a full forward-only chunk."""
     cfg = ModelConfig(vocab_size=50, hidden=64, n_layers=2, n_heads=2, l_max=64)
-    tracked = BackboneModel(cfg, ad.seeded_rng(4))
+    model = BackboneModel(cfg, ad.seeded_rng(4))
     rng = ad.seeded_rng(5)
     lens = {"l_max_row": [64, 1, 17, 40],
             "one_token_rows": [1, 3, 1, 1, 2],
             "unpadded": [23] * 6,
             "full_chunk": rng.integers(1, 65, size=backbone.EVAL_BATCH)}[batch]
-    id_lists = [rng.integers(0, cfg.vocab_size, size=n) for n in lens]
-    h, mask, sl, el = tracked.forward_batch(id_lists)
-    ph, pmask, psl, pel = tracked.copy(requires_grad=False).forward_batch(id_lists)
-    np.testing.assert_array_equal(pmask, mask)
+    return model, [rng.integers(0, cfg.vocab_size, size=n) for n in lens]
+
+
+@pytest.mark.parametrize("batch", RAGGED)
+def test_packed_forward_equals_padded_on_valid_positions(batch):
+    """The tracked pass and an untracked copy both pack the valid tokens; they
+    agree with the padded reference bit for bit on every valid position."""
+    model, id_lists = ragged_batch(batch)
+    h, mask, sl, el = padded_forward(model, id_lists)
     valid = mask > 0
-    np.testing.assert_array_equal(ph.data[valid], h.data[valid])
-    np.testing.assert_array_equal(psl.data[valid], sl.data[valid])
-    np.testing.assert_array_equal(pel.data[valid], el.data[valid])
-    for logits in (psl, pel):
-        np.testing.assert_array_equal(ad.softmax(logits).data[~valid], 0.0)
+    for m in (model, model.copy(requires_grad=False)):
+        ph, pmask, psl, pel = m.forward_batch(id_lists)
+        np.testing.assert_array_equal(pmask, mask)
+        np.testing.assert_array_equal(ph.data[valid], h.data[valid])
+        np.testing.assert_array_equal(ph.data[~valid], 0.0)
+        np.testing.assert_array_equal(psl.data[valid], sl.data[valid])
+        np.testing.assert_array_equal(pel.data[valid], el.data[valid])
+        for logits in (psl, pel):
+            np.testing.assert_array_equal(ad.softmax(logits).data[~valid], 0.0)
+
+
+@pytest.mark.parametrize("batch", RAGGED)
+def test_packed_gradients_equal_padded(batch):
+    """Every parameter gradient of the span loss through the packed pass
+    equals the padded reference's bit for bit."""
+    model, id_lists = ragged_batch(batch)
+    rng = ad.seeded_rng(6)
+    samples = []
+    for ids in id_lists:
+        i, j = sorted(rng.integers(0, len(ids), size=2))
+        samples.append(SimpleNamespace(answer_start=i, answer_end=j))
+    grads = []
+    for forward in (padded_forward, BackboneModel.forward_batch):
+        _, _, sl, el = forward(model, id_lists)
+        model.zero_grad()
+        ad.backward(gold_span_loss(sl, el, samples))
+        grads.append({k: p.grad.copy() for k, p in model.params.items()})
+    for name in model.params:
+        np.testing.assert_array_equal(grads[1][name], grads[0][name], err_msg=name)
 
 
 def test_predict_spans_uniform_when_head_is_zero():

@@ -83,12 +83,18 @@ def test_run_rejects_unknown_manifest_key(dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("memory_size", -1), ("batch_size", 0),
-                                         ("epochs", 0)])
+                                         ("epochs", 0), ("max_answer_len", 0),
+                                         ("hidden", 0), ("n_heads", 0)])
 def test_run_rejects_out_of_range_setting(dataset, tmp_path, capsys, flag, value):
-    rc = main(run_args(dataset, tmp_path / "r.json", method="ma_mrc", **{flag: value}))
+    # the model and decoding sizes are manifest keys, the rest are flags
+    manifest = tmp_path / "m.json"
+    in_manifest = flag in ("max_answer_len", "hidden", "n_heads")
+    manifest.write_text(json.dumps({flag: value} if in_manifest else {}))
+    rc = main(run_args(dataset, tmp_path / "r.json", method="ma_mrc", config=manifest,
+                       out_dir=tmp_path / "ck", **({} if in_manifest else {flag: value})))
     assert rc == 1
-    assert f"{flag} must be" in capsys.readouterr().err
-    assert not (tmp_path / "r.json").exists()
+    assert f"{flag} must be >=" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "ck").exists()
 
 
 @pytest.mark.parametrize("field, value, allowed", [

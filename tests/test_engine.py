@@ -105,7 +105,9 @@ def test_config_rejects_unknown_method_and_bad_order():
 
 
 @pytest.mark.parametrize("field, value", [("memory_size", -1), ("batch_size", 0),
-                                          ("epochs", 0), ("n_fisher", 0)])
+                                          ("epochs", 0), ("n_fisher", 0),
+                                          ("max_answer_len", 0), ("hidden", 0),
+                                          ("n_heads", 0)])
 def test_config_rejects_out_of_range_sizes(field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= {value + 1}"):
         ContinualEngine(small_stream(), small_config("ma_mrc", **{field: value}))

@@ -302,6 +302,18 @@ def test_memory_file_without_header_is_rejected(tmp_path):
         mem.load_memory(path, l_max=16)
 
 
+def test_memory_file_over_capacity_names_path_and_counts(tmp_path):
+    m = mem.init_memory(make_samples(6), 3, make_model(seed=8), ad.seeded_rng(0, 5))
+    path = tmp_path / "mem.jsonl"
+    mem.save_memory(m, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines + lines[1:3]))  # two items repeated
+    with pytest.raises(ValueError, match=re.escape(f"{path}: 5 items exceed its capacity of 3")):
+        mem.load_memory(path, l_max=16)
+    path.write_text("".join(lines[:-1]))  # under capacity still loads
+    assert len(mem.load_memory(path, l_max=16)) == 2
+
+
 @pytest.mark.parametrize("field", ["_memory", "origin_domain", "teacher_end_logits"])
 def test_memory_record_without_a_field_names_path_and_line(tmp_path, field):
     m = mem.init_memory(make_samples(6), 3, make_model(seed=8), ad.seeded_rng(0, 5))
