@@ -13,15 +13,15 @@
 # (so the same vocab) but 256 test rows per domain: forward-only passes then
 # run full 64-row chunks, as the benchmark's evaluation does. It trains the
 # full method on OUT/cdaqstream too, a tiny question-shift stream, so the
-# paper's second setting is covered as well. It runs inside
-# OUT with relative paths, so eval.json records the same checkpoint path in
-# every OUT. Each command's output goes to OUT/<run>.log. Run it at both
-# commits, then compare.
+# paper's second setting is covered as well. The stdout of `contspan gradcheck`
+# goes to OUT/gradcheck.txt. It runs inside OUT with relative paths, so
+# eval.json records the same checkpoint path in every OUT. Each other command's
+# output goes to OUT/<run>.log. Run it at both commits, then compare.
 #
 # The second form compares the three streams, every report, checkpoint and saved
-# memory, prints the files that differ (a file missing on one side differs)
-# and their count, and exits 1 if any differ. Logs and timing.json hold wall
-# times and are left out.
+# memory and gradcheck.txt, prints the files that differ (a file missing on one
+# side differs) and their count, and exits 1 if any differ. Logs and
+# timing.json hold wall times and are left out.
 set -euo pipefail
 
 usage() {
@@ -32,7 +32,7 @@ usage() {
 outputs() {
     (cd "$1" && shopt -s nullglob &&
         printf '%s\n' stream/* deskstream/* cdaqstream/* *.json */report*.json */step*.ckpt \
-            */step*.memory.jsonl)
+            */step*.memory.jsonl gradcheck.txt)
 }
 
 compare() {
@@ -60,6 +60,8 @@ run_set() {
     mkdir -p "$OUT"
     cd "$OUT"
     local m c
+    python3 -m contspan.cli gradcheck >gradcheck.txt 2>gradcheck.log ||
+        { echo "failed: contspan gradcheck (see $OUT/gradcheck.txt)" >&2; exit 1; }
     contspan gen gen --setting cdac --domains 3 --train-size 48 --test-size 16 \
         --seed 0 --out stream
     for m in ma_mrc lower upper ewc online_ewc agem der derpp; do

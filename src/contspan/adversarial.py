@@ -14,6 +14,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 LOG_FLOOR = 1e-12
+PROBE_STEPS = 400
+PROBE_LR = 1e-2
+PROBE_HOLDOUT = 0.5  # share of each side held out to score the probe
 
 
 class Discriminator:
@@ -121,8 +124,7 @@ def _probe_step(disc: Discriminator, opt: ad.Adam,
 
 
 def train_probe_discriminator(hidden: int, mem_reprs: np.ndarray, cur_reprs: np.ndarray,
-                              rng: np.random.Generator, steps: int = 400,
-                              lr: float = 1e-2, holdout_frac: float = 0.5):
+                              rng: np.random.Generator):
     """Fit a fresh discriminator on half the data, report held-out accuracy.
 
     Used to check whether a representation space separates memory from
@@ -130,13 +132,13 @@ def train_probe_discriminator(hidden: int, mem_reprs: np.ndarray, cur_reprs: np.
     """
     def split(arr):
         idx = rng.permutation(arr.shape[0])
-        cut = max(1, int(round(arr.shape[0] * (1.0 - holdout_frac))))
+        cut = max(1, int(round(arr.shape[0] * (1.0 - PROBE_HOLDOUT))))
         return arr[idx[:cut]], arr[idx[cut:]]
 
     mem_tr, mem_ho = split(mem_reprs)
     cur_tr, cur_ho = split(cur_reprs)
     probe = Discriminator(hidden, rng)
-    opt = ad.Adam(probe.parameters(), lr=lr)
-    for _ in range(steps):
+    opt = ad.Adam(probe.parameters(), lr=PROBE_LR)
+    for _ in range(PROBE_STEPS):
         _probe_step(probe, opt, mem_tr, cur_tr)
     return probe, discriminator_accuracy(probe, mem_ho, cur_ho)

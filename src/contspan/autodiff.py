@@ -17,6 +17,8 @@ import numpy as np
 CHECK_FINITE = False
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+LN_EPS = 1e-5  # layer_norm's variance floor
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator floor
 
 
 class Tensor:
@@ -46,9 +48,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         if self.requires_grad:
@@ -221,8 +220,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor, valid: np.ndarray,
     mask valid (see pack); padded=True returns the (B, l, n) scatter, with
     zeros at padding.
 
-    The backward gives the padded (B, l, k) @ (k, n) + (n,) product's
-    gradients bit for bit. The weight and bias gradients sum in its order,
+    The output and the backward give the padded (B, l, k) @ (k, n) + (n,)
+    product's values and gradients bit for bit when l >= 2, which assembled
+    inputs ([cls] q [sep] p [sep], at least 5 tokens) always meet. With l = 1
+    the padded product multiplies one row per sequence, which BLAS computes
+    with another kernel, so a batch of two or more 1-token rows can differ in
+    the last bits. The weight and bias gradients sum in its order,
     leaving out the padded terms, which are exact zeros: the weight gradient
     as one GEMM per sequence, added up in sequence order; the bias gradient
     over the sequences, then over the positions, reduced from the padded
@@ -379,12 +382,12 @@ def log_softmax(a: Tensor) -> Tensor:
     return _make(data, "log_softmax", (a,), bw)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = x - mu
     xhat *= inv
     data = xhat * gain.data
@@ -559,12 +562,9 @@ def seeded_rng(seed: int, *key: int) -> np.random.Generator:
 class Adam:
     """Standard Adam over a list of parameter tensors."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 3e-5,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], lr: float = 3e-5):
         self.params = list(params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -575,14 +575,14 @@ class Adam:
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        bc1 = 1.0 - ADAM_B1 ** self.t
+        bc2 = 1.0 - ADAM_B2 ** self.t
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * g * g
+            self.m[i] = ADAM_B1 * self.m[i] + (1.0 - ADAM_B1) * g
+            self.v[i] = ADAM_B2 * self.v[i] + (1.0 - ADAM_B2) * g * g
             mhat = self.m[i] / bc1
             vhat = self.v[i] / bc2
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)

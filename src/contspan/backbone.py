@@ -25,6 +25,7 @@ CHECKPOINT_VERSION = 1
 
 NEG_INF = -1e9  # additive mask value; finite so tensors stay NaN/Inf-free
 EVAL_BATCH = 64  # rows per chunk of a forward-only pass
+INIT_STD = 0.02  # weight init scale
 
 
 @dataclass
@@ -41,24 +42,22 @@ class ModelConfig:
             raise ValueError(f"hidden={self.hidden} not divisible by n_heads={self.n_heads}")
 
 
-def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) with redraws outside +-2 std."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
+def _trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, INIT_STD) with redraws outside +-2 INIT_STD."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(out) > 2.0 * INIT_STD
     while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * INIT_STD
     return out
 
 
 class BackboneModel:
     """Encoder parameters plus span heads, all as named requires_grad tensors."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
         self.params: dict[str, Tensor] = {}
-        if rng is None:
-            rng = ad.seeded_rng(0)
         h = config.hidden
         ff = config.ff_mult * h
 
@@ -94,11 +93,11 @@ class BackboneModel:
         for t in self.params.values():
             t.zero_grad()
 
-    def copy(self, requires_grad: bool = True) -> "BackboneModel":
+    def copy(self) -> "BackboneModel":
+        """Untracked copy: forward passes through it record no tape."""
         clone = BackboneModel.__new__(BackboneModel)
         clone.config = self.config
-        clone.params = {k: Tensor(v.data.copy(), requires_grad=requires_grad)
-                        for k, v in self.params.items()}
+        clone.params = {k: Tensor(v.data.copy()) for k, v in self.params.items()}
         return clone
 
     def load_state(self, other: "BackboneModel"):
@@ -115,7 +114,8 @@ class BackboneModel:
         norms, linear layers, gelu, residual adds) run on the packed
         (n_valid, h) rows of the valid tokens alone, scattered to (B, l, h)
         only around attention. Values and gradients at valid positions equal
-        those of the padded pass bit for bit (see ad.linear).
+        those of the padded pass bit for bit (see ad.linear) when the longest
+        row has at least 2 tokens, as every assembled input (at least 5) has.
         """
         cfg = self.config
         for ids in id_lists:
@@ -190,7 +190,7 @@ class BackboneModel:
         (rows, h, mask, sl, el) per chunk, rows being the chunk's slice of
         id_lists.
         """
-        model = self.copy(requires_grad=False)
+        model = self.copy()
         for lo in range(0, len(id_lists), EVAL_BATCH):
             rows = slice(lo, lo + EVAL_BATCH)
             yield (rows, *model.forward_batch(id_lists[rows]))

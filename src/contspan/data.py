@@ -28,6 +28,13 @@ CLS_TOKEN = "<cls>"
 SEP_TOKEN = "<sep>"
 UNK_TOKEN = "<unk>"
 
+# generator lengths, inclusive (lo, hi) ranges in tokens
+QUESTION_NOISE_LEN = (4, 7)  # question filler after the question-type token
+PAYLOAD_LEN = (1, 4)  # answer payload after its marker
+# cdac passage lengths, interpolated from the first domain's to the last's
+CDAC_LEN_LO = (15, 25)
+CDAC_LEN_HI = (40, 55)
+
 
 @dataclass
 class Sample:
@@ -106,12 +113,8 @@ class GenConfig:
     vocab_size: int = 200
     l_max: int = 64
     seed: int = 0
-    question_noise_len: tuple[int, int] = (4, 7)
-    payload_len: tuple[int, int] = (1, 4)
-    # cdaq: shared passage length range; cdac: interpolated per domain
+    # cdaq passage length range; cdac uses CDAC_LEN_LO..CDAC_LEN_HI
     passage_len: tuple[int, int] = (20, 40)
-    cdac_len_lo: tuple[int, int] = (15, 25)
-    cdac_len_hi: tuple[int, int] = (40, 55)
 
 
 @dataclass
@@ -192,9 +195,9 @@ def build_input_sequence(question_ids, passage_ids, l_max):
 # ---------------------------------------------------------------------------
 # generators
 
-def _build_passage(rng, layout: VocabLayout, markers: list[int], length: int,
-                   filler_pool: np.ndarray, payload_pool: np.ndarray,
-                   payload_lens: list[int], position_window=None):
+def _build_passage(rng, markers: list[int], length: int, filler_pool: np.ndarray,
+                   payload_pool: np.ndarray, payload_lens: list[int],
+                   position_window=None):
     """Passage with each marker followed by its payload, fillers elsewhere.
 
     Returns (passage_ids, spans) where spans[i] is the passage-local
@@ -251,8 +254,8 @@ def _gen_split(cfg: GenConfig, layout: VocabLayout, domain: int, split: str,
         ask = layout.qtype.start
         target = 0
         frac = domain / max(1, cfg.n_domains - 1)
-        lo = round(cfg.cdac_len_lo[0] + frac * (cfg.cdac_len_hi[0] - cfg.cdac_len_lo[0]))
-        hi = round(cfg.cdac_len_lo[1] + frac * (cfg.cdac_len_hi[1] - cfg.cdac_len_lo[1]))
+        lo = round(CDAC_LEN_LO[0] + frac * (CDAC_LEN_HI[0] - CDAC_LEN_LO[0]))
+        hi = round(CDAC_LEN_LO[1] + frac * (CDAC_LEN_HI[1] - CDAC_LEN_LO[1]))
         plen_range = (lo, hi)
         # marker position drifts across domains as well, so an under-trained
         # model that leans on positional priors genuinely has to re-adapt
@@ -263,14 +266,13 @@ def _gen_split(cfg: GenConfig, layout: VocabLayout, domain: int, split: str,
         # point; redraw until the span survives so split sizes stay exact
         for _ in range(50):
             q_noise = rng.choice(np.array(layout.qnoise),
-                                 size=int(rng.integers(*cfg.question_noise_len))).tolist()
+                                 size=int(rng.integers(*QUESTION_NOISE_LEN))).tolist()
             question = [ask] + q_noise
             length = int(rng.integers(plen_range[0], plen_range[1] + 1))
-            payload_lens = [int(rng.integers(cfg.payload_len[0], cfg.payload_len[1] + 1))
+            payload_lens = [int(rng.integers(PAYLOAD_LEN[0], PAYLOAD_LEN[1] + 1))
                             for _ in markers]
-            passage, spans = _build_passage(rng, layout, markers, length,
-                                            filler_pool, payload_pool,
-                                            payload_lens, position_window)
+            passage, spans = _build_passage(rng, markers, length, filler_pool,
+                                            payload_pool, payload_lens, position_window)
             p_start, p_end = spans[target]
             offset = 1 + len(question) + 1
             sample = Sample(
@@ -351,6 +353,8 @@ def load_stream(data_dir) -> DomainStream:
         for split in ("train", "test"):
             path = root / f"{name}.{split}.jsonl"
             splits[split], dropped = read_jsonl_samples(path, manifest["l_max"], vocab)
+            if dropped and splits[split]:  # read_jsonl_samples warns when none are left
+                log.warning("%s: %d record(s) dropped", path, dropped)
         domains.append(DomainData(name=name, index=idx,
                                   train=splits["train"], test=splits["test"]))
     return DomainStream(manifest["setting"], domains, vocab, manifest["l_max"])

@@ -15,7 +15,7 @@ from .backbone import BackboneModel
 
 def snapshot_teacher(model: BackboneModel) -> BackboneModel:
     """Deep, detached copy; forward passes through it build no graph."""
-    return model.copy(requires_grad=False)
+    return model.copy()
 
 
 def _kl_term(teacher_logits: np.ndarray, student_logits: Tensor) -> Tensor:

@@ -323,10 +323,10 @@ class ContinualEngine:
 
         mix_hook(batch_samples) may return the batch extended by replayed
         rows, which then share the forward pass and the span loss;
-        loss_hook(batch_samples, loss, sl, el, h, mask) returns the loss to
-        minimise, built on the span loss; batch_hook(grads_flat) may rewrite
-        the flat gradient before the optimizer step (gradient-projection
-        methods).
+        loss_hook(batch_samples, loss, sl, el, h), given the span logits and
+        the encodings, returns the loss to minimise, built on the span loss;
+        batch_hook(grads_flat) may rewrite the flat gradient before the
+        optimizer step (gradient-projection methods).
         """
         cfg = self.cfg
         opt = ad.Adam(model.parameters(), lr=cfg.lr)
@@ -340,10 +340,10 @@ class ContinualEngine:
                 batch = [samples[i] for i in perm[lo:lo + cfg.batch_size]]
                 if mix_hook is not None:
                     batch = mix_hook(batch)
-                h, mask, sl, el = model.forward_batch([s.input_ids for s in batch])
+                h, _, sl, el = model.forward_batch([s.input_ids for s in batch])
                 loss = gold_span_loss(sl, el, batch)
                 if loss_hook is not None:
-                    loss = loss_hook(batch, loss, sl, el, h, mask)
+                    loss = loss_hook(batch, loss, sl, el, h)
                 opt.zero_grad()
                 ad.backward(loss)
                 if batch_hook is not None:
@@ -390,7 +390,7 @@ class ContinualEngine:
         self._fit(model, union, self._rng(_S_TRAIN, t))
 
     def ewc_step(self, model, d_train, t, order):
-        def hook(batch, loss, sl, el, h, mask):
+        def hook(batch, loss, sl, el, h):
             return loss + ewc_penalty(model, self.fisher_states, EWC_LAMBDA)
 
         self._fit(model, d_train, self._rng(_S_TRAIN, t), loss_hook=hook)
@@ -439,7 +439,7 @@ class ContinualEngine:
         mem_items = self.memory.items
         beta = self.cfg.derpp_beta if self.cfg.method == "derpp" else 0.0
 
-        def hook(batch, loss, sl, el, h, mask):
+        def hook(batch, loss, sl, el, h):
             k = min(self.cfg.batch_size, len(mem_items))
             pick = rng.choice(len(mem_items), size=k, replace=False)
             return loss + der_replay_loss(model, [mem_items[i] for i in pick], beta)
@@ -460,7 +460,7 @@ class ContinualEngine:
             pick = rng.choice(len(mem_items), size=k, replace=False)
             return cur + [mem_items[i].sample for i in pick]
 
-        def hook(batch, loss, sl, el, h, mask):
+        def hook(batch, loss, sl, el, h):
             # the replayed memory rows are the batch's last k
             n = len(batch) - k
             if cfg.adv_weight != 0.0:

@@ -11,7 +11,7 @@ import csv
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 SCHEMA_VERSION = 1
 
@@ -84,14 +84,7 @@ class EvalReport:
         return {
             "schema_version": SCHEMA_VERSION,
             "metadata": self.metadata,
-            "steps": [{
-                "step": s.step,
-                "trained_domain": s.trained_domain,
-                "per_domain": s.per_domain,
-                "f1_avg": s.f1_avg,
-                "f1_all": s.f1_all,
-                "extra": s.extra,
-            } for s in self.steps],
+            "steps": [asdict(s) for s in self.steps],
             "forgetting_matrix": self.forgetting_matrix(),
             "forgetting_deltas": self.forgetting_deltas(),
         }
@@ -105,13 +98,7 @@ class EvalReport:
     def from_dict(cls, d: dict) -> "EvalReport":
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported report schema {d.get('schema_version')}")
-        report = cls(metadata=d["metadata"])
-        for s in d["steps"]:
-            report.steps.append(StepResult(
-                step=s["step"], trained_domain=s["trained_domain"],
-                per_domain=s["per_domain"], f1_avg=s["f1_avg"],
-                f1_all=s["f1_all"], extra=s.get("extra", {})))
-        return report
+        return cls(metadata=d["metadata"], steps=[StepResult(**s) for s in d["steps"]])
 
     @classmethod
     def load(cls, path) -> "EvalReport":

@@ -138,7 +138,7 @@ def test_packed_forward_equals_padded_on_valid_positions(batch):
     model, id_lists = ragged_batch(batch)
     h, mask, sl, el = padded_forward(model, id_lists)
     valid = mask > 0
-    for m in (model, model.copy(requires_grad=False)):
+    for m in (model, model.copy()):
         ph, pmask, psl, pel = m.forward_batch(id_lists)
         np.testing.assert_array_equal(pmask, mask)
         np.testing.assert_array_equal(ph.data[valid], h.data[valid])

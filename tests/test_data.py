@@ -28,6 +28,9 @@ def test_build_input_sequence_arithmetic():
     assert s[0] == CLS_ID and s[4] == SEP_ID and s[-1] == SEP_ID
     # passage-local answer [0, 1] lands at S-indices [5, 6]
     assert s[5:7] == [20, 21]
+    # the shortest input, a 1-token question and passage, has 5 tokens
+    s, offset, kept = build_input_sequence([10], [20], 64)
+    assert s == [CLS_ID, 10, SEP_ID, 20, SEP_ID] and offset == 3 and kept == 1
 
 
 def test_build_input_sequence_truncates_tail_keeps_final_sep():
@@ -169,8 +172,8 @@ def test_cdac_passage_lengths_track_config():
     stream = dat._generate_stream(cfg)
     for k, dom in enumerate(stream.domains):
         frac = k / (cfg.n_domains - 1)
-        lo = round(cfg.cdac_len_lo[0] + frac * (cfg.cdac_len_hi[0] - cfg.cdac_len_lo[0]))
-        hi = round(cfg.cdac_len_lo[1] + frac * (cfg.cdac_len_hi[1] - cfg.cdac_len_lo[1]))
+        lo = round(dat.CDAC_LEN_LO[0] + frac * (dat.CDAC_LEN_HI[0] - dat.CDAC_LEN_LO[0]))
+        hi = round(dat.CDAC_LEN_LO[1] + frac * (dat.CDAC_LEN_HI[1] - dat.CDAC_LEN_LO[1]))
         want = (lo + hi) / 2
         got = np.mean([len(s.passage_ids) for s in dom.train])
         assert abs(got - want) / want < 0.05
@@ -186,6 +189,20 @@ def test_write_then_load_stream(tmp_path):
     for dom, ldom in zip(stream.domains, loaded.domains):
         assert [s.id for s in dom.train] == [s.id for s in ldom.train]
         assert [s.input_ids for s in dom.test] == [s.input_ids for s in ldom.test]
+
+
+def test_load_stream_warns_about_dropped_records(tmp_path, caplog):
+    stream = dat._generate_stream(small_cfg("cdaq", seed=2))
+    write_stream(stream, tmp_path / "ds")
+    path = tmp_path / "ds" / f"{stream.domains[1].name}.test.jsonl"
+    bad = {**stream.domains[1].test[0].record(), "id": "bad", "answer_start": 9,
+           "answer_end": 8}
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(json.dumps(bad) + "\n")
+    with caplog.at_level("WARNING", logger="contspan.data"):
+        loaded = load_stream(tmp_path / "ds")
+    assert len(loaded.domains[1].test) == len(stream.domains[1].test)
+    assert [r.getMessage() for r in caplog.records] == [f"{path}: 1 record(s) dropped"]
 
 
 # -- ingestion --------------------------------------------------------------

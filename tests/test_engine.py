@@ -388,7 +388,7 @@ def test_forward_only_passes_record_no_tape(monkeypatch):
     engine._pooled_reprs(model, stream.domains[1].test)
     # the distillation teacher's forward of the memory rows
     rows = [s.input_ids for s in d1[:3]] + [it.sample.input_ids for it in memory.items[:2]]
-    _, _, sl, el = model.copy(requires_grad=False).forward_batch(rows)
+    _, _, sl, el = model.copy().forward_batch(rows)
     distill_term(distill.snapshot_teacher(model), rows[3:], sl, el, 3)
     assert nodes == []
 
