@@ -38,14 +38,6 @@ class Tensor:
         self._inputs: tuple[Tensor, ...] = ()
         self._op = "leaf"
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -60,29 +52,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
 
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
     def __neg__(self):
         return mul(self, _wrap(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return index(self, idx)
 
 
 def _wrap(x) -> Tensor:

@@ -90,6 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
+    for flag, val in (("--domains", args.domains), ("--train-size", args.train_size),
+                      ("--test-size", args.test_size)):
+        if val < 1:
+            raise ValueError(f"{flag} must be >= 1, got {val}")
     cfg = dat.GenConfig(setting=args.setting, n_domains=args.domains,
                         train_size=args.train_size, test_size=args.test_size,
                         vocab_size=args.vocab_size, l_max=args.l_max,
@@ -185,7 +189,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (FileNotFoundError, ValueError, NotImplementedError) as e:
+    except (FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -289,7 +289,7 @@ def _gen_split(cfg: GenConfig, layout: VocabLayout, domain: int, split: str,
             except ValueError:
                 continue
         else:
-            raise RuntimeError("could not generate a sample that fits l_max")
+            raise ValueError("could not generate a sample that fits l_max")
     return samples
 
 

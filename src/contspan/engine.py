@@ -186,7 +186,6 @@ class ContinualEngine:
         config.validate(len(stream))
         self.stream = stream
         self.cfg = config
-        self.l_max = stream.l_max
         self.model_cfg = ModelConfig(vocab_size=len(stream.vocab),
                                      hidden=config.hidden,
                                      n_layers=config.n_layers,
@@ -210,6 +209,10 @@ class ContinualEngine:
         evaluation, before checkpointing.
         """
         cfg = self.cfg
+        for dom in self.stream.domains:
+            for split in ("train", "test"):
+                if not getattr(dom, split):
+                    raise ValueError(f"domain {dom.name} has no {split} samples")
         order = cfg.order(len(self.stream))
         report = EvalReport(metadata={
             "config": asdict(cfg),
@@ -226,15 +229,14 @@ class ContinualEngine:
 
         model = BackboneModel(self.model_cfg, self._rng(_S_INIT))
         self.init_model = model.copy()
-        start_t = 1
-        if resume and out is not None:
-            start_t, model, report = self._try_resume(out, model, report)
-        elif out is not None:
+        if out is not None:
             self.init_model.save(out / "init.ckpt")
+            if resume and (out / "report.partial.json").exists():
+                model, report = self._replay_committed(out, report, order)
 
         uses_memory = cfg.method in REPLAY_METHODS
 
-        for t in range(start_t, len(order) + 1):
+        for t in range(len(report.steps) + 1, len(order) + 1):
             dom = self.stream.domains[order[t - 1]]
             tic = time.perf_counter()
             extra: dict = {}
@@ -258,20 +260,7 @@ class ContinualEngine:
                 step_extra = step_fn(model, dom.train, t, order)
                 if step_extra:
                     extra.update(step_extra)
-
-            # post-step bookkeeping: memory, fisher
-            if uses_memory:
-                kind = cfg.uncertainty_kind if cfg.method == "ma_mrc" else "random"
-                if t == 1:
-                    self.memory = mem.init_memory(dom.train, cfg.memory_size, model,
-                                                  self._rng(_S_MEM, t), kind)
-                else:
-                    mem.update_memory(self.memory, dom.train, model, t,
-                                      self._rng(_S_MEM, t), cfg.norm_strategy, kind,
-                                      order)
-            if cfg.method in ("ewc", "online_ewc"):
-                self._record_fisher(model, dom.train, t)
-
+            self._after_step(model, t, order)
             self.timings.append(time.perf_counter() - tic)
 
             seen = [order[i] for i in range(t)]
@@ -283,6 +272,7 @@ class ContinualEngine:
             if on_step is not None:
                 on_step(t, model, self.memory, report.steps[-1])
 
+            # report.partial.json goes last: it commits the step for --resume
             if out is not None:
                 model.save(out / f"step{t}.ckpt")
                 if uses_memory:
@@ -295,24 +285,36 @@ class ContinualEngine:
                 json.dump({"step_seconds": self.timings}, f, indent=2)
         return model, report
 
-    def _try_resume(self, out: Path, model: BackboneModel, report: EvalReport):
-        done = sorted(int(p.stem[4:].split(".")[0]) for p in out.glob("step*.ckpt"))
-        partial = out / "report.partial.json"
-        if not done or not partial.exists():
-            self.init_model.save(out / "init.ckpt")
-            return 1, model, report
-        t_last = done[-1]
-        self.init_model = BackboneModel.load(out / "init.ckpt")
-        model = BackboneModel.load(out / f"step{t_last}.ckpt")
-        saved = EvalReport.load(partial)
+    def _after_step(self, model: BackboneModel, t: int, order: list[int]):
+        """Post-step bookkeeping on the model trained at step t: the replay
+        memory's update and the Fisher record. Its rng substreams depend on
+        the run seed and t alone, so replaying it on the saved checkpoints
+        rebuilds the same state bit for bit."""
+        cfg = self.cfg
+        train = self.stream.domains[order[t - 1]].train
+        if cfg.method in REPLAY_METHODS:
+            kind = cfg.uncertainty_kind if cfg.method == "ma_mrc" else "random"
+            if t == 1:
+                self.memory = mem.init_memory(train, cfg.memory_size, model,
+                                              self._rng(_S_MEM, t), kind)
+            else:
+                mem.update_memory(self.memory, train, model, t, self._rng(_S_MEM, t),
+                                  cfg.norm_strategy, kind, order)
+        if cfg.method in ("ewc", "online_ewc"):
+            self._record_fisher(model, train, t)
+
+    def _replay_committed(self, out: Path, report: EvalReport, order: list[int]):
+        """Restore the steps that report.partial.json commits: their saved
+        results, and the memory and Fisher state replayed from each step's
+        checkpoint. Returns the last committed model and the saved report."""
+        saved = EvalReport.load(out / "report.partial.json")
         if saved.metadata["config_hash"] != report.metadata["config_hash"]:
             raise ValueError("resume config does not match the saved run")
-        if self.cfg.method in REPLAY_METHODS:
-            self.memory = mem.load_memory(out / f"step{t_last}.memory.jsonl", self.l_max)
-        if self.cfg.method in ("ewc", "online_ewc"):
-            raise NotImplementedError("resume for Fisher-penalty methods is not supported")
-        log.info("resuming after completed step %d", t_last)
-        return t_last + 1, model, saved
+        for t in range(1, len(saved.steps) + 1):
+            model = BackboneModel.load(out / f"step{t}.ckpt")
+            self._after_step(model, t, order)
+        log.info("resuming after completed step %d", len(saved.steps))
+        return model, saved
 
     # -- shared machinery ---------------------------------------------------
 

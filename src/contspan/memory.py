@@ -205,39 +205,3 @@ def save_memory(memory: Memory, path):
                 "teacher_end_logits": it.teacher_end_logits.tolist(),
             }
             f.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def load_memory(path, l_max: int) -> Memory:
-    """Read a memory file: a ``_capacity`` header line, then one sample
-    record with its ``_memory`` block per item."""
-    items = []
-    capacity = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"truncated or corrupt memory file {path}, "
-                                 f"line {lineno}: {e}") from None
-            if lineno == 1:
-                capacity = rec.get("_capacity")
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                ext = rec["_memory"]
-                items.append(MemoryItem(
-                    sample=Sample.from_record(rec, where).assemble(l_max),
-                    origin_domain=ext["origin_domain"],
-                    best_uncertainty=ext["best_uncertainty"],
-                    last_uncertainty=ext["last_uncertainty"],
-                    teacher_start_logits=np.array(ext["teacher_start_logits"], float),
-                    teacher_end_logits=np.array(ext["teacher_end_logits"], float),
-                ))
-            except KeyError as e:
-                raise ValueError(f"{where}: missing field {e}") from None
-    if capacity is None:
-        raise ValueError(f"{path}:1: missing the '_capacity' header")
-    capacity = int(capacity)
-    if len(items) > capacity:
-        raise ValueError(f"{path}: {len(items)} items exceed its capacity of {capacity}")
-    return Memory(capacity=capacity, items=items)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
@@ -90,9 +91,13 @@ class EvalReport:
         }
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
+        """Write to a temp file beside path, then rename it into place, so a
+        crash mid-write leaves the previous file whole."""
+        tmp = f"{path}.tmp"
+        with open(tmp, "w", encoding="utf-8") as f:
             json.dump(self.to_dict(), f, sort_keys=True, indent=2)
             f.write("\n")
+        os.replace(tmp, path)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":

@@ -30,6 +30,22 @@ def run_args(dataset, report, **extra):
     return args
 
 
+@pytest.mark.parametrize("flag", ["--domains", "--train-size", "--test-size"])
+def test_gen_rejects_sizes_below_one(tmp_path, capsys, flag):
+    out = tmp_path / "stream"
+    rc = main(["gen", "--setting", "cdac", flag, "0", "--out", str(out)])
+    assert rc == 1
+    assert f"error: {flag} must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_l_max_too_small_exits_1(tmp_path, capsys):
+    rc = main(["gen", "--setting", "cdac", "--domains", "1", "--train-size", "4",
+               "--test-size", "4", "--l-max", "8", "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert "error: could not generate a sample that fits l_max" in capsys.readouterr().err
+
+
 def test_gen_is_deterministic(tmp_path, dataset):
     other = tmp_path / "again"
     main(["gen", "--setting", "cdaq", "--domains", "2",
@@ -138,16 +154,16 @@ def test_run_missing_dataset_errors_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_resume_without_saved_memory_exits_1(dataset, tmp_path, capsys):
+def test_resume_without_a_committed_checkpoint_exits_1(dataset, tmp_path, capsys):
     ckpt_dir = tmp_path / "ckpts"
     args = run_args(dataset, tmp_path / "r.json", out_dir=ckpt_dir, method="ma_mrc",
                     memory_size=4)
     assert main(args) == 0
-    # as if the run had stopped during step 2, with step 1's memory lost
-    (ckpt_dir / "step2.ckpt").unlink()
-    (ckpt_dir / "step1.memory.jsonl").unlink()
+    # report.partial.json commits both steps; resume replays step 1's memory
+    # from step1.ckpt
+    (ckpt_dir / "step1.ckpt").unlink()
     assert main(args + ["--resume"]) == 1
-    assert "step1.memory.jsonl" in capsys.readouterr().err
+    assert "step1.ckpt" in capsys.readouterr().err
 
 
 def test_eval_checkpoint_roundtrip(dataset, tmp_path, capsys):

@@ -12,6 +12,7 @@ from contspan.data import GenConfig, Sample, generate_cdaq_stream
 from contspan.engine import (ONLINE_EWC_GAMMA, ContinualConfig, ContinualEngine,
                              FisherState, agem_project, ewc_penalty, der_replay_mse,
                              distill_term, run_stream)
+from contspan.metrics import EvalReport
 
 
 def small_stream(seed=0, n_domains=3):
@@ -243,6 +244,15 @@ def test_old_train_data_is_unreachable_after_its_step():
     engine.run(on_step=poison_done)
 
 
+class Crash(Exception):
+    pass
+
+
+def crash_at_3(t, model, memory, step):
+    if t == 3:
+        raise Crash
+
+
 def test_resume_reproduces_uninterrupted_run(tmp_path):
     stream = small_stream()
 
@@ -250,14 +260,6 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     run_stream(stream, small_config("ma_mrc"), out_dir=full_dir)
 
     crash_dir = tmp_path / "crash"
-
-    class Crash(Exception):
-        pass
-
-    def crash_at_3(t, model, memory, step):
-        if t == 3:
-            raise Crash
-
     engine = ContinualEngine(stream, small_config("ma_mrc"))
     with pytest.raises(Crash):
         engine.run(out_dir=crash_dir, on_step=crash_at_3)
@@ -268,23 +270,86 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
         == (full_dir / "report.json").read_bytes()
 
 
-def test_resume_without_saved_memory_names_the_file(tmp_path):
+@pytest.mark.parametrize("method", ["ma_mrc", "upper", "ewc"])
+def test_resume_reads_only_the_partial_report_and_step_checkpoints(tmp_path, method):
+    """Memory and Fisher state are replayed from the step checkpoints, and
+    the initial model comes from the seed: neither init.ckpt nor a memory
+    file is read back."""
     stream = small_stream()
+    full_dir = tmp_path / "full"
+    run_stream(stream, small_config(method), out_dir=full_dir)
 
-    class Crash(Exception):
-        pass
-
-    def crash_at_3(t, model, memory, step):
-        if t == 3:
-            raise Crash
-
+    crash_dir = tmp_path / "crash"
     with pytest.raises(Crash):
-        ContinualEngine(stream, small_config("ma_mrc")).run(out_dir=tmp_path,
-                                                            on_step=crash_at_3)
-    (tmp_path / "step2.memory.jsonl").unlink()
-    resumed = ContinualEngine(stream, small_config("ma_mrc"))
-    with pytest.raises(FileNotFoundError, match="step2.memory.jsonl"):
-        resumed.run(out_dir=tmp_path, resume=True)
+        ContinualEngine(stream, small_config(method)).run(out_dir=crash_dir,
+                                                          on_step=crash_at_3)
+    (crash_dir / "init.ckpt").unlink()
+    for path in crash_dir.glob("*.memory.jsonl"):
+        path.unlink()
+    ContinualEngine(stream, small_config(method)).run(out_dir=crash_dir, resume=True)
+    names = ["report.json", "init.ckpt", "step3.ckpt"]
+    if method == "ma_mrc":
+        names.append("step3.memory.jsonl")  # built on the replayed step-2 memory
+    for name in names:
+        assert (crash_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("method", ["ma_mrc", "der", "ewc", "online_ewc"])
+def test_resume_after_a_crash_at_any_write_matches_uninterrupted_run(
+        tmp_path, monkeypatch, method):
+    """Crash just before and just after every checkpoint, memory and report
+    write, and in the middle of step 2's partial report; each resumed run
+    writes the uninterrupted run's report.json byte for byte."""
+    stream = small_stream()
+    writes = [0]
+    crash_at = [None]
+
+    def crashing(write):
+        def wrapper(*args, **kwargs):
+            writes[0] += 1
+            if crash_at[0] == (writes[0], "before"):
+                raise Crash
+            write(*args, **kwargs)
+            if crash_at[0] == (writes[0], "after"):
+                raise Crash
+        return wrapper
+
+    monkeypatch.setattr(BackboneModel, "save", crashing(BackboneModel.save))
+    monkeypatch.setattr(mem, "save_memory", crashing(mem.save_memory))
+    monkeypatch.setattr(EvalReport, "save", crashing(EvalReport.save))
+    dump = json.dump
+
+    def cut_dump(obj, fp, **kwargs):
+        if crash_at[0] == "mid-write" and "report.partial" in getattr(fp, "name", "") \
+                and len(obj["steps"]) == 2:
+            fp.write(json.dumps(obj)[:100])
+            raise Crash
+        dump(obj, fp, **kwargs)
+
+    monkeypatch.setattr(json, "dump", cut_dump)
+
+    run_stream(stream, small_config(method), out_dir=tmp_path / "full")
+    expected = (tmp_path / "full" / "report.json").read_bytes()
+    points = [(k, when) for k in range(1, writes[0] + 1) for when in ("before", "after")]
+    for i, point in enumerate(points + ["mid-write"]):
+        out = tmp_path / f"crash{i}"
+        writes[0] = 0
+        crash_at[0] = point
+        with pytest.raises(Crash):
+            run_stream(stream, small_config(method), out_dir=out)
+        crash_at[0] = None
+        run_stream(stream, small_config(method), out_dir=out, resume=True)
+        assert (out / "report.json").read_bytes() == expected, point
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_empty_split_is_rejected_before_training(tmp_path, split):
+    stream = small_stream()
+    setattr(stream.domains[1], split, [])
+    engine = ContinualEngine(stream, small_config("lower"))
+    with pytest.raises(ValueError, match=f"domain cdaq_d1 has no {split} samples"):
+        engine.run(out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_resume_rejects_config_mismatch(tmp_path):
@@ -293,14 +358,6 @@ def test_resume_rejects_config_mismatch(tmp_path):
     other = ContinualEngine(stream, small_config("lower", lr=1e-3))
     with pytest.raises(ValueError, match="resume config"):
         other.run(out_dir=tmp_path, resume=True)
-
-
-def test_resume_unsupported_for_fisher_methods(tmp_path):
-    stream = small_stream(n_domains=2)
-    run_stream(stream, small_config("ewc"), out_dir=tmp_path)
-    again = ContinualEngine(stream, small_config("ewc"))
-    with pytest.raises(NotImplementedError, match="Fisher"):
-        again.run(out_dir=tmp_path, resume=True)
 
 
 def test_fisher_estimates_are_nonnegative_and_shaped():

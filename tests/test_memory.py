@@ -274,55 +274,12 @@ def test_memory_roundtrip(tmp_path):
     m = mem.init_memory(d0, 3, model, ad.seeded_rng(0, 5))
     path = tmp_path / "mem.jsonl"
     mem.save_memory(m, path)
-    loaded = mem.load_memory(path, l_max=16)
-    assert loaded.capacity == m.capacity and len(loaded) == len(m)
-    for a, b in zip(m.items, loaded.items):
-        assert a.sample.id == b.sample.id
-        assert a.sample.input_ids == b.sample.input_ids
-        assert a.best_uncertainty == b.best_uncertainty
-        np.testing.assert_array_equal(a.teacher_start_logits, b.teacher_start_logits)
-
-
-def test_truncated_memory_file_names_path_and_line(tmp_path):
-    m = mem.init_memory(make_samples(6), 3, make_model(seed=8), ad.seeded_rng(0, 5))
-    path = tmp_path / "mem.jsonl"
-    mem.save_memory(m, path)
-    text = path.read_text()
-    path.write_text(text[:len(text) - 40])  # cuts the last item's line
-    with pytest.raises(ValueError, match=re.escape(f"{path}, line 4")):
-        mem.load_memory(path, l_max=16)
-
-
-def test_memory_file_without_header_is_rejected(tmp_path):
-    m = mem.init_memory(make_samples(6), 3, make_model(seed=8), ad.seeded_rng(0, 5))
-    path = tmp_path / "mem.jsonl"
-    mem.save_memory(m, path)
-    path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
-    with pytest.raises(ValueError, match=re.escape(f"{path}:1: missing the '_capacity' header")):
-        mem.load_memory(path, l_max=16)
-
-
-def test_memory_file_over_capacity_names_path_and_counts(tmp_path):
-    m = mem.init_memory(make_samples(6), 3, make_model(seed=8), ad.seeded_rng(0, 5))
-    path = tmp_path / "mem.jsonl"
-    mem.save_memory(m, path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines + lines[1:3]))  # two items repeated
-    with pytest.raises(ValueError, match=re.escape(f"{path}: 5 items exceed its capacity of 3")):
-        mem.load_memory(path, l_max=16)
-    path.write_text("".join(lines[:-1]))  # under capacity still loads
-    assert len(mem.load_memory(path, l_max=16)) == 2
-
-
-@pytest.mark.parametrize("field", ["_memory", "origin_domain", "teacher_end_logits"])
-def test_memory_record_without_a_field_names_path_and_line(tmp_path, field):
-    m = mem.init_memory(make_samples(6), 3, make_model(seed=8), ad.seeded_rng(0, 5))
-    path = tmp_path / "mem.jsonl"
-    mem.save_memory(m, path)
-    lines = path.read_text().splitlines(keepends=True)
-    rec = json.loads(lines[2])
-    del (rec if field == "_memory" else rec["_memory"])[field]
-    lines[2] = json.dumps(rec) + "\n"
-    path.write_text("".join(lines))
-    with pytest.raises(ValueError, match=re.escape(f"{path}:3: missing field '{field}'")):
-        mem.load_memory(path, l_max=16)
+    header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert header == {"_capacity": m.capacity} and len(records) == len(m)
+    for a, rec in zip(m.items, records):
+        b = Sample.from_record(rec, str(path)).assemble(16)
+        assert a.sample.id == b.id
+        assert a.sample.input_ids == b.input_ids
+        assert a.best_uncertainty == rec["_memory"]["best_uncertainty"]
+        np.testing.assert_array_equal(a.teacher_start_logits,
+                                      rec["_memory"]["teacher_start_logits"])
