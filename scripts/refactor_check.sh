@@ -18,11 +18,18 @@
 # eval.json records the same checkpoint path in every OUT. Each other command's
 # output goes to OUT/<run>.log. Run it at both commits, then compare.
 #
+# Every command runs with one BLAS thread (OPENBLAS_NUM_THREADS,
+# OMP_NUM_THREADS and MKL_NUM_THREADS set to 1, as perfbench/run.py's
+# child_env sets them), whatever the caller's environment: a threaded BLAS
+# may split a product differently and so round it differently, and both
+# sides of a comparison must round alike.
+#
 # The second form compares the three streams, every report, checkpoint and saved
 # memory and gradcheck.txt, prints the files that differ (a file missing on one
 # side differs) and their count, and exits 1 if any differ. Logs and
 # timing.json hold wall times and are left out.
 set -euo pipefail
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
 usage() {
     echo "usage: $0 OUT | $0 --compare OLD NEW" >&2

@@ -2,7 +2,10 @@
 
 The graph is define-by-run: every primitive records a backward closure on
 the output tensor, and ``backward()`` walks the recorded graph in reverse
-topological order. Everything is backed by numpy arrays; no other state.
+topological order. The walk consumes the graph: as it passes a node it
+drops the node's closure and inputs, so each activation is freed once the
+walk has passed its consumers, and a second ``backward()`` through the same
+graph raises. Everything is backed by numpy arrays; no other state.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ class Tensor:
     tensors; ``backward()`` accumulates into it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_inputs", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_inputs", "_op",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -70,6 +74,12 @@ def _tracked(*inputs: Tensor) -> bool:
     return any(t.requires_grad or t._backward is not None for t in inputs)
 
 
+def _consumed(g):
+    """The backward of a node that an earlier backward() walked through."""
+    raise RuntimeError("backward() through a graph that an earlier backward() "
+                       "consumed; run the forward pass again")
+
+
 def _make(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
           backward: Callable[[np.ndarray], None] | None) -> Tensor:
     if CHECK_FINITE and not np.all(np.isfinite(data)):
@@ -99,8 +109,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def bw(g, _a=a, _b=b):
-        yield _a, _unbroadcast(g, _a.data.shape)
-        yield _b, _unbroadcast(g, _b.data.shape)
+        if _tracked(_a):
+            yield _a, _unbroadcast(g, _a.data.shape)
+        if _tracked(_b):
+            yield _b, _unbroadcast(g, _b.data.shape)
 
     return _make(data, "add", (a, b), bw)
 
@@ -109,8 +121,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def bw(g, _a=a, _b=b):
-        yield _a, _unbroadcast(g, _a.data.shape)
-        yield _b, _unbroadcast(-g, _b.data.shape)
+        if _tracked(_a):
+            yield _a, _unbroadcast(g, _a.data.shape)
+        if _tracked(_b):
+            yield _b, _unbroadcast(-g, _b.data.shape)
 
     return _make(data, "sub", (a, b), bw)
 
@@ -119,8 +133,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def bw(g, _a=a, _b=b):
-        yield _a, _unbroadcast(g * _b.data, _a.data.shape)
-        yield _b, _unbroadcast(g * _a.data, _b.data.shape)
+        if _tracked(_a):
+            yield _a, _unbroadcast(g * _b.data, _a.data.shape)
+        if _tracked(_b):
+            yield _b, _unbroadcast(g * _a.data, _b.data.shape)
 
     return _make(data, "mul", (a, b), bw)
 
@@ -292,9 +308,23 @@ def gelu(a: Tensor) -> Tensor:
     data *= t + 1.0
 
     def bw(g, _a=a, _t=t):
+        # g * (0.5*(1 + t) + 0.5*x*(1 - t*t) * c*(1 + 3*0.044715*x*x)), in
+        # place, with the forward's rule: same operations, same order
         x = _a.data
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        yield _a, g * (0.5 * (1.0 + _t) + 0.5 * x * (1.0 - _t * _t) * d_inner)
+        d = x * (3 * 0.044715)
+        d *= x
+        d += 1.0
+        d *= _GELU_C
+        s = _t * _t
+        np.subtract(1.0, s, out=s)
+        f = x * 0.5
+        f *= s
+        f *= d
+        np.add(_t, 1.0, out=s)
+        s *= 0.5
+        s += f
+        s *= g
+        yield _a, s
 
     return _make(data, "gelu", (a,), bw)
 
@@ -341,8 +371,12 @@ def softmax(a: Tensor) -> Tensor:
     data /= data.sum(axis=-1, keepdims=True)
 
     def bw(g, _a=a, _y=data):
-        dot = (g * _y).sum(axis=-1, keepdims=True)
-        yield _a, _y * (g - dot)
+        # _y * (g - sum(g * _y)), in place
+        gy = g * _y
+        dot = gy.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=gy)
+        gy *= _y
+        yield _a, gy
 
     return _make(data, "softmax", (a,), bw)
 
@@ -361,21 +395,34 @@ def log_softmax(a: Tensor) -> Tensor:
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
+    # The mean once, and the variance from the centred rows as np.var
+    # computes it (add.reduce of the squares over n); then in place.
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
     xhat = x - mu
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    var /= n
+    var += LN_EPS
+    inv = np.sqrt(var, out=var)
+    np.divide(1.0, inv, out=inv)
     xhat *= inv
     data = xhat * gain.data
     data += bias.data
 
     def bw(g, _a=a, _gain=gain, _bias=bias, _xhat=xhat, _inv=inv):
-        n = _a.data.shape[-1]
+        # inv * (gx - mean(gx) - xhat * mean(gx * xhat)) with gx = g * gain,
+        # in place
         gx = g * _gain.data
-        dx = _inv * (gx - gx.mean(axis=-1, keepdims=True)
-                     - _xhat * (gx * _xhat).mean(axis=-1, keepdims=True))
-        yield _a, dx
+        m1 = gx.mean(axis=-1, keepdims=True)
+        p = gx * _xhat
+        m2 = p.mean(axis=-1, keepdims=True)
+        np.multiply(_xhat, m2, out=p)
+        gx -= m1
+        gx -= p
+        gx *= _inv
+        yield _a, gx
         red = tuple(range(g.ndim - 1))
         yield _gain, (g * _xhat).sum(axis=red)
         yield _bias, g.sum(axis=red)
@@ -455,6 +502,12 @@ def backward(root: Tensor):
 
     ``root`` must be scalar. Grads accumulate, so call ``zero_grad`` on the
     parameters first if a fresh pass is wanted.
+
+    The walk consumes the graph: each node it passes loses its closure and
+    its inputs, so activations are freed as the walk goes, while every
+    tensor keeps its data. A second call on the same root, or on any graph
+    that shares a consumed node, raises RuntimeError before any gradient
+    moves. A constant root has no graph, and leaves every grad at zero.
     """
     if root.data.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
@@ -469,31 +522,37 @@ def backward(root: Tensor):
             continue
         if id(node) in visited:
             continue
+        if node._backward is _consumed:
+            _consumed(None)  # raises, before any gradient moves
         visited.add(id(node))
         stack.append((node, True))
         for inp in node._inputs:
             if id(inp) not in visited:
                 stack.append((inp, False))
 
+    # Once popped, a passed node lives on only if the caller holds it. Sums
+    # stay out of place: add's backward hands one g to both operands.
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node.requires_grad:
+        if g is not None and node.requires_grad:
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)
             node.grad += g
         if node._backward is None:
             continue
-        for inp, gin in node._backward(g):
-            if CHECK_FINITE and not np.all(np.isfinite(gin)):
-                raise FloatingPointError(f"non-finite gradient through op {node._op!r}")
-            key = id(inp)
-            if key in grads:
-                grads[key] = grads[key] + gin
-            else:
-                grads[key] = gin
+        if g is not None:
+            for inp, gin in node._backward(g):
+                if CHECK_FINITE and not np.all(np.isfinite(gin)):
+                    raise FloatingPointError(f"non-finite gradient through op {node._op!r}")
+                key = id(inp)
+                if key in grads:
+                    grads[key] = grads[key] + gin
+                else:
+                    grads[key] = gin
+        node._backward = _consumed
+        node._inputs = ()
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +613,23 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - ADAM_B1 ** self.t
         bc2 = 1.0 - ADAM_B2 ** self.t
-        for i, p in enumerate(self.params):
+        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        # data -= lr*(m/bc1) / (sqrt(v/bc2) + eps), in place
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = ADAM_B1 * self.m[i] + (1.0 - ADAM_B1) * g
-            self.v[i] = ADAM_B2 * self.v[i] + (1.0 - ADAM_B2) * g * g
-            mhat = self.m[i] / bc1
-            vhat = self.v[i] / bc2
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            buf = g * (1.0 - ADAM_B1)
+            m *= ADAM_B1
+            m += buf
+            np.multiply(g, 1.0 - ADAM_B2, out=buf)
+            buf *= g
+            v *= ADAM_B2
+            v += buf
+            np.divide(m, bc1, out=buf)
+            vhat = v / bc2
+            np.sqrt(vhat, out=vhat)
+            vhat += ADAM_EPS
+            buf *= self.lr
+            buf /= vhat
+            p.data -= buf

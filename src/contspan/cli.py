@@ -142,6 +142,7 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     stream = dat.load_stream(args.data)
+    stream.require("test")
     model = BackboneModel.load(args.checkpoint)
     engine = ContinualEngine(stream, ContinualConfig(max_answer_len=args.max_answer_len))
     seen = list(range(len(stream)))

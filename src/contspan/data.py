@@ -103,6 +103,13 @@ class DomainStream:
     def __len__(self):
         return len(self.domains)
 
+    def require(self, *splits: str):
+        """Reject a stream in which a domain has an empty split, naming it."""
+        for dom in self.domains:
+            for split in splits:
+                if not getattr(dom, split):
+                    raise ValueError(f"domain {dom.name} has no {split} samples")
+
 
 @dataclass
 class GenConfig:

@@ -209,10 +209,7 @@ class ContinualEngine:
         evaluation, before checkpointing.
         """
         cfg = self.cfg
-        for dom in self.stream.domains:
-            for split in ("train", "test"):
-                if not getattr(dom, split):
-                    raise ValueError(f"domain {dom.name} has no {split} samples")
+        self.stream.require("train", "test")
         order = cfg.order(len(self.stream))
         report = EvalReport(metadata={
             "config": asdict(cfg),

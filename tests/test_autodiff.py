@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -207,6 +208,63 @@ def test_lean_forwards_equal_plain_expressions(i):
     inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
     np.testing.assert_array_equal(ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data,
                                   (x - mu) * inv * gain + bias)
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_lean_backwards_equal_plain_expressions(i):
+    """gelu, softmax and layer_norm backward, layer_norm's forward statistics
+    and Adam compute in place; they keep the bytes of the plain expressions
+    written out here."""
+    x = _lean_inputs()[i]
+    rng = ad.seeded_rng(8)
+    g = rng.normal(size=x.shape)
+
+    def grads(out):
+        return [gin for _, gin in out._backward(g)]
+
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * x * x * x))
+    d_inner = c * (1.0 + 3 * 0.044715 * x * x)
+    [dx] = grads(ad.gelu(Tensor(x, requires_grad=True)))
+    np.testing.assert_array_equal(
+        dx, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner))
+
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    [dx] = grads(ad.softmax(Tensor(x, requires_grad=True)))
+    np.testing.assert_array_equal(dx, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+
+    gain, bias = rng.normal(size=x.shape[-1]), rng.normal(size=x.shape[-1])
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - mu) * inv
+    out = ad.layer_norm(Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True),
+                        Tensor(bias, requires_grad=True))
+    stats = {k: p.default for k, p in inspect.signature(out._backward).parameters.items()}
+    np.testing.assert_array_equal(stats["_inv"], inv)
+    np.testing.assert_array_equal(stats["_xhat"], xhat)
+    dx, dgain, dbias = grads(out)
+    gx = g * gain
+    np.testing.assert_array_equal(
+        dx, inv * (gx - gx.mean(axis=-1, keepdims=True)
+                   - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+    red = tuple(range(x.ndim - 1))
+    np.testing.assert_array_equal(dgain, (g * xhat).sum(axis=red))
+    np.testing.assert_array_equal(dbias, g.sum(axis=red))
+
+    start = rng.normal(size=x.shape)
+    p = Tensor(start.copy(), requires_grad=True)
+    opt = ad.Adam([p], lr=1e-2)
+    data, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+    for step, grad in enumerate((x, g, x - g), start=1):
+        p.grad = grad
+        opt.step()
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad * grad
+        mhat = m / (1.0 - 0.9 ** step)
+        vhat = v / (1.0 - 0.999 ** step)
+        data -= 1e-2 * mhat / (np.sqrt(vhat) + 1e-8)
+        np.testing.assert_array_equal(p.data, data)
 
 
 def _ragged_valid():

@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -167,6 +168,44 @@ def test_packed_gradients_equal_padded(batch):
         grads.append({k: p.grad.copy() for k, p in model.params.items()})
     for name in model.params:
         np.testing.assert_array_equal(grads[1][name], grads[0][name], err_msg=name)
+
+
+def test_backward_consumes_the_graph(monkeypatch):
+    """The walk frees each activation once it has passed it: the attention
+    probabilities die, the loss keeps its value, the gradients are those of a
+    fresh run, and a second walk over the consumed graph raises."""
+    model, id_lists = ragged_batch("l_max_row")
+    samples = [SimpleNamespace(answer_start=0, answer_end=len(ids) - 1) for ids in id_lists]
+    probs = []
+    softmax = ad.softmax
+
+    def recording_softmax(a):
+        out = softmax(a)
+        probs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(ad, "softmax", recording_softmax)
+    _, _, sl, el = model.forward_batch(id_lists)
+    loss = gold_span_loss(sl, el, samples)
+    value = loss.data.copy()
+    assert len(probs) == model.config.n_layers
+    assert all(r() is not None for r in probs)
+    model.zero_grad()
+    ad.backward(loss)
+    assert all(r() is None for r in probs)
+    assert loss.item() == value.item()
+    grads = {k: p.grad.copy() for k, p in model.params.items()}
+
+    _, _, sl2, el2 = model.forward_batch(id_lists)
+    model.zero_grad()
+    ad.backward(gold_span_loss(sl2, el2, samples))
+    for k, p in model.params.items():
+        np.testing.assert_array_equal(p.grad, grads[k], err_msg=k)
+
+    with pytest.raises(RuntimeError, match="consumed"):
+        ad.backward(loss)
+    for k, p in model.params.items():  # the refused walk moved no gradient
+        np.testing.assert_array_equal(p.grad, grads[k], err_msg=k)
 
 
 def test_predict_spans_uniform_when_head_is_zero():

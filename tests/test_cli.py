@@ -183,6 +183,23 @@ def test_eval_checkpoint_roundtrip(dataset, tmp_path, capsys):
         "setting": "cdaq"}
 
 
+def test_eval_rejects_an_empty_test_split(dataset, tmp_path, capsys):
+    ckpt_dir = tmp_path / "ckpts"
+    assert main(run_args(dataset, tmp_path / "r.json", out_dir=ckpt_dir)) == 0
+    data = tmp_path / "stream"
+    shutil.copytree(dataset, data)
+    (data / "cdaq_d1.test.jsonl").write_text("")
+    capsys.readouterr()
+    report_path = tmp_path / "eval.json"
+    rc = main(["eval", "--checkpoint", str(ckpt_dir / "step2.ckpt"),
+               "--data", str(data), "--report", str(report_path)])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert "domain cdaq_d1 has no test samples" in out.err
+    assert "F1" not in out.out
+    assert not report_path.exists()
+
+
 def test_report_renders_table_and_csv(dataset, tmp_path, capsys):
     report_path = tmp_path / "r.json"
     main(run_args(dataset, report_path))

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -448,6 +449,38 @@ def test_forward_only_passes_record_no_tape(monkeypatch):
     _, _, sl, el = model.copy().forward_batch(rows)
     distill_term(distill.snapshot_teacher(model), rows[3:], sl, el, 3)
     assert nodes == []
+
+
+def test_fit_frees_each_batch_graph_before_the_next(monkeypatch):
+    """While a batch's forward runs, no tape node of an earlier batch still
+    holds its graph; only the loop's loss and outputs survive, consumed."""
+    graphs = [weakref.WeakSet()]
+    stale = []
+    make, backward = ad._make, ad.backward
+
+    def counting_make(*args):
+        if not graphs[-1] and len(graphs) > 1:  # the first node of a batch
+            alive = [n for earlier in graphs[:-1] for n in earlier]
+            stale.append(([n._op for n in alive if n._inputs], len(alive)))
+        out = make(*args)
+        if out._backward is not None:
+            graphs[-1].add(out)
+        return out
+
+    def counting_backward(root):
+        backward(root)
+        graphs.append(weakref.WeakSet())
+
+    monkeypatch.setattr(ad, "_make", counting_make)
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    stream = small_stream()
+    engine = ContinualEngine(stream, small_config("lower"))
+    model = BackboneModel(engine.model_cfg, ad.seeded_rng(0))
+    engine._fit(model, stream.domains[0].train, ad.seeded_rng(1))
+    assert len(stale) == 2  # 24 rows in batches of 8
+    for holding, n_alive in stale:
+        assert holding == []
+        assert n_alive <= 4  # loss, h, sl, el
 
 
 def test_evaluate_reports_per_domain_in_seen_order():
