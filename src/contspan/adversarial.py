@@ -41,10 +41,6 @@ class Discriminator:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def zero_grad(self):
-        for t in self.params.values():
-            t.zero_grad()
-
     def frozen_params(self) -> dict[str, Tensor]:
         """Constant copies; gradients flow only to the input representations."""
         return {k: Tensor(v.data.copy()) for k, v in self.params.items()}
@@ -103,6 +99,8 @@ def encoder_adversarial_loss(disc: Discriminator, mem: Tensor, cur: Tensor) -> T
 def discriminator_accuracy(disc: Discriminator, mem_reprs: np.ndarray,
                            cur_reprs: np.ndarray) -> float:
     """Classification accuracy at threshold 0.5, memory labeled positive."""
+    if len(mem_reprs) == 0 or len(cur_reprs) == 0:
+        raise ValueError("discriminator accuracy needs rows on both sides")
     p_mem = disc.forward(Tensor(mem_reprs)).data
     p_cur = disc.forward(Tensor(cur_reprs)).data
     correct = float((p_mem > 0.5).sum() + (p_cur <= 0.5).sum())

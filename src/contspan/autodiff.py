@@ -2,10 +2,14 @@
 
 The graph is define-by-run: every primitive records a backward closure on
 the output tensor, and ``backward()`` walks the recorded graph in reverse
-topological order. The walk consumes the graph: as it passes a node it
-drops the node's closure and inputs, so each activation is freed once the
-walk has passed its consumers, and a second ``backward()`` through the same
-graph raises. Everything is backed by numpy arrays; no other state.
+topological order. Constants stay off the tape: a tensor is tracked if it
+requires a gradient or was computed from a tracked tensor; a primitive
+records a node only if an input is tracked, the node keeps only its tracked
+inputs, and its backward yields a gradient for exactly those. The walk
+consumes the graph: as it passes a node it drops the node's closure and
+inputs, so each activation is freed once the walk has passed its consumers,
+and a second ``backward()`` through the same graph raises. Everything is
+backed by numpy arrays; no other state.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator floo
 class Tensor:
     """A dense n-dimensional float64 array, optionally tracked for gradients.
 
-    ``grad`` is allocated lazily as a zero array for ``requires_grad``
-    tensors; ``backward()`` accumulates into it.
+    A ``requires_grad`` tensor holds a ``grad`` array from construction on,
+    zeros until ``backward()`` accumulates into it; others hold None.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_inputs", "_op",
@@ -87,7 +91,7 @@ def _make(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
     out = Tensor(data)
     if backward is not None and _tracked(*inputs):
         out._backward = backward
-        out._inputs = inputs
+        out._inputs = tuple(t for t in inputs if _tracked(t))
         out._op = op
     return out
 
@@ -163,15 +167,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g, _a=a, _b=b):
         ad, bd = _a.data, _b.data
-        if bd.ndim == 1:
-            yield _a, _unbroadcast(g[..., None] * bd, ad.shape)
-            gb = (np.swapaxes(ad, -1, -2) @ g[..., None])[..., 0]
+        vec = bd.ndim == 1
+        if _tracked(_a):
+            ga = g[..., None] * bd if vec else g @ np.swapaxes(bd, -1, -2)
+            yield _a, _unbroadcast(ga, ad.shape)
+        if _tracked(_b):
+            at = np.swapaxes(ad, -1, -2)
+            gb = (at @ g[..., None])[..., 0] if vec else at @ g
             yield _b, _unbroadcast(gb, bd.shape)
-            return
-        ga = g @ np.swapaxes(bd, -1, -2)
-        gb = np.swapaxes(ad, -1, -2) @ g
-        yield _a, _unbroadcast(ga, ad.shape)
-        yield _b, _unbroadcast(gb, bd.shape)
 
     return _make(data, "matmul", (a, b), bw)
 
@@ -234,13 +237,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor, valid: np.ndarray,
 
     def bw(g, _x=x, _w=w, _b=b, _valid=valid, _padded=padded):
         rows, gp = (g[_valid], g) if _padded else (g, _scatter(g, _valid))
-        yield _x, (gp @ _w.data.T)[_valid]
-        ends = np.cumsum(_valid.sum(axis=1))
-        gw = _x.data[:ends[0]].T @ rows[:ends[0]]
-        for o, e in zip(ends[:-1], ends[1:]):
-            gw += _x.data[o:e].T @ rows[o:e]
-        yield _w, gw
-        yield _b, _unbroadcast(gp, _b.data.shape)
+        if _tracked(_x):
+            yield _x, (gp @ _w.data.T)[_valid]
+        if _tracked(_w):
+            ends = np.cumsum(_valid.sum(axis=1))
+            gw = _x.data[:ends[0]].T @ rows[:ends[0]]
+            for o, e in zip(ends[:-1], ends[1:]):
+                gw += _x.data[o:e].T @ rows[o:e]
+            yield _w, gw
+        if _tracked(_b):
+            yield _b, _unbroadcast(gp, _b.data.shape)
 
     return _make(data, "linear", (x, w, b), bw)
 
@@ -414,18 +420,21 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     def bw(g, _a=a, _gain=gain, _bias=bias, _xhat=xhat, _inv=inv):
         # inv * (gx - mean(gx) - xhat * mean(gx * xhat)) with gx = g * gain,
         # in place
-        gx = g * _gain.data
-        m1 = gx.mean(axis=-1, keepdims=True)
-        p = gx * _xhat
-        m2 = p.mean(axis=-1, keepdims=True)
-        np.multiply(_xhat, m2, out=p)
-        gx -= m1
-        gx -= p
-        gx *= _inv
-        yield _a, gx
+        if _tracked(_a):
+            gx = g * _gain.data
+            m1 = gx.mean(axis=-1, keepdims=True)
+            p = gx * _xhat
+            m2 = p.mean(axis=-1, keepdims=True)
+            np.multiply(_xhat, m2, out=p)
+            gx -= m1
+            gx -= p
+            gx *= _inv
+            yield _a, gx
         red = tuple(range(g.ndim - 1))
-        yield _gain, (g * _xhat).sum(axis=red)
-        yield _bias, g.sum(axis=red)
+        if _tracked(_gain):
+            yield _gain, (g * _xhat).sum(axis=red)
+        if _tracked(_bias):
+            yield _bias, g.sum(axis=red)
 
     return _make(data, "layer_norm", (a, gain, bias), bw)
 
@@ -460,8 +469,10 @@ def squared_difference(a: Tensor, b: Tensor) -> Tensor:
     data = diff * diff
 
     def bw(g, _a=a, _b=b, _diff=diff):
-        yield _a, _unbroadcast(2.0 * g * _diff, _a.data.shape)
-        yield _b, _unbroadcast(-2.0 * g * _diff, _b.data.shape)
+        if _tracked(_a):
+            yield _a, _unbroadcast(2.0 * g * _diff, _a.data.shape)
+        if _tracked(_b):
+            yield _b, _unbroadcast(-2.0 * g * _diff, _b.data.shape)
 
     return _make(data, "squared_difference", (a, b), bw)
 
@@ -473,9 +484,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def bw(g, _ts=tuple(tensors), _off=offsets, _axis=axis):
         for i, t in enumerate(_ts):
-            sl = [slice(None)] * g.ndim
-            sl[_axis] = slice(_off[i], _off[i + 1])
-            yield t, g[tuple(sl)]
+            if _tracked(t):
+                sl = [slice(None)] * g.ndim
+                sl[_axis] = slice(_off[i], _off[i + 1])
+                yield t, g[tuple(sl)]
 
     return _make(data, "concat", tuple(tensors), bw)
 
@@ -501,7 +513,9 @@ def backward(root: Tensor):
     """Populate ``grad`` on every reachable requires_grad leaf.
 
     ``root`` must be scalar. Grads accumulate, so call ``zero_grad`` on the
-    parameters first if a fresh pass is wanted.
+    parameters first if a fresh pass is wanted. Nodes keep only their
+    tracked inputs, so no constant enters the walk and every node it visits
+    receives a gradient.
 
     The walk consumes the graph: each node it passes loses its closure and
     its inputs, so activations are freed as the walk goes, while every
@@ -535,22 +549,16 @@ def backward(root: Tensor):
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     while topo:
         node = topo.pop()
-        g = grads.pop(id(node), None)
-        if g is not None and node.requires_grad:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
+        g = grads.pop(id(node))
+        if node.requires_grad:
             node.grad += g
         if node._backward is None:
             continue
-        if g is not None:
-            for inp, gin in node._backward(g):
-                if CHECK_FINITE and not np.all(np.isfinite(gin)):
-                    raise FloatingPointError(f"non-finite gradient through op {node._op!r}")
-                key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + gin
-                else:
-                    grads[key] = gin
+        for inp, gin in node._backward(g):
+            if CHECK_FINITE and not np.all(np.isfinite(gin)):
+                raise FloatingPointError(f"non-finite gradient through op {node._op!r}")
+            key = id(inp)
+            grads[key] = grads[key] + gin if key in grads else gin
         node._backward = _consumed
         node._inputs = ()
 
@@ -617,8 +625,6 @@ class Adam:
         # data -= lr*(m/bc1) / (sqrt(v/bc2) + eps), in place
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            if g is None:
-                continue
             buf = g * (1.0 - ADAM_B1)
             m *= ADAM_B1
             m += buf

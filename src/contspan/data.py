@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -315,14 +315,12 @@ def _generate_stream(cfg: GenConfig) -> DomainStream:
 
 def generate_cdaq_stream(cfg: GenConfig) -> DomainStream:
     """Question-type shift: shared passages, per-domain question markers."""
-    cfg.setting = "cdaq"
-    return _generate_stream(cfg)
+    return _generate_stream(replace(cfg, setting="cdaq"))
 
 
 def generate_cdac_stream(cfg: GenConfig) -> DomainStream:
     """Passage shift: fixed question task, per-domain fillers and lengths."""
-    cfg.setting = "cdac"
-    return _generate_stream(cfg)
+    return _generate_stream(replace(cfg, setting="cdac"))
 
 
 # ---------------------------------------------------------------------------

@@ -324,12 +324,11 @@ class ContinualEngine:
         rows, which then share the forward pass and the span loss;
         loss_hook(batch_samples, loss, sl, el, h), given the span logits and
         the encodings, returns the loss to minimise, built on the span loss;
-        batch_hook(grads_flat) may rewrite the flat gradient before the
+        batch_hook() may rewrite the parameters' gradients before the
         optimizer step (gradient-projection methods).
         """
         cfg = self.cfg
         opt = ad.Adam(model.parameters(), lr=cfg.lr)
-        params = model.parameters()
         epoch_losses = []
         for _ in range(cfg.epochs):
             perm = rng.permutation(len(samples))
@@ -346,26 +345,19 @@ class ContinualEngine:
                 opt.zero_grad()
                 ad.backward(loss)
                 if batch_hook is not None:
-                    flat = np.concatenate([p.grad.reshape(-1) for p in params])
-                    flat = batch_hook(flat)
-                    pos = 0
-                    for p in params:
-                        n = p.data.size
-                        p.grad = flat[pos:pos + n].reshape(p.data.shape)
-                        pos += n
+                    batch_hook()
                 opt.step()
                 running += loss.item()
                 nb += 1
             epoch_losses.append(running / max(nb, 1))
         return epoch_losses
 
-    def _span_grad(self, model: BackboneModel, batch: list[Sample]) -> np.ndarray:
-        """Flat gradient of the mean span loss on a batch."""
+    def _span_grad(self, model: BackboneModel, batch: list[Sample]):
+        """The mean span loss's gradient on a batch, in the parameters' grad."""
         _, _, sl, el = model.forward_batch([s.input_ids for s in batch])
         loss = gold_span_loss(sl, el, batch)
         model.zero_grad()
         ad.backward(loss)
-        return np.concatenate([p.grad.reshape(-1) for p in model.parameters()])
 
     # -- per-method steps ---------------------------------------------------
 
@@ -404,16 +396,13 @@ class ContinualEngine:
         n = min(self.cfg.n_fisher, len(d_train))
         idx = rng.choice(len(d_train), size=n, replace=False)
         fisher = {k: np.zeros_like(p.data) for k, p in model.params.items()}
-        bs = 8
-        nb = 0
-        for lo in range(0, n, bs):
-            batch = [d_train[i] for i in idx[lo:lo + bs]]
-            self._span_grad(model, batch)
+        batches = [idx[lo:lo + 8] for lo in range(0, n, 8)]
+        for batch in batches:
+            self._span_grad(model, [d_train[i] for i in batch])
             for k, p in model.params.items():
                 fisher[k] += p.grad * p.grad
-            nb += 1
         for k in fisher:
-            fisher[k] /= max(nb, 1)
+            fisher[k] /= len(batches)
         if self.cfg.method == "online_ewc" and self.fisher_states:
             prev = self.fisher_states.pop()
             fisher = {k: ONLINE_EWC_GAMMA * prev.fisher[k] + fisher[k] for k in fisher}
@@ -423,12 +412,16 @@ class ContinualEngine:
     def agem_step(self, model, d_train, t, order):
         rng = self._rng(_S_TRAIN, t)
         mem_items = self.memory.items
+        params = model.parameters()
 
-        def hook(flat):
+        def hook():
+            g = np.concatenate([p.grad.reshape(-1) for p in params])
             k = min(self.cfg.batch_size, len(mem_items))
             pick = rng.choice(len(mem_items), size=k, replace=False)
-            g_ref = self._span_grad(model, [mem_items[i].sample for i in pick])
-            return agem_project(flat, g_ref)
+            self._span_grad(model, [mem_items[i].sample for i in pick])
+            g = agem_project(g, np.concatenate([p.grad.reshape(-1) for p in params]))
+            for p, part in zip(params, np.split(g, np.cumsum([p.data.size for p in params]))):
+                p.grad = part.reshape(p.data.shape)
 
         self._fit(model, d_train, rng, batch_hook=hook)
 
@@ -477,9 +470,14 @@ class ContinualEngine:
         # the game discriminator's held-out accuracy and, as the sharper
         # measure, that of a fresh probe trained on the same representations
         mem_reprs, cur_reprs, rng = self._probe_reprs(model, t, order)
-        return {"disc_accuracy": adv.discriminator_accuracy(disc, mem_reprs, cur_reprs),
-                "probe_accuracy": adv.train_probe_discriminator(
-                    cfg.hidden, mem_reprs, cur_reprs, rng)[1]}
+        extra = {"disc_accuracy": adv.discriminator_accuracy(disc, mem_reprs, cur_reprs)}
+        if min(len(mem_reprs), len(cur_reprs)) < 2:  # the probe would hold out no row
+            log.warning("step %d: no probe_accuracy, the probe has %d row(s) a side",
+                        t, len(mem_reprs))
+        else:
+            extra["probe_accuracy"] = adv.train_probe_discriminator(
+                cfg.hidden, mem_reprs, cur_reprs, rng)[1]
+        return extra
 
     def _probe_reprs(self, model, t, order):
         """Pooled representations of up to 64 memory items and as many unseen

@@ -158,7 +158,7 @@ def test_minimax_step_parameter_isolation():
     # the encoder's loss runs through a frozen copy of the discriminator
     l_t = adv.encoder_adversarial_loss(d, mem, cur)
     before = {k: v.data.copy() for k, v in d.params.items()}
-    d.zero_grad()
+    opt.zero_grad()
     ad.backward(l_t)
     for k, v in d.params.items():
         np.testing.assert_array_equal(v.data, before[k])
@@ -197,3 +197,6 @@ def test_discriminator_accuracy_threshold():
     assert adv.discriminator_accuracy(d, mem, cur) == 1.0
     flipped = adv.discriminator_accuracy(d, cur, mem)
     assert flipped == 0.0
+    for empty in ((mem[:0], cur), (mem, cur[:0])):
+        with pytest.raises(ValueError, match="both sides"):
+            adv.discriminator_accuracy(d, *empty)

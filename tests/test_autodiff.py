@@ -63,6 +63,23 @@ def test_backward_constant_root_leaves_zero_grads():
     np.testing.assert_array_equal(x.grad, [0.0, 0.0])
 
 
+def test_backward_from_a_requires_grad_leaf_root():
+    x = Tensor(3.0, requires_grad=True)
+    ad.backward(x)
+    assert x.grad == 1.0
+
+
+def test_backward_sums_both_uses_of_an_operand_fed_twice():
+    """y feeds one mul twice: its gradient is the sum of both uses, and the
+    constant c, a mul operand, gets none."""
+    x = Tensor([1.5, -2.0], requires_grad=True)
+    c = Tensor([3.0, 0.5])
+    y = x * c
+    ad.backward(ad.tsum(y * y))
+    np.testing.assert_array_equal(x.grad, (y.data + y.data) * c.data)
+    assert c.grad is None
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):

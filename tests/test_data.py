@@ -125,6 +125,15 @@ def test_oracle_scores_exact_match_everywhere(setting):
             assert (em, f1) == (1, 1.0)
 
 
+@pytest.mark.parametrize("gen, setting", [(generate_cdac_stream, "cdac"),
+                                          (generate_cdaq_stream, "cdaq")])
+def test_generators_leave_the_callers_config_alone(gen, setting):
+    other = "cdaq" if setting == "cdac" else "cdac"
+    cfg = small_cfg(other, n_domains=1, train_size=2, test_size=1)
+    assert gen(cfg).setting == setting
+    assert cfg == small_cfg(other, n_domains=1, train_size=2, test_size=1)
+
+
 def test_generated_spans_live_in_passage_region():
     stream = dat._generate_stream(small_cfg("cdac"))
     for dom in stream.domains:

@@ -391,6 +391,48 @@ def test_teacher_constant_during_incremental_step(monkeypatch):
                                   seen["before"])
 
 
+def test_probe_accuracy_left_out_when_a_side_has_one_row(caplog):
+    """One memory item gives the probe one row a side, none to hold out:
+    the step records disc_accuracy alone and says why."""
+    stream = generate_cdaq_stream(GenConfig(n_domains=2, train_size=6, test_size=2,
+                                            seed=1))
+    with caplog.at_level("WARNING"):
+        _, report, _ = run_stream(stream, small_config("ma_mrc", memory_size=1))
+    assert set(report.steps[1].extra) == {"disc_accuracy"}
+    assert "no probe_accuracy" in caplog.text
+
+
+def test_tape_holds_and_differentiates_only_tracked_tensors(monkeypatch):
+    """Over a run with an ma_mrc incremental step, whose tape meets constants
+    (attention and span biases, the frozen discriminator copy, detached
+    representations, teacher logits): no node keeps an untracked input, so
+    none enters backward's walk, and no backward yields a gradient for one."""
+    faults, constants = [], []
+    make = ad._make
+
+    def checked(bw, op):
+        def gen(g):
+            for inp, gin in bw(g):
+                if not ad._tracked(inp):
+                    faults.append(f"{op} yields to a constant")
+                yield inp, gin
+        return gen
+
+    def checking_make(data, op, inputs, backward):
+        out = make(data, op, inputs, backward)
+        if out._backward is not None:
+            constants.extend(t for t in inputs if not ad._tracked(t))
+            faults.extend(f"{op} keeps a constant" for t in out._inputs
+                          if not ad._tracked(t))
+            out._backward = checked(out._backward, op)
+        return out
+
+    monkeypatch.setattr(ad, "_make", checking_make)
+    run_stream(small_stream(n_domains=2), small_config("ma_mrc"))
+    assert constants  # the tape did meet constants
+    assert not faults, sorted(set(faults))
+
+
 def test_empty_memory_incremental_step_warns_and_finetunes(caplog):
     stream = small_stream(n_domains=2)
     cfg = small_config("ma_mrc", memory_size=0)
