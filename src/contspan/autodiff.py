@@ -24,6 +24,7 @@ import numpy as np
 CHECK_FINITE = False
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+BLOCK = 1 << 15  # float64 elements per slice of gelu's in-place chains (256 KiB)
 LN_EPS = 1e-5  # layer_norm's variance floor
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator floor
 
@@ -300,39 +301,60 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Smooth gated activation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+    """Smooth gated activation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+
+    Forward and backward run their in-place chains over contiguous slices of
+    BLOCK elements, so the temporaries stay in cache. Only the output, and
+    for a tracked input the tanh that backward reads, are full-size; a
+    forward-only pass keeps the tanh in one block of scratch.
+    """
     # In place, in the order of the formula (x**3 via np.power is slow);
     # only commutative operands swap, so the bytes match the plain expression.
-    x = a.data
-    t = x * 0.044715
-    t *= x
-    t *= x
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    data = x * 0.5
-    data *= t + 1.0
+    x = a.data.ravel()
+    out = np.empty_like(x)
+    t = np.empty_like(x) if _tracked(a) else None
+    s = np.empty(min(BLOCK, x.size))
+    for lo in range(0, x.size, BLOCK):
+        xb = x[lo:lo + BLOCK]
+        sb = s[:xb.size]
+        tb = sb if t is None else t[lo:lo + BLOCK]
+        np.multiply(xb, 0.044715, out=tb)
+        tb *= xb
+        tb *= xb
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        ob = out[lo:lo + BLOCK]
+        np.multiply(xb, 0.5, out=ob)
+        np.add(tb, 1.0, out=sb)
+        ob *= sb
 
     def bw(g, _a=a, _t=t):
         # g * (0.5*(1 + t) + 0.5*x*(1 - t*t) * c*(1 + 3*0.044715*x*x)), in
-        # place, with the forward's rule: same operations, same order
-        x = _a.data
-        d = x * (3 * 0.044715)
-        d *= x
-        d += 1.0
-        d *= _GELU_C
-        s = _t * _t
-        np.subtract(1.0, s, out=s)
-        f = x * 0.5
-        f *= s
-        f *= d
-        np.add(_t, 1.0, out=s)
-        s *= 0.5
-        s += f
-        s *= g
-        yield _a, s
+        # place, block by block, with the forward's rule: same operations,
+        # same order
+        x, g = _a.data.ravel(), g.ravel()
+        gx = np.empty_like(x)
+        d, f = np.empty(min(BLOCK, x.size)), np.empty(min(BLOCK, x.size))
+        for lo in range(0, x.size, BLOCK):
+            xb, tb = x[lo:lo + BLOCK], _t[lo:lo + BLOCK]
+            db, fb, sb = d[:xb.size], f[:xb.size], gx[lo:lo + BLOCK]
+            np.multiply(xb, 3 * 0.044715, out=db)
+            db *= xb
+            db += 1.0
+            db *= _GELU_C
+            np.multiply(tb, tb, out=sb)
+            np.subtract(1.0, sb, out=sb)
+            np.multiply(xb, 0.5, out=fb)
+            fb *= sb
+            fb *= db
+            np.add(tb, 1.0, out=sb)
+            sb *= 0.5
+            sb += fb
+            sb *= g[lo:lo + BLOCK]
+        yield _a, gx.reshape(_a.data.shape)
 
-    return _make(data, "gelu", (a,), bw)
+    return _make(out.reshape(a.data.shape), "gelu", (a,), bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -370,18 +392,29 @@ def exp(a: Tensor) -> Tensor:
     return _make(data, "exp", (a,), bw)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    data = a.data - a.data.max(axis=-1, keepdims=True)
+def softmax(a: Tensor, scale: float = 1.0, bias: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis of a * scale + bias, as one node.
+
+    bias is a constant array that broadcasts to a's shape (attention's
+    additive mask). The bytes, forward and backward, are those of
+    softmax(a * scale + bias) through mul, add and softmax: the scaled,
+    shifted and exponentiated scores share one array, and the gradient is
+    softmax's times scale, as mul's backward would return it.
+    """
+    data = a.data * scale
+    if bias is not None:
+        data += bias
+    data -= data.max(axis=-1, keepdims=True)
     np.exp(data, out=data)
     data /= data.sum(axis=-1, keepdims=True)
 
-    def bw(g, _a=a, _y=data):
-        # _y * (g - sum(g * _y)), in place
+    def bw(g, _a=a, _y=data, _scale=scale):
+        # _y * (g - sum(g * _y)) * _scale, in place
         gy = g * _y
         dot = gy.sum(axis=-1, keepdims=True)
         np.subtract(g, dot, out=gy)
         gy *= _y
+        gy *= _scale
         yield _a, gy
 
     return _make(data, "softmax", (a,), bw)

@@ -133,12 +133,12 @@ class BackboneModel:
         x = ad.embedding(P["tok_emb"], batch[valid]) \
             + ad.pack(ad.index(P["pos_emb"], slice(0, l)), valid)
         x = ad.layer_norm(x, P["ln_emb_g"], P["ln_emb_b"])
-        attn_bias = Tensor(NEG_INF * (1.0 - mask)[:, None, None, :])
+        attn_bias = NEG_INF * (1.0 - mask)[:, None, None, :]
         for i in range(cfg.n_layers):
             x = self._block(x, i, attn_bias, valid)
         return ad.unpack(x, valid), mask
 
-    def _block(self, x: Tensor, i: int, attn_bias: Tensor, valid: np.ndarray) -> Tensor:
+    def _block(self, x: Tensor, i: int, attn_bias: np.ndarray, valid: np.ndarray) -> Tensor:
         """One encoder block on the packed rows of the (B, l) boolean mask valid."""
         P = self.params
         cfg = self.config
@@ -155,8 +155,8 @@ class BackboneModel:
                                 (0, 2, 1, 3))
 
         q, k, v = heads("q"), heads("k"), heads("v")
-        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-        probs = ad.softmax(scores + attn_bias)
+        probs = ad.softmax(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
+                           1.0 / math.sqrt(dh), attn_bias)
         ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (B, l, h))
         x = ad.layer_norm(x + lin(ad.pack(ctx, valid), "o"),
                           P[f"blk{i}.ln1_g"], P[f"blk{i}.ln1_b"])

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,20 +199,25 @@ def test_check_finite_flag_catches_nan(monkeypatch):
 
 
 def _lean_inputs():
-    """2-d and (B, l, h) inputs; the last has NEG_INF-masked positions."""
+    """(x, axes) pairs: 2-d and (B, l, h) inputs, the third with
+    NEG_INF-masked positions, and a (B, nh, l, dh) view of a (B, l, nh, dh)
+    array, as q, k and v arrive. x's gradient is drawn C-ordered and then
+    transposed by axes, so the last one is a non-contiguous view too."""
     rng = ad.seeded_rng(6)
     x3 = rng.normal(size=(3, 5, 8)) * 3.0
     masked = x3.copy()
     masked[1, :, 2:] += NEG_INF
     masked[2, 1] = NEG_INF
-    return [rng.normal(size=(7, 9)) * 4.0, x3, masked]
+    heads = (0, 2, 1, 3)
+    return [(rng.normal(size=(7, 9)) * 4.0, (0, 1)), (x3, (0, 1, 2)), (masked, (0, 1, 2)),
+            ((rng.normal(size=(2, 6, 3, 5)) * 3.0).transpose(heads), heads)]
 
 
-@pytest.mark.parametrize("i", range(3))
+@pytest.mark.parametrize("i", range(4))
 def test_lean_forwards_equal_plain_expressions(i):
     """gelu, softmax and layer_norm compute in place; their forwards keep the
     bytes of the plain expressions written out here."""
-    x = _lean_inputs()[i]
+    x, _ = _lean_inputs()[i]
     c = math.sqrt(2.0 / math.pi)
     inner = c * (x + 0.044715 * x * x * x)
     np.testing.assert_array_equal(ad.gelu(Tensor(x)).data, 0.5 * x * (1.0 + np.tanh(inner)))
@@ -227,14 +233,14 @@ def test_lean_forwards_equal_plain_expressions(i):
                                   (x - mu) * inv * gain + bias)
 
 
-@pytest.mark.parametrize("i", range(3))
+@pytest.mark.parametrize("i", range(4))
 def test_lean_backwards_equal_plain_expressions(i):
     """gelu, softmax and layer_norm backward, layer_norm's forward statistics
     and Adam compute in place; they keep the bytes of the plain expressions
     written out here."""
-    x = _lean_inputs()[i]
+    x, axes = _lean_inputs()[i]
     rng = ad.seeded_rng(8)
-    g = rng.normal(size=x.shape)
+    g = rng.normal(size=np.transpose(x, axes).shape).transpose(axes)
 
     def grads(out):
         return [gin for _, gin in out._backward(g)]
@@ -282,6 +288,58 @@ def test_lean_backwards_equal_plain_expressions(i):
         vhat = v / (1.0 - 0.999 ** step)
         data -= 1e-2 * mhat / (np.sqrt(vhat) + 1e-8)
         np.testing.assert_array_equal(p.data, data)
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_lean_ops_equal_plain_expressions_across_block_boundaries(i, monkeypatch):
+    """With 7-element blocks, gelu's blocks split rows and leave a ragged
+    tail; the bytes stay those of the plain expressions."""
+    monkeypatch.setattr(ad, "BLOCK", 7)
+    test_lean_forwards_equal_plain_expressions(i)
+    test_lean_backwards_equal_plain_expressions(i)
+
+
+def test_scaled_masked_softmax_equals_the_mul_add_softmax_chain():
+    """The one-node softmax(a, scale, bias) on NEG_INF-masked attention
+    scores, one sequence fully masked, gives the values of softmax(a * scale
+    + bias) through mul, add and softmax, and sends the scores the same
+    gradient, bit for bit."""
+    rng = ad.seeded_rng(12)
+    B, nh, l = 3, 2, 6
+    scores = rng.normal(size=(B, nh, l, l)) * 5.0
+    mask = (np.arange(l) < np.array([6, 2, 0])[:, None]).astype(float)
+    bias = NEG_INF * (1.0 - mask)[:, None, None, :]
+    scale = 1.0 / math.sqrt(32)  # the desk model's; not a power of two
+    w = Tensor(rng.normal(size=scores.shape))
+    chain = Tensor(scores.copy(), requires_grad=True)
+    fused = Tensor(scores.copy(), requires_grad=True)
+    ref = ad.softmax(ad.add(ad.mul(chain, Tensor(scale)), Tensor(bias)))
+    out = ad.softmax(fused, scale, bias)
+    np.testing.assert_array_equal(out.data, ref.data)
+    assert np.all(np.isfinite(out.data))
+    ad.backward(ad.tsum(ref * w))
+    ad.backward(ad.tsum(out * w))
+    np.testing.assert_array_equal(fused.grad, chain.grad)
+    assert np.any(fused.grad[2] != 0.0)
+
+
+def test_forward_only_gelu_allocates_one_output_and_block_scratch():
+    """An untracked gelu over several blocks allocates its output and
+    O(BLOCK) scratch; a tracked one keeps the full-size tanh for backward."""
+    x = ad.seeded_rng(13).normal(size=(5 * ad.BLOCK + 3,))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ad.gelu(Tensor(x))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.data.nbytes + 2 * 8 * ad.BLOCK, (peak, out.data.nbytes)
+    assert out._backward is None
+
+    tracked = ad.gelu(Tensor(x, requires_grad=True))
+    t = inspect.signature(tracked._backward).parameters["_t"].default
+    assert t.size == x.size
 
 
 def _ragged_valid():

@@ -1,6 +1,7 @@
 import math
 import re
 import weakref
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -170,6 +171,28 @@ def test_packed_gradients_equal_padded(batch):
         np.testing.assert_array_equal(grads[1][name], grads[0][name], err_msg=name)
 
 
+def test_forward_batch_records_the_expected_nodes():
+    """Per encoder block the tape holds 24 nodes: attention probabilities are
+    one softmax node (scale and mask inside it, no mul or add), and the only
+    adds are the two residuals. Outside the blocks: the embedding, its add
+    and layer norm, the unpack and the two span heads."""
+    model, id_lists = ragged_batch("l_max_row")
+    _, _, sl, el = model.forward_batch(id_lists)
+    ops, seen, stack = Counter(), set(), [sl, el]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t._backward is None:
+            continue
+        seen.add(id(t))
+        ops[t._op] += 1
+        stack.extend(t._inputs)
+    L = model.config.n_layers
+    assert ops == Counter(linear=6 * L, reshape=4 * L, transpose=5 * L, matmul=2 * L + 2,
+                          softmax=L, pack=L + 1, add=2 * L + 3, layer_norm=2 * L + 1,
+                          gelu=L, embedding=1, index=1, unpack=1)
+    assert sum(ops.values()) == 24 * L + 10
+
+
 def test_backward_consumes_the_graph(monkeypatch):
     """The walk frees each activation once it has passed it: the attention
     probabilities die, the loss keeps its value, the gradients are those of a
@@ -179,8 +202,8 @@ def test_backward_consumes_the_graph(monkeypatch):
     probs = []
     softmax = ad.softmax
 
-    def recording_softmax(a):
-        out = softmax(a)
+    def recording_softmax(a, *args):
+        out = softmax(a, *args)
         probs.append(weakref.ref(out))
         return out
 
