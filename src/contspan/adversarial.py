@@ -24,7 +24,6 @@ class Discriminator:
 
     def __init__(self, hidden: int, rng: np.random.Generator):
         h2 = max(1, hidden // 2)
-        self.hidden = hidden
         self.params: dict[str, Tensor] = {}
 
         def p(name, arr):

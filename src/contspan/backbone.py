@@ -229,13 +229,16 @@ class BackboneModel:
                 raise ValueError(f"unsupported checkpoint version {version}")
             header = json.loads(read(hlen).decode("utf-8"))
             model = cls.__new__(cls)
-            model.config = ModelConfig(**header["config"])
+            try:
+                model.config = ModelConfig(**header["config"])
+                entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+            except (KeyError, TypeError, ValueError) as e:
+                raise ValueError(f"malformed checkpoint header: {path} ({e!r})") from None
             model.params = {}
-            for entry in header["params"]:
-                shape = tuple(entry["shape"])
+            for name, shape in entries:
                 n = int(np.prod(shape)) if shape else 1
                 arr = np.frombuffer(read(8 * n), dtype="<f8").reshape(shape).copy()
-                model.params[entry["name"]] = Tensor(arr, requires_grad=True)
+                model.params[name] = Tensor(arr, requires_grad=True)
         return model
 
 
@@ -248,6 +251,9 @@ def span_loss_batch(start_logits: Tensor, end_logits: Tensor,
     ls = ad.take_along_last(ad.log_softmax(start_logits), y_s)
     le = ad.take_along_last(ad.log_softmax(end_logits), y_e)
     return ad.tmean(-(ls + le))
+
+
+MAX_ANSWER_LEN = 8  # longest answer span, in tokens, that evaluation decodes
 
 
 def decode_answer(p_start: np.ndarray, p_end: np.ndarray, mask: np.ndarray,

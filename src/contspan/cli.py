@@ -13,7 +13,7 @@ from . import data as dat
 from . import gradcheck
 from .engine import ContinualConfig, ContinualEngine, METHODS, NORM_STRATEGIES, \
     UNCERTAINTY_KINDS
-from .backbone import BackboneModel
+from .backbone import BackboneModel, MAX_ANSWER_LEN
 from .metrics import EvalReport, StepResult, f1_all, f1_avg
 
 log = logging.getLogger("contspan")
@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--report", required=True)
-    e.add_argument("--max-answer-len", type=int, default=8)
 
     sub.add_parser("gradcheck", help="run the finite-difference gradient suite")
 
@@ -110,6 +109,8 @@ def cmd_run(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as f:
             manifest = json.load(f)
+        if not isinstance(manifest, dict):
+            raise ValueError(f"{args.config}: the manifest is not a JSON object")
     data_dir = args.data or manifest.pop("data", None)
     if not data_dir:
         print("error: no data directory (use --data or a 'data' manifest key)",
@@ -144,11 +145,11 @@ def cmd_eval(args) -> int:
     stream = dat.load_stream(args.data)
     stream.require("test")
     model = BackboneModel.load(args.checkpoint)
-    engine = ContinualEngine(stream, ContinualConfig(max_answer_len=args.max_answer_len))
+    engine = ContinualEngine(stream, ContinualConfig())
     seen = list(range(len(stream)))
     per_domain, pooled = engine.evaluate(model, seen)
     report = EvalReport(metadata={
-        "checkpoint": args.checkpoint, "max_answer_len": args.max_answer_len,
+        "checkpoint": args.checkpoint, "max_answer_len": MAX_ANSWER_LEN,
         "method": "eval", "order": seen,
         "domains": [d.name for d in stream.domains], "setting": stream.setting})
     report.steps.append(StepResult(

@@ -74,15 +74,20 @@ class Sample:
     def from_record(cls, rec: dict, where: str) -> "Sample":
         """Inverse of ``record``; ``where`` (``path:line``) names the record
         in the error a missing field raises."""
-        for key in ("id", "domain", "question_ids", "passage_ids",
-                    "answer_start", "answer_end"):
-            if key not in rec:
-                raise ValueError(f"{where}: missing field {key!r}")
+        _require(rec, ("id", "domain", "question_ids", "passage_ids",
+                       "answer_start", "answer_end"), where)
         return cls(id=str(rec["id"]), domain=int(rec["domain"]),
                    question_ids=list(rec["question_ids"]),
                    passage_ids=list(rec["passage_ids"]),
                    answer_start=int(rec["answer_start"]),
                    answer_end=int(rec["answer_end"]))
+
+
+def _require(rec: dict, keys, where: str):
+    """Reject a record that lacks one of keys, naming where it came from."""
+    for key in keys:
+        if key not in rec:
+            raise ValueError(f"{where}: missing field {key!r}")
 
 
 @dataclass
@@ -150,17 +155,10 @@ class VocabLayout:
             raise ValueError(f"vocab_size={cfg.vocab_size} too small for layout")
         return cls(t, qtype, marker, payload, qnoise, filler)
 
-    def filler_subrange(self, domain: int) -> range:
-        """Disjoint per-domain filler slice (passage-shift setting)."""
-        width = len(self.filler) // self.n_domains
-        lo = self.filler.start + domain * width
-        return range(lo, lo + width)
-
-    def payload_subrange(self, domain: int) -> range:
-        """Disjoint per-domain payload slice (passage-shift setting)."""
-        width = len(self.payload) // self.n_domains
-        lo = self.payload.start + domain * width
-        return range(lo, lo + width)
+    def domain_share(self, ids: range, domain: int) -> range:
+        """The domain's disjoint equal slice of ids (passage-shift setting)."""
+        width = len(ids) // self.n_domains
+        return ids[domain * width:(domain + 1) * width]
 
 
 def token_string(tid: int) -> str:
@@ -255,8 +253,8 @@ def _gen_split(cfg: GenConfig, layout: VocabLayout, domain: int, split: str,
         target = domain
         plen_range = cfg.passage_len
     else:
-        filler_pool = np.array(layout.filler_subrange(domain))
-        payload_pool = np.array(layout.payload_subrange(domain))
+        filler_pool = np.array(layout.domain_share(layout.filler, domain))
+        payload_pool = np.array(layout.domain_share(layout.payload, domain))
         markers = [layout.marker.start]
         ask = layout.qtype.start
         target = 0
@@ -351,6 +349,7 @@ def load_stream(data_dir) -> DomainStream:
     root = Path(data_dir)
     with open(root / "manifest.json", encoding="utf-8") as f:
         manifest = json.load(f)
+    _require(manifest, ("setting", "l_max", "domains"), str(root / "manifest.json"))
     vocab = read_vocab(root / "vocab.txt")
     domains = []
     for idx, name in enumerate(manifest["domains"]):
@@ -368,23 +367,26 @@ def load_stream(data_dir) -> DomainStream:
 def read_vocab(path) -> dict[str, int]:
     vocab = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             if line.strip():
-                tok, tid = line.rstrip("\n").split("\t")
-                vocab[tok] = int(tid)
+                try:
+                    tok, tid = line.rstrip("\n").split("\t")
+                    vocab[tok] = int(tid)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: expected a token, a tab "
+                                     f"and an integer id") from None
     return vocab
 
 
-def read_jsonl_samples(path, l_max: int, vocab: dict[str, int] | None = None):
+def read_jsonl_samples(path, l_max: int, vocab: dict[str, int]):
     """Read one domain file, token-level or text records by field presence.
 
-    Returns (samples, dropped_count); text records that fail span recovery
-    are dropped and counted, never raised.
+    Text records are tokenized against vocab, which gains their unseen
+    tokens. Returns (samples, dropped_count); records that fail span
+    recovery or assembly are dropped and counted, never raised.
     """
     samples: list[Sample] = []
     dropped = 0
-    if vocab is None:
-        vocab = {CLS_TOKEN: CLS_ID, SEP_TOKEN: SEP_ID, UNK_TOKEN: UNK_ID}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -410,14 +412,6 @@ def read_jsonl_samples(path, l_max: int, vocab: dict[str, int] | None = None):
     return samples, dropped
 
 
-def ingest_jsonl(path, l_max: int = 64, vocab: dict[str, int] | None = None):
-    """Ingest a text-record file as one domain; extends the vocab in place."""
-    if vocab is None:
-        vocab = {CLS_TOKEN: CLS_ID, SEP_TOKEN: SEP_ID, UNK_TOKEN: UNK_ID}
-    samples, dropped = read_jsonl_samples(path, l_max, vocab)
-    return samples, vocab, dropped
-
-
 def _tokenize(text: str, vocab: dict[str, int]):
     """Whitespace tokens as ids, adding unseen tokens to the vocab."""
     ids = []
@@ -432,9 +426,8 @@ def _tokenize(text: str, vocab: dict[str, int]):
 
 
 def _sample_from_text(rec, vocab, l_max, path, lineno):
-    for key in ("id", "domain", "question", "passage", "answer_text", "answer_char_start"):
-        if key not in rec:
-            raise ValueError(f"{path}:{lineno}: missing field {key!r}")
+    _require(rec, ("id", "domain", "question", "passage", "answer_text",
+                   "answer_char_start"), f"{path}:{lineno}")
     q_ids, _ = _tokenize(rec["question"], vocab)
     p_ids, p_spans = _tokenize(rec["passage"], vocab)
     if not q_ids or not p_ids:

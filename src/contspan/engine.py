@@ -22,8 +22,8 @@ from . import adversarial as adv
 from . import distill
 from . import memory as mem
 from .autodiff import Tensor
-from .backbone import BackboneModel, ModelConfig, NEG_INF, decode_answer, \
-    span_loss_batch
+from .backbone import BackboneModel, ModelConfig, MAX_ANSWER_LEN, NEG_INF, \
+    decode_answer, span_loss_batch
 from .data import DomainStream, Sample
 from .metrics import EvalReport, StepResult, em_f1, f1_avg, f1_all, config_hash
 
@@ -41,6 +41,7 @@ _S_INIT, _S_TRAIN, _S_MEM, _S_FISHER, _S_DISC, _S_PROBE = 0, 1, 2, 3, 4, 5
 # (Likewise the KL runs at temperature 1 and the MMD kernel is linear.)
 DISC_LR = 3e-3           # discriminator Adam step size
 EWC_LAMBDA = 10.0        # Fisher-penalty strength
+N_FISHER = 256           # training rows behind each Fisher estimate (at most)
 ONLINE_EWC_GAMMA = 0.95  # decay of the running Fisher
 DER_ALPHA = 0.5          # weight of DER's logit replay
 MEMORY_FRAC = 0.25       # share of a mixed batch replayed from memory
@@ -60,8 +61,6 @@ class ContinualConfig:
     adv_weight: float = 1.0
     kl_weight: float = 1.0
     derpp_beta: float = 0.5
-    n_fisher: int = 256
-    max_answer_len: int = 8
     hidden: int = 64
     n_layers: int = 2
     n_heads: int = 2
@@ -73,10 +72,11 @@ class ContinualConfig:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
                                  f"choose from {allowed}")
         for name, lo in (("memory_size", 0), ("batch_size", 1), ("epochs", 1),
-                         ("n_fisher", 1), ("max_answer_len", 1), ("hidden", 1),
-                         ("n_heads", 1)):
+                         ("hidden", 1), ("n_layers", 1), ("n_heads", 1)):
             if getattr(self, name) < lo:
                 raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         order = self.order(n_domains)
         if sorted(order) != list(range(n_domains)):
             raise ValueError(f"domain_order {order} is not a permutation of "
@@ -393,7 +393,7 @@ class ContinualEngine:
         decayed running Fisher anchored at the latest parameters.
         """
         rng = self._rng(_S_FISHER, t)
-        n = min(self.cfg.n_fisher, len(d_train))
+        n = min(N_FISHER, len(d_train))
         idx = rng.choice(len(d_train), size=n, replace=False)
         fisher = {k: np.zeros_like(p.data) for k, p in model.params.items()}
         batches = [idx[lo:lo + 8] for lo in range(0, n, 8)]
@@ -524,7 +524,7 @@ class ContinualEngine:
             ems, f1s = [], []
             for rows, _, mask, sl, el in model.forward_chunks([s.input_ids for s in test]):
                 starts, ends = decode_answer(ad.softmax(sl).data, ad.softmax(el).data,
-                                             mask, self.cfg.max_answer_len)
+                                             mask, MAX_ANSWER_LEN)
                 for s, i0, j0 in zip(test[rows], starts, ends):
                     e, f = em_f1(s.input_ids[i0:j0 + 1], s.answer_ids)
                     ems.append(e)
@@ -534,11 +534,3 @@ class ContinualEngine:
                                "f1": float(np.mean(f1s))})
             pooled.append(f1s)
         return per_domain, pooled
-
-
-def run_stream(stream: DomainStream, config: ContinualConfig,
-               out_dir=None, resume: bool = False):
-    """Convenience wrapper: build an engine and run the whole stream."""
-    engine = ContinualEngine(stream, config)
-    model, report = engine.run(out_dir=out_dir, resume=resume)
-    return model, report, engine

@@ -23,8 +23,7 @@ from contspan import memory as mem
 from contspan.autodiff import seeded_rng
 from contspan.cli import main as cli_main
 from contspan.data import GenConfig, generate_cdac_stream, generate_cdaq_stream
-from contspan.engine import (ContinualConfig, ContinualEngine, agem_project,
-                             run_stream)
+from contspan.engine import ContinualConfig, ContinualEngine, agem_project
 from contspan.metrics import f1_avg
 
 SEEDS = range(5)
@@ -139,18 +138,18 @@ def protocol():
         gc.collect()  # keep prior seeds' garbage out of the timed section
 
         tic = time.perf_counter()
-        _, rep, _ = run_stream(stream, ContinualConfig(
-            method="lower", seed=seed, **SEQ))
+        _, rep = ContinualEngine(stream, ContinualConfig(
+            method="lower", seed=seed, **SEQ)).run()
         finals["lower"].append(rep.steps[-1].f1_avg)
 
-        _, rep, _ = run_stream(stream, ContinualConfig(
-            method="upper", seed=seed, **JOINT))
+        _, rep = ContinualEngine(stream, ContinualConfig(
+            method="upper", seed=seed, **JOINT)).run()
         finals["upper"].append(rep.steps[-1].f1_avg)
         upper_deltas.append(max(rep.forgetting_deltas()))
         matrix_rows.append([len(r) for r in rep.forgetting_matrix()])
 
-        _, rep, _ = run_stream(stream, ContinualConfig(
-            method="ma_mrc", memory_size=30, seed=seed, **SEQ))
+        _, rep = ContinualEngine(stream, ContinualConfig(
+            method="ma_mrc", memory_size=30, seed=seed, **SEQ)).run()
         finals["ma_mrc"].append(rep.steps[-1].f1_avg)
         disc_steps.append([s.extra["disc_accuracy"] for s in rep.steps
                            if "disc_accuracy" in s.extra])
@@ -170,9 +169,9 @@ def protocol():
         finals["replay"].append(rep.steps[-1].f1_avg)
         ref_steps.append(refs)
 
-        _, rep, _ = run_stream(stream, ContinualConfig(
+        _, rep = ContinualEngine(stream, ContinualConfig(
             method="ma_mrc", memory_size=30, uncertainty_kind="random",
-            seed=seed, **SEQ))
+            seed=seed, **SEQ)).run()
         finals["random"].append(rep.steps[-1].f1_avg)
 
     return dict(finals=finals, disc=disc_steps, refs=ref_steps,
@@ -226,7 +225,7 @@ def test_criterion_04_algorithm_reductions():
     stream = tiny_stream()
 
     def params(config):
-        model, _, _ = run_stream(stream, config)
+        model, _ = ContinualEngine(stream, config).run()
         return model
 
     a = params(tiny_config("lower"))

@@ -1,5 +1,7 @@
+import json
 import math
 import re
+import struct
 import weakref
 from collections import Counter
 from types import SimpleNamespace
@@ -349,15 +351,29 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         BackboneModel.load(bad)
 
 
-@pytest.mark.parametrize("cut", ["header", "payload"])
+@pytest.mark.parametrize("cut", ["header", "payload", "config_key", "n_heads",
+                                 "no_config", "no_params"])
 def test_truncated_checkpoint_names_its_file(tmp_path, cut):
     path = tmp_path / "m.ckpt"
     make_model(seed=13).save(path)
     raw = path.read_bytes()
     # magic (8 bytes), version and header length (12), then the JSON header
-    keep = 8 + 12 + 10 if cut == "header" else len(raw) - 100
-    path.write_bytes(raw[:keep])
-    with pytest.raises(ValueError, match=f"truncated checkpoint: {re.escape(str(path))}"):
+    if cut in ("header", "payload"):
+        path.write_bytes(raw[:8 + 12 + 10 if cut == "header" else len(raw) - 100])
+        fault = "truncated checkpoint"
+    else:  # a whole file whose header the model config cannot take
+        (hlen,) = struct.unpack("<Q", raw[12:20])
+        header = json.loads(raw[20:20 + hlen])
+        if cut == "config_key":
+            header["config"]["dropout"] = 0.1
+        elif cut == "n_heads":  # hidden 16 does not split into 3 heads
+            header["config"]["n_heads"] = 3
+        else:
+            del header[cut[3:]]
+        hb = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:12] + struct.pack("<Q", len(hb)) + hb + raw[20 + hlen:])
+        fault = "malformed checkpoint header"
+    with pytest.raises(ValueError, match=f"{fault}: {re.escape(str(path))}"):
         BackboneModel.load(path)
 
 

@@ -99,17 +99,18 @@ def test_run_rejects_unknown_manifest_key(dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("memory_size", -1), ("batch_size", 0),
-                                         ("epochs", 0), ("max_answer_len", 0),
-                                         ("hidden", 0), ("n_heads", 0)])
+                                         ("epochs", 0), ("lr", -5.0), ("hidden", 0),
+                                         ("n_layers", 0), ("n_heads", 0)])
 def test_run_rejects_out_of_range_setting(dataset, tmp_path, capsys, flag, value):
-    # the model and decoding sizes are manifest keys, the rest are flags
+    # the model sizes are manifest keys, the rest are flags
     manifest = tmp_path / "m.json"
-    in_manifest = flag in ("max_answer_len", "hidden", "n_heads")
+    in_manifest = flag in ("hidden", "n_layers", "n_heads")
     manifest.write_text(json.dumps({flag: value} if in_manifest else {}))
     rc = main(run_args(dataset, tmp_path / "r.json", method="ma_mrc", config=manifest,
                        out_dir=tmp_path / "ck", **({} if in_manifest else {flag: value})))
     assert rc == 1
-    assert f"{flag} must be >=" in capsys.readouterr().err
+    expected = "lr must be positive and finite" if flag == "lr" else f"{flag} must be >="
+    assert expected in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "ck").exists()
 
 
@@ -127,6 +128,39 @@ def test_run_rejects_unknown_rule_before_training(dataset, tmp_path, capsys, fie
     assert rc == 1
     assert f"unknown {field} {value!r}; choose from {allowed}" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "ck").exists()
+
+
+def test_run_rejects_a_manifest_that_is_not_an_object(dataset, tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text("[1, 2]")
+    rc = main(["run", "--config", str(manifest), "--data", str(dataset),
+               "--report", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert f"error: {manifest}: the manifest is not a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["setting", "l_max", "domains"])
+def test_run_stream_manifest_missing_key_exits_1(dataset, tmp_path, capsys, key):
+    bad = tmp_path / "stream"
+    shutil.copytree(dataset, bad)
+    path = bad / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest[key]
+    path.write_text(json.dumps(manifest))
+    assert main(run_args(bad, tmp_path / "r.json")) == 1
+    assert f"error: {path}: missing field {key!r}" in capsys.readouterr().err
+
+
+def test_run_stream_vocab_line_without_tab_exits_1(dataset, tmp_path, capsys):
+    bad = tmp_path / "stream"
+    shutil.copytree(dataset, bad)
+    path = bad / "vocab.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].replace("\t", " ")
+    path.write_text("".join(lines))
+    assert main(run_args(bad, tmp_path / "r.json")) == 1
+    assert f"error: {path}:4: expected a token, a tab and an integer id" \
+        in capsys.readouterr().err
 
 
 def test_run_stream_record_missing_field_exits_1(dataset, tmp_path, capsys):

@@ -8,11 +8,14 @@ from contspan import data as dat
 from contspan.autodiff import seeded_rng
 from contspan.data import (GenConfig, Sample, VocabLayout, build_input_sequence,
                            generate_cdaq_stream, generate_cdac_stream,
-                           write_stream, load_stream,
-                           ingest_jsonl, CLS_ID, SEP_ID, UNK_ID)
+                           write_stream, load_stream, CLS_ID, SEP_ID, UNK_ID)
 from contspan.metrics import em_f1
 
 SMALL = dict(n_domains=3, train_size=40, test_size=20, vocab_size=200, l_max=64)
+
+
+def reserved_vocab():
+    return {dat.CLS_TOKEN: CLS_ID, dat.SEP_TOKEN: SEP_ID, dat.UNK_TOKEN: UNK_ID}
 
 
 def small_cfg(setting, seed=0, **over):
@@ -67,7 +70,7 @@ def test_ingest_drops_malformed_token_span(tmp_path):
            "passage_ids": list(range(20, 30)), "answer_start": 4, "answer_end": 5}
     _write_jsonl(path, [rec, dict(rec, id="neg", answer_start=-1),
                         dict(rec, id="rev", answer_start=6)])
-    samples, _, dropped = ingest_jsonl(path)
+    samples, dropped = dat.read_jsonl_samples(path, 64, reserved_vocab())
     assert [s.id for s in samples] == ["t"] and dropped == 2
 
 
@@ -230,7 +233,8 @@ def test_ingest_recovers_answer_span(tmp_path):
         "passage": "the old keeper holds the key now",
         "answer_text": "the key", "answer_char_start": 21,
     }])
-    samples, vocab, dropped = ingest_jsonl(path)
+    vocab = reserved_vocab()
+    samples, dropped = dat.read_jsonl_samples(path, 64, vocab)
     assert dropped == 0 and len(samples) == 1
     s = samples[0]
     tokens = {v: k for k, v in vocab.items()}
@@ -246,7 +250,8 @@ def test_ingest_snaps_mid_token_offset(tmp_path):
         "passage": "old keeper sleeps", "answer_text": "eeper",
         "answer_char_start": 5,
     }])
-    samples, vocab, _ = ingest_jsonl(path)
+    vocab = reserved_vocab()
+    samples, _ = dat.read_jsonl_samples(path, 64, vocab)
     assert len(samples) == 1
     tokens = {v: k for k, v in vocab.items()}
     assert [tokens[t] for t in samples[0].answer_ids] == ["keeper"]
@@ -259,7 +264,7 @@ def test_ingest_drops_irrecoverable_span(tmp_path):
         "passage": "short text", "answer_text": "absent words",
         "answer_char_start": 0,
     }])
-    samples, _, dropped = ingest_jsonl(path)
+    samples, dropped = dat.read_jsonl_samples(path, 64, reserved_vocab())
     assert samples == [] and dropped == 1
 
 
@@ -267,7 +272,7 @@ def test_ingest_empty_file_warns_not_raises(tmp_path, caplog):
     path = tmp_path / "d.jsonl"
     path.write_text("")
     with caplog.at_level("WARNING"):
-        samples, _, dropped = ingest_jsonl(path)
+        samples, dropped = dat.read_jsonl_samples(path, 64, reserved_vocab())
     assert samples == [] and dropped == 0
     assert "no usable samples" in caplog.text
 
@@ -279,9 +284,9 @@ def test_ingest_malformed_json_names_line(tmp_path):
                        "answer_char_start": 0})
     path.write_text(good + "\nnot json\n")
     with pytest.raises(ValueError, match="malformed JSON"):
-        ingest_jsonl(path)
+        dat.read_jsonl_samples(path, 64, reserved_vocab())
     try:
-        ingest_jsonl(path)
+        dat.read_jsonl_samples(path, 64, reserved_vocab())
     except ValueError as e:
         assert ":2:" in str(e)
 
@@ -290,7 +295,7 @@ def test_ingest_missing_field_rejected(tmp_path):
     path = tmp_path / "d.jsonl"
     _write_jsonl(path, [{"id": "a", "domain": 0, "question": "q"}])
     with pytest.raises(ValueError, match="missing field"):
-        ingest_jsonl(path)
+        dat.read_jsonl_samples(path, 64, reserved_vocab())
 
 
 def test_ingest_token_record_missing_field_names_path_and_line(tmp_path):
@@ -299,7 +304,7 @@ def test_ingest_token_record_missing_field_names_path_and_line(tmp_path):
            "passage_ids": list(range(20, 30)), "answer_start": 4, "answer_end": 5}
     _write_jsonl(path, [rec, {k: v for k, v in rec.items() if k != "answer_start"}])
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: missing field 'answer_start'")):
-        ingest_jsonl(path)
+        dat.read_jsonl_samples(path, 64, reserved_vocab())
 
 
 def test_ingest_unknown_tokens_with_frozen_vocab(tmp_path):

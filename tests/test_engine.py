@@ -12,7 +12,7 @@ from contspan.backbone import BackboneModel, ModelConfig
 from contspan.data import GenConfig, Sample, generate_cdaq_stream
 from contspan.engine import (ONLINE_EWC_GAMMA, ContinualConfig, ContinualEngine,
                              FisherState, agem_project, ewc_penalty, der_replay_mse,
-                             distill_term, run_stream)
+                             distill_term)
 from contspan.metrics import EvalReport
 
 
@@ -107,11 +107,13 @@ def test_config_rejects_unknown_method_and_bad_order():
 
 
 @pytest.mark.parametrize("field, value", [("memory_size", -1), ("batch_size", 0),
-                                          ("epochs", 0), ("n_fisher", 0),
-                                          ("max_answer_len", 0), ("hidden", 0),
-                                          ("n_heads", 0)])
+                                          ("epochs", 0), ("hidden", 0), ("n_layers", 0),
+                                          ("n_heads", 0), ("lr", -5.0), ("lr", 0.0),
+                                          ("lr", float("nan"))])
 def test_config_rejects_out_of_range_sizes(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be >= {value + 1}"):
+    expected = "lr must be positive and finite" if field == "lr" \
+        else f"{field} must be >= {value + 1}"
+    with pytest.raises(ValueError, match=expected):
         ContinualEngine(small_stream(), small_config("ma_mrc", **{field: value}))
 
 
@@ -119,25 +121,27 @@ def test_config_rejects_out_of_range_sizes(field, value):
 
 def test_ma_mrc_without_memory_reduces_to_lower():
     stream = small_stream()
-    m1, _, _ = run_stream(stream, small_config("lower"))
-    m2, _, _ = run_stream(stream, small_config("ma_mrc", memory_size=0,
-                                               adv_weight=0.0, kl_weight=0.0))
+    m1, _ = ContinualEngine(stream, small_config("lower")).run()
+    m2, _ = ContinualEngine(stream, small_config("ma_mrc", memory_size=0, adv_weight=0.0,
+                                                 kl_weight=0.0)).run()
     assert params_equal(m1, m2)
 
 
 def test_derpp_beta_zero_reduces_to_der():
     stream = small_stream()
-    m1, _, _ = run_stream(stream, small_config("der"))
-    m2, _, _ = run_stream(stream, small_config("derpp", derpp_beta=0.0))
+    m1, _ = ContinualEngine(stream, small_config("der")).run()
+    m2, _ = ContinualEngine(stream, small_config("derpp", derpp_beta=0.0)).run()
     assert params_equal(m1, m2)
-    m3, _, _ = run_stream(stream, small_config("derpp"))
+    m3, _ = ContinualEngine(stream, small_config("derpp")).run()
     assert not params_equal(m1, m3)
 
 
 def test_ewc_equals_online_ewc_over_two_domains():
     stream = small_stream(n_domains=2)
-    m1, _, e1 = run_stream(stream, small_config("ewc"))
-    m2, _, e2 = run_stream(stream, small_config("online_ewc"))
+    e1 = ContinualEngine(stream, small_config("ewc"))
+    m1, _ = e1.run()
+    e2 = ContinualEngine(stream, small_config("online_ewc"))
+    m2, _ = e2.run()
     assert params_equal(m1, m2)
     # EWC keeps a state per step; online EWC one running state
     first, second = e1.fisher_states
@@ -150,8 +154,8 @@ def test_ewc_equals_online_ewc_over_two_domains():
 
 def test_lower_equals_upper_on_single_domain():
     stream = small_stream(n_domains=1)
-    m1, r1, _ = run_stream(stream, small_config("lower"))
-    m2, r2, _ = run_stream(stream, small_config("upper"))
+    m1, r1 = ContinualEngine(stream, small_config("lower")).run()
+    m2, r2 = ContinualEngine(stream, small_config("upper")).run()
     assert params_equal(m1, m2)
     assert len(r1.steps) == 1
     assert r1.forgetting_matrix() == r2.forgetting_matrix()
@@ -177,20 +181,21 @@ def test_upper_step_trains_on_seen_union():
 
 def test_order_permutation_is_respected():
     stream = small_stream()
-    _, report, _ = run_stream(stream, small_config("lower", domain_order=[2, 0, 1]))
+    _, report = ContinualEngine(stream, small_config("lower", domain_order=[2, 0, 1])).run()
     assert report.metadata["order"] == [2, 0, 1]
     assert [s.trained_domain for s in report.steps] == [2, 0, 1]
     assert [e["domain"] for e in report.steps[-1].per_domain] == [2, 0, 1]
 
 
 def test_forgetting_matrix_shape_after_run():
-    _, report, _ = run_stream(small_stream(), small_config("ma_mrc"))
+    _, report = ContinualEngine(small_stream(), small_config("ma_mrc")).run()
     assert [len(row) for row in report.forgetting_matrix()] == [1, 2, 3]
     assert len(report.forgetting_deltas()) == 3
 
 
 def test_memory_quotas_across_run():
-    _, report, engine = run_stream(small_stream(), small_config("ma_mrc"))
+    engine = ContinualEngine(small_stream(), small_config("ma_mrc"))
+    engine.run()
     counts = engine.memory.domain_counts()
     assert counts == {0: 2, 1: 2, 2: 2}
     assert len(engine.memory) <= 6
@@ -214,13 +219,13 @@ def test_memory_quotas_follow_stream_position():
 def test_rerun_is_byte_identical(tmp_path):
     stream = small_stream()
     for name in ("a", "b"):
-        run_stream(stream, small_config("ma_mrc"), out_dir=tmp_path / name)
+        ContinualEngine(stream, small_config("ma_mrc")).run(out_dir=tmp_path / name)
     assert (tmp_path / "a" / "report.json").read_bytes() \
         == (tmp_path / "b" / "report.json").read_bytes()
 
 
 def test_timings_live_in_sidecar_not_report(tmp_path):
-    run_stream(small_stream(), small_config("lower"), out_dir=tmp_path)
+    ContinualEngine(small_stream(), small_config("lower")).run(out_dir=tmp_path)
     report_text = (tmp_path / "report.json").read_text()
     assert "step_seconds" not in report_text
     timing = json.loads((tmp_path / "timing.json").read_text())
@@ -258,7 +263,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     stream = small_stream()
 
     full_dir = tmp_path / "full"
-    run_stream(stream, small_config("ma_mrc"), out_dir=full_dir)
+    ContinualEngine(stream, small_config("ma_mrc")).run(out_dir=full_dir)
 
     crash_dir = tmp_path / "crash"
     engine = ContinualEngine(stream, small_config("ma_mrc"))
@@ -278,7 +283,7 @@ def test_resume_reads_only_the_partial_report_and_step_checkpoints(tmp_path, met
     file is read back."""
     stream = small_stream()
     full_dir = tmp_path / "full"
-    run_stream(stream, small_config(method), out_dir=full_dir)
+    ContinualEngine(stream, small_config(method)).run(out_dir=full_dir)
 
     crash_dir = tmp_path / "crash"
     with pytest.raises(Crash):
@@ -329,7 +334,7 @@ def test_resume_after_a_crash_at_any_write_matches_uninterrupted_run(
 
     monkeypatch.setattr(json, "dump", cut_dump)
 
-    run_stream(stream, small_config(method), out_dir=tmp_path / "full")
+    ContinualEngine(stream, small_config(method)).run(out_dir=tmp_path / "full")
     expected = (tmp_path / "full" / "report.json").read_bytes()
     points = [(k, when) for k in range(1, writes[0] + 1) for when in ("before", "after")]
     for i, point in enumerate(points + ["mid-write"]):
@@ -337,9 +342,9 @@ def test_resume_after_a_crash_at_any_write_matches_uninterrupted_run(
         writes[0] = 0
         crash_at[0] = point
         with pytest.raises(Crash):
-            run_stream(stream, small_config(method), out_dir=out)
+            ContinualEngine(stream, small_config(method)).run(out_dir=out)
         crash_at[0] = None
-        run_stream(stream, small_config(method), out_dir=out, resume=True)
+        ContinualEngine(stream, small_config(method)).run(out_dir=out, resume=True)
         assert (out / "report.json").read_bytes() == expected, point
 
 
@@ -355,7 +360,7 @@ def test_empty_split_is_rejected_before_training(tmp_path, split):
 
 def test_resume_rejects_config_mismatch(tmp_path):
     stream = small_stream()
-    run_stream(stream, small_config("lower"), out_dir=tmp_path)
+    ContinualEngine(stream, small_config("lower")).run(out_dir=tmp_path)
     other = ContinualEngine(stream, small_config("lower", lr=1e-3))
     with pytest.raises(ValueError, match="resume config"):
         other.run(out_dir=tmp_path, resume=True)
@@ -363,7 +368,8 @@ def test_resume_rejects_config_mismatch(tmp_path):
 
 def test_fisher_estimates_are_nonnegative_and_shaped():
     stream = small_stream(n_domains=2)
-    _, _, engine = run_stream(stream, small_config("ewc", n_fisher=16))
+    engine = ContinualEngine(stream, small_config("ewc"))
+    engine.run()
     assert len(engine.fisher_states) == 2
     for st in engine.fisher_states:
         for k, f in st.fisher.items():
@@ -397,7 +403,7 @@ def test_probe_accuracy_left_out_when_a_side_has_one_row(caplog):
     stream = generate_cdaq_stream(GenConfig(n_domains=2, train_size=6, test_size=2,
                                             seed=1))
     with caplog.at_level("WARNING"):
-        _, report, _ = run_stream(stream, small_config("ma_mrc", memory_size=1))
+        _, report = ContinualEngine(stream, small_config("ma_mrc", memory_size=1)).run()
     assert set(report.steps[1].extra) == {"disc_accuracy"}
     assert "no probe_accuracy" in caplog.text
 
@@ -428,7 +434,7 @@ def test_tape_holds_and_differentiates_only_tracked_tensors(monkeypatch):
         return out
 
     monkeypatch.setattr(ad, "_make", checking_make)
-    run_stream(small_stream(n_domains=2), small_config("ma_mrc"))
+    ContinualEngine(small_stream(n_domains=2), small_config("ma_mrc")).run()
     assert constants  # the tape did meet constants
     assert not faults, sorted(set(faults))
 
@@ -437,7 +443,7 @@ def test_empty_memory_incremental_step_warns_and_finetunes(caplog):
     stream = small_stream(n_domains=2)
     cfg = small_config("ma_mrc", memory_size=0)
     with caplog.at_level("WARNING"):
-        run_stream(stream, cfg)
+        ContinualEngine(stream, cfg).run()
     assert "empty memory" in caplog.text
 
 
