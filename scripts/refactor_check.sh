@@ -13,7 +13,9 @@
 # (so the same vocab) but 256 test rows per domain: forward-only passes then
 # run full 64-row chunks, as the benchmark's evaluation does. It trains the
 # full method on OUT/cdaqstream too, a tiny question-shift stream, so the
-# paper's second setting is covered as well. The stdout of `contspan gradcheck`
+# paper's second setting is covered as well. One run takes its settings from a
+# --config manifest: the full method with no adversarial game, a halved KL
+# weight and a one-block, four-head model. The stdout of `contspan gradcheck`
 # goes to OUT/gradcheck.txt. It runs inside OUT with relative paths, so
 # eval.json records the same checkpoint path in every OUT. Each other command's
 # output goes to OUT/<run>.log. Run it at both commits, then compare.
@@ -113,6 +115,12 @@ run_set() {
     contspan probnorm2 run --data stream --method ma_mrc --memory-size 12 \
         --epochs 2 --norm norm2 --uncertainty prob --order 2,0,1 --batch-size 7 \
         --report probnorm2.json --out-dir probnorm2
+    mkdir -p manifest
+    printf '%s\n' '{"data": "stream", "method": "ma_mrc", "memory_size": 12, "epochs": 2,' \
+        '"adv_weight": 0, "kl_weight": 0.5, "hidden": 32, "n_layers": 1, "n_heads": 4}' \
+        >manifest/config.json
+    contspan manifest run --config manifest/config.json --report manifest.json \
+        --out-dir manifest
     for c in 0 60 100; do
         for m in ma_mrc agem der; do
             contspan "${m}_c$c" run --data stream --method "$m" --memory-size "$c" \

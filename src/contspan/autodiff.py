@@ -19,10 +19,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# When True, every primitive asserts its output is finite. Cheap enough at
-# desk scale to leave on in tests, off by default in training loops.
-CHECK_FINITE = False
-
 _GELU_C = math.sqrt(2.0 / math.pi)
 BLOCK = 1 << 15  # float64 elements per slice of gelu's in-place chains (256 KiB)
 LN_EPS = 1e-5  # layer_norm's variance floor
@@ -87,8 +83,6 @@ def _consumed(g):
 
 def _make(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
           backward: Callable[[np.ndarray], None] | None) -> Tensor:
-    if CHECK_FINITE and not np.all(np.isfinite(data)):
-        raise FloatingPointError(f"non-finite values produced by op {op!r}")
     out = Tensor(data)
     if backward is not None and _tracked(*inputs):
         out._backward = backward
@@ -189,13 +183,11 @@ def _scatter(rows: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 def pack(a: Tensor, valid: np.ndarray) -> Tensor:
     """The rows of a (B, l, h) tensor where the (B, l) boolean mask valid is
-    set, in row-major order, as (n_valid, h). An (l, h) tensor is broadcast
-    over the batch first; its gradient is summed over the sequences in order,
-    as a broadcast add's would be."""
-    data = np.broadcast_to(a.data, valid.shape + a.data.shape[-1:])[valid]
+    set, in row-major order, as (n_valid, h)."""
+    data = a.data[valid]
 
     def bw(g, _a=a, _valid=valid):
-        yield _a, _unbroadcast(_scatter(g, _valid), _a.data.shape)
+        yield _a, _scatter(g, _valid)
 
     return _make(data, "pack", (a,), bw)
 
@@ -588,8 +580,6 @@ def backward(root: Tensor):
         if node._backward is None:
             continue
         for inp, gin in node._backward(g):
-            if CHECK_FINITE and not np.all(np.isfinite(gin)):
-                raise FloatingPointError(f"non-finite gradient through op {node._op!r}")
             key = id(inp)
             grads[key] = grads[key] + gin if key in grads else gin
         node._backward = _consumed

@@ -131,7 +131,7 @@ class BackboneModel:
         P = self.params
         valid = mask > 0
         x = ad.embedding(P["tok_emb"], batch[valid]) \
-            + ad.pack(ad.index(P["pos_emb"], slice(0, l)), valid)
+            + ad.embedding(P["pos_emb"], np.nonzero(valid)[1])
         x = ad.layer_norm(x, P["ln_emb_g"], P["ln_emb_b"])
         attn_bias = NEG_INF * (1.0 - mask)[:, None, None, :]
         for i in range(cfg.n_layers):
@@ -228,17 +228,16 @@ class BackboneModel:
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
             header = json.loads(read(hlen).decode("utf-8"))
-            model = cls.__new__(cls)
             try:
-                model.config = ModelConfig(**header["config"])
+                model = cls(ModelConfig(**header["config"]), ad.seeded_rng(0))
                 entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"malformed checkpoint header: {path} ({e!r})") from None
-            model.params = {}
+            if entries != [(k, v.data.shape) for k, v in model.params.items()]:
+                raise ValueError(f"malformed checkpoint header: {path} (params do not fit config)")
             for name, shape in entries:
-                n = int(np.prod(shape)) if shape else 1
-                arr = np.frombuffer(read(8 * n), dtype="<f8").reshape(shape).copy()
-                model.params[name] = Tensor(arr, requires_grad=True)
+                arr = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8")
+                model.params[name].data = arr.reshape(shape).copy()
         return model
 
 

@@ -41,6 +41,10 @@ def _keep_freed_heap() -> bool:
     return bool(mallopt(M_MMAP_THRESHOLD, 32 << 20) and mallopt(M_TRIM_THRESHOLD, 64 << 20))
 
 
+def domain_order(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="contspan",
                                  description="continual span-extraction engine")
@@ -63,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--memory-size", type=int)
     r.add_argument("--norm", dest="norm_strategy", choices=NORM_STRATEGIES)
     r.add_argument("--uncertainty", dest="uncertainty_kind", choices=UNCERTAINTY_KINDS)
-    r.add_argument("--order", help="comma-separated domain permutation, e.g. 2,0,1")
+    r.add_argument("--order", dest="domain_order", type=domain_order,
+                   help="comma-separated domain permutation, e.g. 2,0,1")
     r.add_argument("--seed", type=int)
     r.add_argument("--epochs", type=int)
     r.add_argument("--batch-size", type=int)
@@ -111,23 +116,16 @@ def cmd_run(args) -> int:
             manifest = json.load(f)
         if not isinstance(manifest, dict):
             raise ValueError(f"{args.config}: the manifest is not a JSON object")
-    data_dir = args.data or manifest.pop("data", None)
-    if not data_dir:
-        print("error: no data directory (use --data or a 'data' manifest key)",
-              file=sys.stderr)
+    keys = set(ContinualConfig.__dataclass_fields__) | {"data"}  # the run flags' names
+    settings = {**manifest, **{k: v for k, v in vars(args).items() if k in keys and v is not None}}
+    data_dir = settings.pop("data", None)
+    if not (data_dir and isinstance(data_dir, str)):
+        print("error: no data directory (use --data or a 'data' manifest key)", file=sys.stderr)
         return 2
-    fields = ContinualConfig.__dataclass_fields__
-    unknown = set(manifest) - set(fields)
-    if unknown:
+    if unknown := set(settings) - keys:
         print(f"error: unknown manifest keys: {sorted(unknown)}", file=sys.stderr)
         return 2
-    cfg = ContinualConfig(**manifest)
-    for name in fields:  # run flags share their config field's name
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if args.order:
-        cfg.domain_order = [int(x) for x in args.order.split(",")]
+    cfg = ContinualConfig(**settings)
 
     stream = dat.load_stream(data_dir)
     engine = ContinualEngine(stream, cfg)
@@ -191,7 +189,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

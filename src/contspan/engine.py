@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,20 @@ DER_ALPHA = 0.5          # weight of DER's logit replay
 MEMORY_FRAC = 0.25       # share of a mixed batch replayed from memory
 
 
+# Each run setting's one rule beyond its type: its values, or its least value
+FIELD_RULES = {"method": METHODS, "norm_strategy": NORM_STRATEGIES,
+               "uncertainty_kind": UNCERTAINTY_KINDS, "memory_size": 0, "seed": 0,
+               "adv_weight": 0, "kl_weight": 0, "derpp_beta": 0, "epochs": 1,
+               "batch_size": 1, "hidden": 1, "n_layers": 1, "n_heads": 1}
+# The JSON values each annotation takes: an int is no bool, a float is finite
+JSON_TYPES = {"int": ("an int", lambda v: type(v) is int),
+              "float": ("a finite float",
+                        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+              "str": ("a str", lambda v: type(v) is str),
+              "list[int] | None": ("a list of ints or None", lambda v: v is None or (
+                  type(v) is list and all(type(i) is int for i in v)))}
+
+
 @dataclass
 class ContinualConfig:
     method: str = "ma_mrc"
@@ -66,24 +81,22 @@ class ContinualConfig:
     n_heads: int = 2
 
     def validate(self, n_domains: int):
-        for name, allowed in (("method", METHODS), ("norm_strategy", NORM_STRATEGIES),
-                              ("uncertainty_kind", UNCERTAINTY_KINDS)):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
-                                 f"choose from {allowed}")
-        for name, lo in (("memory_size", 0), ("batch_size", 1), ("epochs", 1),
-                         ("hidden", 1), ("n_layers", 1), ("n_heads", 1)):
-            if getattr(self, name) < lo:
-                raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        order = self.order(n_domains)
-        if sorted(order) != list(range(n_domains)):
-            raise ValueError(f"domain_order {order} is not a permutation of "
-                             f"0..{n_domains - 1}")
+        for f in fields(self):
+            name, value, rule = f.name, getattr(self, f.name), FIELD_RULES.get(f.name)
+            what, typed = JSON_TYPES[f.type]
+            if name == "lr" and not (typed(value) and value > 0):
+                raise ValueError(f"lr must be positive and finite, got {value!r}")
+            if not typed(value):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            if isinstance(rule, tuple) and value not in rule:
+                raise ValueError(f"unknown {name} {value!r}; choose from {rule}")
+            if type(rule) is int and value < rule:
+                raise ValueError(f"{name} must be >= {rule}, got {value}")
+        if sorted(order := self.order(n_domains)) != list(range(n_domains)):
+            raise ValueError(f"domain_order {order} is not a permutation of 0..{n_domains - 1}")
 
     def order(self, n_domains: int) -> list[int]:
-        return list(self.domain_order) if self.domain_order else list(range(n_domains))
+        return list(range(n_domains)) if self.domain_order is None else list(self.domain_order)
 
 
 @dataclass

@@ -191,13 +191,6 @@ def test_adam_converges_on_quadratic():
     assert np.abs(x.data).max() < 1e-3
 
 
-def test_check_finite_flag_catches_nan(monkeypatch):
-    monkeypatch.setattr(ad, "CHECK_FINITE", True)
-    with np.errstate(invalid="ignore"):  # the NaN here is the point
-        with pytest.raises(FloatingPointError):
-            ad.log(Tensor([-1.0]))
-
-
 def _lean_inputs():
     """(x, axes) pairs: 2-d and (B, l, h) inputs, the third with
     NEG_INF-masked positions, and a (B, nh, l, dh) view of a (B, l, nh, dh)
@@ -356,15 +349,10 @@ def test_pack_and_unpack_move_rows_and_gradients():
     back = ad.unpack(packed, valid).data
     np.testing.assert_array_equal(back[valid], full[valid])
     np.testing.assert_array_equal(back[~valid], 0.0)
-    # an (l, h) input is broadcast over the batch
-    pos = rng.normal(size=(5, 4))
-    np.testing.assert_array_equal(ad.pack(Tensor(pos), valid).data,
-                                  np.broadcast_to(pos, (3, 5, 4))[valid])
 
     wp = rng.normal(size=(int(valid.sum()), 4))
     wf = rng.normal(size=(3, 5, 4))
     for x, f in ((full, lambda t: ad.tsum(ad.pack(t, valid) * Tensor(wp))),
-                 (pos, lambda t: ad.tsum(ad.square(ad.pack(t, valid)) * Tensor(wp))),
                  (full[valid], lambda t: ad.tsum(ad.square(ad.unpack(t, valid)) * Tensor(wf)))):
         assert ad.finite_difference_check(f, Tensor(x)) < 1e-6
 

@@ -176,8 +176,8 @@ def test_packed_gradients_equal_padded(batch):
 def test_forward_batch_records_the_expected_nodes():
     """Per encoder block the tape holds 24 nodes: attention probabilities are
     one softmax node (scale and mask inside it, no mul or add), and the only
-    adds are the two residuals. Outside the blocks: the embedding, its add
-    and layer norm, the unpack and the two span heads."""
+    adds are the two residuals. Outside the blocks: the token and position
+    embeddings, their add and layer norm, the unpack and the two span heads."""
     model, id_lists = ragged_batch("l_max_row")
     _, _, sl, el = model.forward_batch(id_lists)
     ops, seen, stack = Counter(), set(), [sl, el]
@@ -190,9 +190,9 @@ def test_forward_batch_records_the_expected_nodes():
         stack.extend(t._inputs)
     L = model.config.n_layers
     assert ops == Counter(linear=6 * L, reshape=4 * L, transpose=5 * L, matmul=2 * L + 2,
-                          softmax=L, pack=L + 1, add=2 * L + 3, layer_norm=2 * L + 1,
-                          gelu=L, embedding=1, index=1, unpack=1)
-    assert sum(ops.values()) == 24 * L + 10
+                          softmax=L, pack=L, add=2 * L + 3, layer_norm=2 * L + 1,
+                          gelu=L, embedding=2, unpack=1)
+    assert sum(ops.values()) == 24 * L + 9
 
 
 def test_backward_consumes_the_graph(monkeypatch):
@@ -352,7 +352,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 
 @pytest.mark.parametrize("cut", ["header", "payload", "config_key", "n_heads",
-                                 "no_config", "no_params"])
+                                 "no_config", "no_params", "more_layers", "fewer_layers",
+                                 "param_shape"])
 def test_truncated_checkpoint_names_its_file(tmp_path, cut):
     path = tmp_path / "m.ckpt"
     make_model(seed=13).save(path)
@@ -361,13 +362,19 @@ def test_truncated_checkpoint_names_its_file(tmp_path, cut):
     if cut in ("header", "payload"):
         path.write_bytes(raw[:8 + 12 + 10 if cut == "header" else len(raw) - 100])
         fault = "truncated checkpoint"
-    else:  # a whole file whose header the model config cannot take
+    else:
+        # a whole file whose header the model config cannot take, or whose
+        # params are not those its config builds
         (hlen,) = struct.unpack("<Q", raw[12:20])
         header = json.loads(raw[20:20 + hlen])
         if cut == "config_key":
             header["config"]["dropout"] = 0.1
         elif cut == "n_heads":  # hidden 16 does not split into 3 heads
             header["config"]["n_heads"] = 3
+        elif cut.endswith("_layers"):  # the params hold one block
+            header["config"]["n_layers"] = 2 if cut == "more_layers" else 0
+        elif cut == "param_shape":  # the same bytes, read as the transposed table
+            header["params"][0]["shape"].reverse()
         else:
             del header[cut[3:]]
         hb = json.dumps(header).encode("utf-8")

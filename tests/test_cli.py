@@ -1,12 +1,17 @@
 import ctypes
 import json
+import math
 import platform
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from contspan import cli
 from contspan.cli import main
+from contspan.engine import METHODS, NORM_STRATEGIES, UNCERTAINTY_KINDS
 from contspan.metrics import EvalReport
 
 
@@ -90,6 +95,12 @@ def test_run_manifest_with_flag_override(dataset, tmp_path):
     assert EvalReport.load(report_path).metadata["method"] == "lower"
 
 
+def test_run_data_flag_overrides_the_manifest_data_key(dataset, tmp_path):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"data": str(tmp_path / "nowhere"), "epochs": 1}))
+    assert main(run_args(dataset, tmp_path / "r.json", config=manifest)) == 0
+
+
 def test_run_rejects_unknown_manifest_key(dataset, tmp_path, capsys):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"data": str(dataset), "warmup": 3}))
@@ -98,20 +109,105 @@ def test_run_rejects_unknown_manifest_key(dataset, tmp_path, capsys):
     assert "unknown manifest keys" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("memory_size", -1), ("batch_size", 0),
-                                         ("epochs", 0), ("lr", -5.0), ("hidden", 0),
-                                         ("n_layers", 0), ("n_heads", 0)])
+def error_lines(err: str) -> list[str]:
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+FLAG_TYPES = {"memory_size": int, "batch_size": int, "epochs": int, "lr": float}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("memory_size", -1), ("batch_size", 0), ("epochs", 0), ("lr", -5.0), ("hidden", 0),
+    ("n_layers", 0), ("n_heads", 0),
+    # JSON values that once ended in a traceback, trained a non-finite model,
+    # or ran and recorded a string or a bool
+    ("epochs", "3"), ("domain_order", [0, "1"]), ("domain_order", [0, 1.0]),
+    ("memory_size", 2.5), ("seed", 1.5), ("hidden", 16.0), ("lr", "0.1"),
+    ("adv_weight", None), ("adv_weight", float("nan")), ("kl_weight", float("inf")),
+    ("kl_weight", None), ("kl_weight", "0"), ("epochs", True), ("memory_size", True),
+    ("seed", -1), pytest.param("kl_weight", 10 ** 400, id="kl_weight-10**400")])
 def test_run_rejects_out_of_range_setting(dataset, tmp_path, capsys, flag, value):
-    # the model sizes are manifest keys, the rest are flags
+    # a number of its flag's type goes as that flag, any other value as a
+    # manifest key
+    as_flag = type(value) is FLAG_TYPES.get(flag)
     manifest = tmp_path / "m.json"
-    in_manifest = flag in ("hidden", "n_layers", "n_heads")
-    manifest.write_text(json.dumps({flag: value} if in_manifest else {}))
-    rc = main(run_args(dataset, tmp_path / "r.json", method="ma_mrc", config=manifest,
-                       out_dir=tmp_path / "ck", **({} if in_manifest else {flag: value})))
+    base = {"method": "ma_mrc", "epochs": 1, "batch_size": 8, "seed": 0}
+    manifest.write_text(json.dumps(base if as_flag else {**base, flag: value}))
+    args = ["run", "--data", str(dataset), "--config", str(manifest),
+            "--report", str(tmp_path / "r.json"), "--out-dir", str(tmp_path / "ck")]
+    rc = main(args + ([f"--{flag.replace('_', '-')}", str(value)] if as_flag else []))
     assert rc == 1
-    expected = "lr must be positive and finite" if flag == "lr" else f"{flag} must be >="
-    assert expected in capsys.readouterr().err
+    expected = "lr must be positive and finite" if flag == "lr" \
+        else f"{flag} must be >=" if type(value) is int and value < 1 else f"{flag} must be"
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line.startswith(f"error: {expected}")
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "ck").exists()
+
+
+def test_run_rejects_an_order_that_is_not_integers(dataset, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(run_args(dataset, tmp_path / "r.json", order="0,x"))
+    assert exit_.value.code == 2
+    assert "argument --order: invalid domain_order value: '0,x'" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+VALID_MANIFEST = {"method": "ma_mrc", "memory_size": 4, "norm_strategy": "norm2",
+                  "uncertainty_kind": "prob", "epochs": 1, "batch_size": 8, "lr": 3e-3,
+                  "domain_order": [1, 0], "seed": 0, "adv_weight": 1.0, "kl_weight": 0.5,
+                  "derpp_beta": 0.5, "hidden": 16, "n_layers": 1, "n_heads": 2}
+CHOICES = {"method": METHODS, "norm_strategy": NORM_STRATEGIES,
+           "uncertainty_kind": UNCERTAINTY_KINDS}
+DROP = object()
+
+
+@st.composite
+def mutations(draw):
+    """One manifest key (a config field, or data) and what a mutation makes
+    of it: DROP, or a value of another JSON type, a negative or non-finite
+    number, or a list. Only mutations that leave the manifest invalid."""
+    key = draw(st.sampled_from(["data", *VALID_MANIFEST]))
+    kinds = [st.just(DROP), st.text(max_size=8), st.booleans(), st.none(),
+             st.lists(st.one_of(st.integers(-1, 2), st.floats(0, 2), st.text(max_size=1)),
+                      max_size=3),
+             st.integers(max_value=-1), st.floats(max_value=-1e-9, allow_infinity=False),
+             st.sampled_from([math.nan, math.inf, -math.inf])]
+    if type(VALID_MANIFEST.get(key)) is int:
+        kinds.append(st.floats(allow_nan=False, allow_infinity=False))
+    value = draw(st.one_of(kinds))
+    if key == "data":  # a path string is the stream loader's to judge
+        assume(not isinstance(value, str))
+    else:  # a dropped field takes its valid default
+        assume(value is not DROP and value not in CHOICES.get(key, ()))
+    if key == "domain_order":  # None, or a permutation of int ids, is valid
+        assume(not (value is None or isinstance(value, list)
+                    and sorted(map(repr, value)) == ["0", "1"]))
+    return key, value
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations())
+def test_run_rejects_every_mutated_manifest_before_writing(dataset, capsys, mutation):
+    key, value = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        manifest = {**VALID_MANIFEST, "data": str(dataset)}
+        if value is DROP:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        (tmp / "m.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["run", "--config", str(tmp / "m.json"), "--report", str(tmp / "r.json"),
+                   "--out-dir", str(tmp / "ck")])
+        (line,) = error_lines(capsys.readouterr().err)
+        if key == "data":
+            assert rc == 2 and line.startswith("error: no data directory")
+        else:
+            assert rc == 1 and key in line
+        assert sorted(tmp.iterdir()) == [tmp / "m.json"]
 
 
 @pytest.mark.parametrize("field, value, allowed", [
@@ -186,6 +282,13 @@ def test_run_missing_dataset_errors_cleanly(tmp_path, capsys):
     rc = main(run_args(tmp_path / "nope", tmp_path / "r.json"))
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_data_that_is_a_file_exits_1(dataset, tmp_path, capsys):
+    rc = main(run_args(dataset / "manifest.json", tmp_path / "r.json"))
+    assert rc == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert "manifest.json" in line
 
 
 def test_resume_without_a_committed_checkpoint_exits_1(dataset, tmp_path, capsys):

@@ -109,7 +109,9 @@ def test_config_rejects_unknown_method_and_bad_order():
 @pytest.mark.parametrize("field, value", [("memory_size", -1), ("batch_size", 0),
                                           ("epochs", 0), ("hidden", 0), ("n_layers", 0),
                                           ("n_heads", 0), ("lr", -5.0), ("lr", 0.0),
-                                          ("lr", float("nan"))])
+                                          ("lr", float("nan")), ("seed", -1),
+                                          ("adv_weight", -1), ("kl_weight", -1),
+                                          ("derpp_beta", -1)])
 def test_config_rejects_out_of_range_sizes(field, value):
     expected = "lr must be positive and finite" if field == "lr" \
         else f"{field} must be >= {value + 1}"
