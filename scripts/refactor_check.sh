@@ -8,7 +8,10 @@
 # with the package in this checkout's src/: every method, `eval` of the full
 # method's final checkpoint, the other uncertainty and retention rules with a
 # domain order and an odd batch size, and capacities 0, 60 and 100 (above the
-# first domain's 48 training rows) for ma_mrc, agem and der. It also scores
+# first domain's 48 training rows) for ma_mrc, agem and der. agem, derpp and
+# online_ewc run once more with batch size 7 and order 1,2,0, so each method's
+# loss and gradient projection also meet a partial last batch and a stream
+# out of index order. It also scores
 # that checkpoint on OUT/deskstream, made with the same generator settings
 # (so the same vocab) but 256 test rows per domain: forward-only passes then
 # run full 64-row chunks, as the benchmark's evaluation does. It trains the
@@ -121,6 +124,10 @@ run_set() {
         >manifest/config.json
     contspan manifest run --config manifest/config.json --report manifest.json \
         --out-dir manifest
+    for m in agem derpp online_ewc; do
+        contspan "${m}_b7" run --data stream --method "$m" --memory-size 12 --epochs 2 \
+            --batch-size 7 --order 1,2,0 --report "${m}_b7.json" --out-dir "${m}_b7"
+    done
     for c in 0 60 100; do
         for m in ma_mrc agem der; do
             contspan "${m}_c$c" run --data stream --method "$m" --memory-size "$c" \

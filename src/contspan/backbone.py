@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, asdict
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .metrics import atomic_write
 
 CHECKPOINT_MAGIC = b"CSPANCKP"
 CHECKPOINT_VERSION = 1
@@ -205,7 +207,7 @@ class BackboneModel:
                        for k, v in self.params.items()],
         }
         hb = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as f:
+        with atomic_write(path, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(hb)))
             f.write(hb)
@@ -230,7 +232,8 @@ class BackboneModel:
             header = json.loads(read(hlen).decode("utf-8"))
             try:
                 model = cls(ModelConfig(**header["config"]), ad.seeded_rng(0))
-                entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+                entries = [(e["name"], tuple(map(operator.index, e["shape"])))
+                           for e in header["params"]]
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"malformed checkpoint header: {path} ({e!r})") from None
             if entries != [(k, v.data.shape) for k, v in model.params.items()]:

@@ -94,10 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    for flag, val in (("--domains", args.domains), ("--train-size", args.train_size),
-                      ("--test-size", args.test_size)):
-        if val < 1:
-            raise ValueError(f"{flag} must be >= 1, got {val}")
+    for flag, val, least in (("--domains", args.domains, 1), ("--train-size", args.train_size, 1),
+                             ("--test-size", args.test_size, 1), ("--seed", args.seed, 0)):
+        if val < least:
+            raise ValueError(f"{flag} must be >= {least}, got {val}")
     cfg = dat.GenConfig(setting=args.setting, n_domains=args.domains,
                         train_size=args.train_size, test_size=args.test_size,
                         vocab_size=args.vocab_size, l_max=args.l_max,

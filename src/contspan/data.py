@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -34,6 +35,28 @@ PAYLOAD_LEN = (1, 4)  # answer payload after its marker
 # cdac passage lengths, interpolated from the first domain's to the last's
 CDAC_LEN_LO = (15, 25)
 CDAC_LEN_HI = (40, 55)
+
+
+def _list_of(kind):
+    return lambda v: type(v) is list and all(type(i) is kind for i in v)
+
+
+# The JSON values each annotation or field kind takes: an int is no bool, a float is finite
+JSON_TYPES = {"int": ("an int", lambda v: type(v) is int),
+              "float": ("a finite float",
+                        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+              "str": ("a str", lambda v: type(v) is str),
+              "str | int": ("a str or an int", lambda v: type(v) in (str, int)),
+              "list[int]": ("a list of ints", _list_of(int)),
+              "list[str]": ("a list of strs", _list_of(str)),
+              "list[int] | None": ("a list of ints or None",
+                                   lambda v: v is None or _list_of(int)(v))}
+# The kind of each field of a token record, a text record and a stream manifest
+RECORD_FIELDS = {"id": "str | int", "domain": "int", "question_ids": "list[int]",
+                 "passage_ids": "list[int]", "answer_start": "int", "answer_end": "int"}
+TEXT_FIELDS = {"id": "str | int", "domain": "int", "question": "str", "passage": "str",
+               "answer_text": "str", "answer_char_start": "int"}
+MANIFEST_FIELDS = {"setting": "str", "l_max": "int", "domains": "list[str]"}
 
 
 @dataclass
@@ -73,21 +96,22 @@ class Sample:
     @classmethod
     def from_record(cls, rec: dict, where: str) -> "Sample":
         """Inverse of ``record``; ``where`` (``path:line``) names the record
-        in the error a missing field raises."""
-        _require(rec, ("id", "domain", "question_ids", "passage_ids",
-                       "answer_start", "answer_end"), where)
-        return cls(id=str(rec["id"]), domain=int(rec["domain"]),
-                   question_ids=list(rec["question_ids"]),
-                   passage_ids=list(rec["passage_ids"]),
-                   answer_start=int(rec["answer_start"]),
-                   answer_end=int(rec["answer_end"]))
+        in the error a missing or mistyped field raises."""
+        _require(rec, RECORD_FIELDS, where)
+        return cls(**{k: rec[k] for k in RECORD_FIELDS} | {"id": str(rec["id"])})
 
 
-def _require(rec: dict, keys, where: str):
-    """Reject a record that lacks one of keys, naming where it came from."""
-    for key in keys:
+def _require(rec, kinds: dict[str, str], where: str):
+    """Reject a record that is not a JSON object, lacks a field of kinds or
+    holds a value not of the field's JSON_TYPES kind, naming where it came from."""
+    if type(rec) is not dict:
+        raise ValueError(f"{where}: not a JSON object")
+    for key, kind in kinds.items():
         if key not in rec:
             raise ValueError(f"{where}: missing field {key!r}")
+        what, typed = JSON_TYPES[kind]
+        if not typed(rec[key]):
+            raise ValueError(f"{where}: {key} must be {what}, got {rec[key]!r}")
 
 
 @dataclass
@@ -349,7 +373,7 @@ def load_stream(data_dir) -> DomainStream:
     root = Path(data_dir)
     with open(root / "manifest.json", encoding="utf-8") as f:
         manifest = json.load(f)
-    _require(manifest, ("setting", "l_max", "domains"), str(root / "manifest.json"))
+    _require(manifest, MANIFEST_FIELDS, str(root / "manifest.json"))
     vocab = read_vocab(root / "vocab.txt")
     domains = []
     for idx, name in enumerate(manifest["domains"]):
@@ -379,7 +403,8 @@ def read_vocab(path) -> dict[str, int]:
 
 
 def read_jsonl_samples(path, l_max: int, vocab: dict[str, int]):
-    """Read one domain file, token-level or text records by field presence.
+    """Read one domain file of JSON objects: token records, which hold token
+    ids (question_ids or passage_ids), or text records.
 
     Text records are tokenized against vocab, which gains their unseen
     tokens. Returns (samples, dropped_count); records that fail span
@@ -395,7 +420,7 @@ def read_jsonl_samples(path, l_max: int, vocab: dict[str, int]):
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{lineno}: malformed JSON: {e}") from None
-            if "question_ids" in rec:
+            if type(rec) is dict and rec.keys() & {"question_ids", "passage_ids"}:
                 sample = Sample.from_record(rec, f"{path}:{lineno}")
                 try:
                     samples.append(sample.assemble(l_max))
@@ -426,13 +451,10 @@ def _tokenize(text: str, vocab: dict[str, int]):
 
 
 def _sample_from_text(rec, vocab, l_max, path, lineno):
-    _require(rec, ("id", "domain", "question", "passage", "answer_text",
-                   "answer_char_start"), f"{path}:{lineno}")
+    _require(rec, TEXT_FIELDS, f"{path}:{lineno}")
     q_ids, _ = _tokenize(rec["question"], vocab)
     p_ids, p_spans = _tokenize(rec["passage"], vocab)
-    if not q_ids or not p_ids:
-        return None
-    char_start = int(rec["answer_char_start"])
+    char_start = rec["answer_char_start"]
     char_end = char_start + len(rec["answer_text"])
     tok_start = tok_end = None
     for i, (a, b) in enumerate(p_spans):
@@ -447,7 +469,7 @@ def _sample_from_text(rec, vocab, l_max, path, lineno):
             and " ".join(rec["answer_text"].split()) not in recovered:
         return None
     offset = 1 + len(q_ids) + 1
-    sample = Sample(id=str(rec["id"]), domain=int(rec["domain"]),
+    sample = Sample(id=str(rec["id"]), domain=rec["domain"],
                     question_ids=q_ids, passage_ids=p_ids,
                     answer_start=tok_start + offset, answer_end=tok_end + offset)
     try:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import sys
 import time
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
@@ -25,7 +24,7 @@ from . import memory as mem
 from .autodiff import Tensor
 from .backbone import BackboneModel, ModelConfig, MAX_ANSWER_LEN, NEG_INF, \
     decode_answer, span_loss_batch
-from .data import DomainStream, Sample
+from .data import JSON_TYPES, DomainStream, Sample
 from .metrics import EvalReport, StepResult, em_f1, f1_avg, f1_all, config_hash
 
 log = logging.getLogger(__name__)
@@ -53,13 +52,6 @@ FIELD_RULES = {"method": METHODS, "norm_strategy": NORM_STRATEGIES,
                "uncertainty_kind": UNCERTAINTY_KINDS, "memory_size": 0, "seed": 0,
                "adv_weight": 0, "kl_weight": 0, "derpp_beta": 0, "epochs": 1,
                "batch_size": 1, "hidden": 1, "n_layers": 1, "n_heads": 1}
-# The JSON values each annotation takes: an int is no bool, a float is finite
-JSON_TYPES = {"int": ("an int", lambda v: type(v) is int),
-              "float": ("a finite float",
-                        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
-              "str": ("a str", lambda v: type(v) is str),
-              "list[int] | None": ("a list of ints or None", lambda v: v is None or (
-                  type(v) is list and all(type(i) is int for i in v)))}
 
 
 @dataclass
@@ -134,6 +126,13 @@ def gold_span_loss(sl: Tensor, el: Tensor, samples: list[Sample]) -> Tensor:
     """Mean span cross-entropy of (B, l) logits against the samples' gold spans."""
     return span_loss_batch(sl, el, np.array([s.answer_start for s in samples]),
                            np.array([s.answer_end for s in samples]))
+
+
+def span_loss(model: BackboneModel, samples: list[Sample]) -> Tensor:
+    """The model's mean span loss on the samples: a forward pass plus
+    gold_span_loss."""
+    _, _, sl, el = model.forward_batch([s.input_ids for s in samples])
+    return gold_span_loss(sl, el, samples)
 
 
 def _pad_logits(rows, width: int) -> np.ndarray:
@@ -249,27 +248,19 @@ class ContinualEngine:
         for t in range(len(report.steps) + 1, len(order) + 1):
             dom = self.stream.domains[order[t - 1]]
             tic = time.perf_counter()
-            extra: dict = {}
+            extra = {}
             if t == 1:
                 self.train_initial(model, dom.train, t)
             else:
-                step_fn = {
-                    "lower": self.lower_bound_step,
-                    "upper": self.upper_bound_step,
-                    "ewc": self.ewc_step,
-                    "online_ewc": self.ewc_step,
-                    "agem": self.agem_step,
-                    "der": self.der_step,
-                    "derpp": self.der_step,
-                    "ma_mrc": self.incremental_step,
-                }[cfg.method]
+                step_fn = {"lower": self.lower_bound_step, "upper": self.upper_bound_step,
+                           "ewc": self.ewc_step, "online_ewc": self.ewc_step,
+                           "agem": self.agem_step, "der": self.der_step, "derpp": self.der_step,
+                           "ma_mrc": self.incremental_step}[cfg.method]
                 if uses_memory and not self.memory.items:
                     log.warning("empty memory at step %d; degenerating to plain "
                                 "fine-tuning", t)
                     step_fn = self.lower_bound_step
-                step_extra = step_fn(model, dom.train, t, order)
-                if step_extra:
-                    extra.update(step_extra)
+                extra = step_fn(model, dom.train, t, order) or {}
             self._after_step(model, t, order)
             self.timings.append(time.perf_counter() - tic)
 
@@ -329,48 +320,27 @@ class ContinualEngine:
     # -- shared machinery ---------------------------------------------------
 
     def _fit(self, model: BackboneModel, samples: list[Sample],
-             rng: np.random.Generator, batch_hook=None, loss_hook=None,
-             mix_hook=None) -> list[float]:
-        """Adam epochs over shuffled batches of the span loss.
-
-        mix_hook(batch_samples) may return the batch extended by replayed
-        rows, which then share the forward pass and the span loss;
-        loss_hook(batch_samples, loss, sl, el, h), given the span logits and
-        the encodings, returns the loss to minimise, built on the span loss;
-        batch_hook() may rewrite the parameters' gradients before the
-        optimizer step (gradient-projection methods).
-        """
+             rng: np.random.Generator, loss_fn=None, grad_hook=None) -> list[float]:
+        """Adam epochs over shuffled batches, minimising loss_fn(batch), the
+        batch's whole loss (by default its span loss). grad_hook() may rewrite
+        the parameters' gradients before the optimizer step (A-GEM)."""
         cfg = self.cfg
+        loss_fn = loss_fn or (lambda batch: span_loss(model, batch))
         opt = ad.Adam(model.parameters(), lr=cfg.lr)
         epoch_losses = []
         for _ in range(cfg.epochs):
             perm = rng.permutation(len(samples))
-            running = 0.0
-            nb = 0
+            losses = []
             for lo in range(0, len(samples), cfg.batch_size):
-                batch = [samples[i] for i in perm[lo:lo + cfg.batch_size]]
-                if mix_hook is not None:
-                    batch = mix_hook(batch)
-                h, _, sl, el = model.forward_batch([s.input_ids for s in batch])
-                loss = gold_span_loss(sl, el, batch)
-                if loss_hook is not None:
-                    loss = loss_hook(batch, loss, sl, el, h)
+                loss = loss_fn([samples[i] for i in perm[lo:lo + cfg.batch_size]])
                 opt.zero_grad()
                 ad.backward(loss)
-                if batch_hook is not None:
-                    batch_hook()
+                if grad_hook is not None:
+                    grad_hook()
                 opt.step()
-                running += loss.item()
-                nb += 1
-            epoch_losses.append(running / max(nb, 1))
+                losses.append(loss.item())
+            epoch_losses.append(sum(losses) / max(len(losses), 1))
         return epoch_losses
-
-    def _span_grad(self, model: BackboneModel, batch: list[Sample]):
-        """The mean span loss's gradient on a batch, in the parameters' grad."""
-        _, _, sl, el = model.forward_batch([s.input_ids for s in batch])
-        loss = gold_span_loss(sl, el, batch)
-        model.zero_grad()
-        ad.backward(loss)
 
     # -- per-method steps ---------------------------------------------------
 
@@ -394,10 +364,10 @@ class ContinualEngine:
         self._fit(model, union, self._rng(_S_TRAIN, t))
 
     def ewc_step(self, model, d_train, t, order):
-        def hook(batch, loss, sl, el, h):
-            return loss + ewc_penalty(model, self.fisher_states, EWC_LAMBDA)
+        def loss_fn(batch):
+            return span_loss(model, batch) + ewc_penalty(model, self.fisher_states, EWC_LAMBDA)
 
-        self._fit(model, d_train, self._rng(_S_TRAIN, t), loss_hook=hook)
+        self._fit(model, d_train, self._rng(_S_TRAIN, t), loss_fn=loss_fn)
 
     def _record_fisher(self, model: BackboneModel, d_train: list[Sample], t: int):
         """Diagonal Fisher from squared span-loss gradients on small batches.
@@ -411,7 +381,8 @@ class ContinualEngine:
         fisher = {k: np.zeros_like(p.data) for k, p in model.params.items()}
         batches = [idx[lo:lo + 8] for lo in range(0, n, 8)]
         for batch in batches:
-            self._span_grad(model, [d_train[i] for i in batch])
+            model.zero_grad()
+            ad.backward(span_loss(model, [d_train[i] for i in batch]))
             for k, p in model.params.items():
                 fisher[k] += p.grad * p.grad
         for k in fisher:
@@ -427,16 +398,17 @@ class ContinualEngine:
         mem_items = self.memory.items
         params = model.parameters()
 
-        def hook():
+        def project():
             g = np.concatenate([p.grad.reshape(-1) for p in params])
             k = min(self.cfg.batch_size, len(mem_items))
             pick = rng.choice(len(mem_items), size=k, replace=False)
-            self._span_grad(model, [mem_items[i].sample for i in pick])
+            model.zero_grad()
+            ad.backward(span_loss(model, [mem_items[i].sample for i in pick]))
             g = agem_project(g, np.concatenate([p.grad.reshape(-1) for p in params]))
             for p, part in zip(params, np.split(g, np.cumsum([p.data.size for p in params]))):
                 p.grad = part.reshape(p.data.shape)
 
-        self._fit(model, d_train, rng, batch_hook=hook)
+        self._fit(model, d_train, rng, grad_hook=project)
 
     def der_step(self, model, d_train, t, order):
         """Logit replay; the plus-plus variant adds gold-label replay."""
@@ -444,12 +416,13 @@ class ContinualEngine:
         mem_items = self.memory.items
         beta = self.cfg.derpp_beta if self.cfg.method == "derpp" else 0.0
 
-        def hook(batch, loss, sl, el, h):
+        def loss_fn(batch):
+            loss = span_loss(model, batch)
             k = min(self.cfg.batch_size, len(mem_items))
             pick = rng.choice(len(mem_items), size=k, replace=False)
             return loss + der_replay_loss(model, [mem_items[i] for i in pick], beta)
 
-        self._fit(model, d_train, rng, loss_hook=hook)
+        self._fit(model, d_train, rng, loss_fn=loss_fn)
 
     def incremental_step(self, model, d_train, t, order) -> dict:
         """Full method: mixed-batch replay + adversarial game + distillation."""
@@ -461,23 +434,22 @@ class ContinualEngine:
         disc_opt = ad.Adam(disc.parameters(), lr=DISC_LR)
         k = min(max(1, math.ceil(cfg.batch_size * MEMORY_FRAC)), len(mem_items))
 
-        def mix(cur):
+        def loss_fn(cur):
+            # the mixed batch: the n current rows, then k replayed memory rows
+            n = len(cur)
             pick = rng.choice(len(mem_items), size=k, replace=False)
-            return cur + [mem_items[i].sample for i in pick]
-
-        def hook(batch, loss, sl, el, h):
-            # the replayed memory rows are the batch's last k
-            n = len(batch) - k
+            batch = cur + [mem_items[i].sample for i in pick]
+            h, _, sl, el = model.forward_batch([s.input_ids for s in batch])
+            loss = gold_span_loss(sl, el, batch)
             if cfg.adv_weight != 0.0:
-                pooled = h.data[:, 0]
-                adv.discriminator_step(disc, disc_opt, pooled[n:], pooled[:n])
+                adv.discriminator_step(disc, disc_opt, h.data[n:, 0], h.data[:n, 0])
                 loss = loss + adversarial_term(disc, h, n) * cfg.adv_weight
             if cfg.kl_weight != 0.0:
                 loss = loss + distill_term(teacher, [s.input_ids for s in batch[n:]],
                                            sl, el, n) * cfg.kl_weight
             return loss
 
-        self._fit(model, d_train, rng, loss_hook=hook, mix_hook=mix)
+        self._fit(model, d_train, rng, loss_fn=loss_fn)
         if cfg.adv_weight == 0.0:
             return {}
         # the game discriminator's held-out accuracy and, as the sharper

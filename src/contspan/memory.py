@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .backbone import BackboneModel
 from .data import Sample
+from .metrics import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -193,7 +194,7 @@ def update_memory(memory: Memory, d_t_train: list[Sample], model: BackboneModel,
 # serialization (same JSONL sample format, plus an extension block)
 
 def save_memory(memory: Memory, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, encoding="utf-8") as f:
         f.write(json.dumps({"_capacity": memory.capacity}, sort_keys=True) + "\n")
         for it in memory.items:
             rec = it.sample.record()

@@ -12,9 +12,19 @@ import hashlib
 import json
 import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 SCHEMA_VERSION = 1
+
+
+@contextmanager
+def atomic_write(path, mode="w", **kwargs):
+    """Open a temp file beside path and rename it onto path once the block
+    ends, so a crash mid-write leaves no truncated file at path."""
+    with open(f"{path}.tmp", mode, **kwargs) as f:
+        yield f
+    os.replace(f"{path}.tmp", path)
 
 
 def em_f1(pred_ids, gold_ids) -> tuple[int, float]:
@@ -44,10 +54,7 @@ def f1_avg(per_domain_f1) -> float:
 
 def f1_all(per_sample_f1_by_domain) -> float:
     """Sample-weighted F1 over the pooled union of all seen test sets."""
-    pooled = [f for dom in per_sample_f1_by_domain for f in dom]
-    if not pooled:
-        raise ValueError("f1_all of empty pool")
-    return sum(pooled) / len(pooled)
+    return f1_avg(f for dom in per_sample_f1_by_domain for f in dom)
 
 
 @dataclass
@@ -91,13 +98,9 @@ class EvalReport:
         }
 
     def save(self, path):
-        """Write to a temp file beside path, then rename it into place, so a
-        crash mid-write leaves the previous file whole."""
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
+        with atomic_write(path, encoding="utf-8") as f:
             json.dump(self.to_dict(), f, sort_keys=True, indent=2)
             f.write("\n")
-        os.replace(tmp, path)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":

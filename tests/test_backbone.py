@@ -353,7 +353,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 @pytest.mark.parametrize("cut", ["header", "payload", "config_key", "n_heads",
                                  "no_config", "no_params", "more_layers", "fewer_layers",
-                                 "param_shape"])
+                                 "param_shape", "float_shape"])
 def test_truncated_checkpoint_names_its_file(tmp_path, cut):
     path = tmp_path / "m.ckpt"
     make_model(seed=13).save(path)
@@ -375,6 +375,8 @@ def test_truncated_checkpoint_names_its_file(tmp_path, cut):
             header["config"]["n_layers"] = 2 if cut == "more_layers" else 0
         elif cut == "param_shape":  # the same bytes, read as the transposed table
             header["params"][0]["shape"].reverse()
+        elif cut == "float_shape":  # equal to the int shape, but no shape
+            header["params"][0]["shape"] = [float(d) for d in header["params"][0]["shape"]]
         else:
             del header[cut[3:]]
         hb = json.dumps(header).encode("utf-8")

@@ -3,6 +3,7 @@ import json
 import math
 import platform
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from contspan import cli
 from contspan.cli import main
+from contspan.data import load_stream
 from contspan.engine import METHODS, NORM_STRATEGIES, UNCERTAINTY_KINDS
 from contspan.metrics import EvalReport
 
@@ -35,12 +37,14 @@ def run_args(dataset, report, **extra):
     return args
 
 
-@pytest.mark.parametrize("flag", ["--domains", "--train-size", "--test-size"])
+@pytest.mark.parametrize("flag", ["--domains", "--train-size", "--test-size", "--seed"])
 def test_gen_rejects_sizes_below_one(tmp_path, capsys, flag):
+    least = 0 if flag == "--seed" else 1
     out = tmp_path / "stream"
-    rc = main(["gen", "--setting", "cdac", flag, "0", "--out", str(out)])
+    rc = main(["gen", "--setting", "cdac", flag, str(least - 1), "--out", str(out)])
     assert rc == 1
-    assert f"error: {flag} must be >= 1, got 0" in capsys.readouterr().err
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line == f"error: {flag} must be >= {least}, got {least - 1}"
     assert not out.exists()
 
 
@@ -272,6 +276,116 @@ def test_run_stream_record_missing_field_exits_1(dataset, tmp_path, capsys):
     assert f"{path}:3: missing field 'answer_start'" in capsys.readouterr().err
 
 
+TEXT_RECORD = {"id": "t1", "domain": 1, "question": "who sleeps",
+               "passage": "the old keeper sleeps", "answer_text": "keeper",
+               "answer_char_start": 8}
+
+
+def mutate_stream(dataset, out, name, field, value, lineno=3):
+    """Copy the stream to out and set field to value in its file name: the
+    manifest, or line lineno of a JSONL file. value DROP deletes the field;
+    field None replaces the whole line with value, and a field only a text
+    record has turns the line into TEXT_RECORD first. Returns the path."""
+    shutil.copytree(dataset, out)
+    path = out / name
+    if name == "manifest.json":
+        rec = json.loads(path.read_text())
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[lineno - 1])
+        rec = dict(TEXT_RECORD) if field in TEXT_RECORD and field not in rec else rec
+    if value is DROP:
+        del rec[field]
+    elif field is not None:
+        rec[field] = value
+    text = json.dumps(rec if field is not None else value)
+    if name != "manifest.json":
+        lines[lineno - 1] = text + "\n"
+        text = "".join(lines)
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("name, field, value, expected", [
+    ("cdaq_d1.train.jsonl", "answer_start", None, "answer_start must be an int, got None"),
+    ("cdaq_d1.train.jsonl", "passage_ids", None,
+     "passage_ids must be a list of ints, got None"),
+    ("cdaq_d1.train.jsonl", "answer_start", 1.7, "answer_start must be an int, got 1.7"),
+    ("cdaq_d1.train.jsonl", "passage_ids", [1.5, 2],
+     "passage_ids must be a list of ints, got [1.5, 2]"),
+    ("cdaq_d1.train.jsonl", "domain", "x", "domain must be an int, got 'x'"),
+    ("cdaq_d1.train.jsonl", "question_ids", "abc",
+     "question_ids must be a list of ints, got 'abc'"),
+    ("cdaq_d1.train.jsonl", "id", 1.5, "id must be a str or an int, got 1.5"),
+    ("cdaq_d1.train.jsonl", "question", 5, "question must be a str, got 5"),
+    ("cdaq_d1.train.jsonl", None, [1, 2], "not a JSON object"),
+    ("manifest.json", "domains", 5, "domains must be a list of strs, got 5"),
+    ("manifest.json", "l_max", "64", "l_max must be an int, got '64'"),
+    ("manifest.json", "l_max", None, "l_max must be an int, got None"),
+])
+def test_run_stream_value_of_the_wrong_type_exits_1(dataset, tmp_path, capsys, name, field,
+                                                    value, expected):
+    """Each of these once ended in a traceback, ran on values cut to ints,
+    or failed with a message that named no file."""
+    path = mutate_stream(dataset, tmp_path / "stream", name, field, value)
+    assert main(run_args(tmp_path / "stream", tmp_path / "r.json",
+                         out_dir=tmp_path / "ck")) == 1
+    where = path if name == "manifest.json" else f"{path}:3"
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line == f"error: {where}: {expected}"
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "ck").exists()
+
+
+def test_run_stream_with_int_ids_loads_them_as_strings(dataset, tmp_path):
+    mutate_stream(dataset, tmp_path / "stream", "cdaq_d1.train.jsonl", "id", 7)
+    assert load_stream(tmp_path / "stream").domains[1].train[2].id == "7"
+    assert main(run_args(tmp_path / "stream", tmp_path / "r.json")) == 0
+
+
+RECORD_KINDS = {"id": "str | int", "domain": "int", "question_ids": "list[int]",
+                "passage_ids": "list[int]", "answer_start": "int", "answer_end": "int"}
+
+
+@st.composite
+def record_mutations(draw):
+    """One field of one token record in the dataset's stream files and what a
+    mutation makes of it: DROP, or a JSON value not of the field's kind."""
+    name = draw(st.sampled_from([f"cdaq_d{d}.{split}.jsonl" for d in (0, 1)
+                                 for split in ("train", "test")]))
+    lineno = draw(st.integers(1, 16 if "train" in name else 8))
+    field = draw(st.sampled_from(sorted(RECORD_KINDS)))
+    value = draw(st.one_of(
+        st.just(DROP), st.text(max_size=4), st.booleans(), st.none(),
+        st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False),
+        st.lists(st.one_of(st.integers(0, 9), st.floats(0, 9), st.text(max_size=1),
+                           st.none()), max_size=3),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)))
+    kind = RECORD_KINDS[field]
+    if kind == "int":
+        assume(type(value) is not int)
+    elif kind == "str | int":
+        assume(type(value) not in (str, int))
+    else:
+        assume(not (type(value) is list and all(type(i) is int for i in value)))
+    return name, lineno, field, value
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(record_mutations())
+def test_run_rejects_every_mutated_stream_record_before_writing(dataset, capsys, mutation):
+    name, lineno, field, value = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = mutate_stream(dataset, tmp / "stream", name, field, value, lineno)
+        capsys.readouterr()
+        rc = main(run_args(tmp / "stream", tmp / "r.json", out_dir=tmp / "ck"))
+        (line,) = error_lines(capsys.readouterr().err)
+        assert rc == 1
+        assert line.startswith(f"error: {path}:{lineno}: ") and field in line
+        assert sorted(tmp.iterdir()) == [tmp / "stream"]
+
+
 def test_run_requires_data(tmp_path, capsys):
     rc = main(["run", "--method", "lower", "--report", str(tmp_path / "r.json")])
     assert rc == 2
@@ -318,6 +432,25 @@ def test_eval_checkpoint_roundtrip(dataset, tmp_path, capsys):
         "checkpoint": str(ckpt_dir / "step2.ckpt"), "max_answer_len": 8,
         "method": "eval", "order": [0, 1], "domains": ["cdaq_d0", "cdaq_d1"],
         "setting": "cdaq"}
+
+
+def test_eval_checkpoint_with_float_shapes_exits_1(dataset, tmp_path, capsys):
+    ckpt_dir = tmp_path / "ckpts"
+    assert main(run_args(dataset, tmp_path / "r.json", out_dir=ckpt_dir)) == 0
+    path = ckpt_dir / "step2.ckpt"
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    header = json.loads(raw[20:20 + hlen])
+    header["params"][0]["shape"] = [float(d) for d in header["params"][0]["shape"]]
+    hb = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(hb)) + hb + raw[20 + hlen:])
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(path), "--data", str(dataset),
+               "--report", str(tmp_path / "eval.json")])
+    assert rc == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line.startswith(f"error: malformed checkpoint header: {path}")
+    assert not (tmp_path / "eval.json").exists()
 
 
 def test_eval_rejects_an_empty_test_split(dataset, tmp_path, capsys):

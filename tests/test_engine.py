@@ -1,5 +1,7 @@
 import json
 import weakref
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from contspan import autodiff as ad
 from contspan import distill
 from contspan import memory as mem
+from contspan import metrics
 from contspan.autodiff import Tensor
 from contspan.backbone import BackboneModel, ModelConfig
 from contspan.data import GenConfig, Sample, generate_cdaq_stream
@@ -306,11 +309,14 @@ def test_resume_reads_only_the_partial_report_and_step_checkpoints(tmp_path, met
 def test_resume_after_a_crash_at_any_write_matches_uninterrupted_run(
         tmp_path, monkeypatch, method):
     """Crash just before and just after every checkpoint, memory and report
-    write, and in the middle of step 2's partial report; each resumed run
-    writes the uninterrupted run's report.json byte for byte."""
+    write, and in the middle of step 2's partial report, checkpoint and
+    memory file; each resumed run writes the uninterrupted run's report.json
+    byte for byte. A crash mid-write leaves no truncated file at the final
+    path: the partial report keeps step 1's whole, the others are absent."""
     stream = small_stream()
     writes = [0]
     crash_at = [None]
+    opens = Counter()
 
     def crashing(write):
         def wrapper(*args, **kwargs):
@@ -325,27 +331,51 @@ def test_resume_after_a_crash_at_any_write_matches_uninterrupted_run(
     monkeypatch.setattr(BackboneModel, "save", crashing(BackboneModel.save))
     monkeypatch.setattr(mem, "save_memory", crashing(mem.save_memory))
     monkeypatch.setattr(EvalReport, "save", crashing(EvalReport.save))
-    dump = json.dump
 
-    def cut_dump(obj, fp, **kwargs):
-        if crash_at[0] == "mid-write" and "report.partial" in getattr(fp, "name", "") \
-                and len(obj["steps"]) == 2:
-            fp.write(json.dumps(obj)[:100])
+    class CutFile:
+        """Takes half of its first write, then crashes."""
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[:len(data) // 2])
             raise Crash
-        dump(obj, fp, **kwargs)
 
-    monkeypatch.setattr(json, "dump", cut_dump)
+    def cut_open(file, *args, **kwargs):
+        f = open(file, *args, **kwargs)
+        opens[Path(file).name] += 1
+        return CutFile(f) if crash_at[0] == (Path(file).name, opens[Path(file).name]) else f
+
+    # every checkpoint, memory and report write opens its file here
+    monkeypatch.setattr(metrics, "open", cut_open, raising=False)
 
     ContinualEngine(stream, small_config(method)).run(out_dir=tmp_path / "full")
     expected = (tmp_path / "full" / "report.json").read_bytes()
     points = [(k, when) for k in range(1, writes[0] + 1) for when in ("before", "after")]
-    for i, point in enumerate(points + ["mid-write"]):
+    # (temp file, its nth open): step 2's partial report, checkpoint and memory
+    mid_write = [("report.partial.json.tmp", 2), ("step2.ckpt.tmp", 1)]
+    if method in ("ma_mrc", "der"):
+        mid_write.append(("step2.memory.jsonl.tmp", 1))
+    for i, point in enumerate(points + mid_write):
         out = tmp_path / f"crash{i}"
         writes[0] = 0
+        opens.clear()
         crash_at[0] = point
         with pytest.raises(Crash):
             ContinualEngine(stream, small_config(method)).run(out_dir=out)
         crash_at[0] = None
+        if point in mid_write:
+            final = out / point[0].removesuffix(".tmp")
+            if final.name == "report.partial.json":
+                assert len(EvalReport.load(final).steps) == 1
+            else:
+                assert not final.exists(), point
         ContinualEngine(stream, small_config(method)).run(out_dir=out, resume=True)
         assert (out / "report.json").read_bytes() == expected, point
 
@@ -503,7 +533,7 @@ def test_forward_only_passes_record_no_tape(monkeypatch):
 
 def test_fit_frees_each_batch_graph_before_the_next(monkeypatch):
     """While a batch's forward runs, no tape node of an earlier batch still
-    holds its graph; only the loop's loss and outputs survive, consumed."""
+    holds its graph; only the loop's loss survives, consumed."""
     graphs = [weakref.WeakSet()]
     stale = []
     make, backward = ad._make, ad.backward
@@ -530,7 +560,7 @@ def test_fit_frees_each_batch_graph_before_the_next(monkeypatch):
     assert len(stale) == 2  # 24 rows in batches of 8
     for holding, n_alive in stale:
         assert holding == []
-        assert n_alive <= 4  # loss, h, sl, el
+        assert n_alive <= 1  # the loss
 
 
 def test_evaluate_reports_per_domain_in_seen_order():
