@@ -16,9 +16,11 @@
 # (so the same vocab) but 256 test rows per domain: forward-only passes then
 # run full 64-row chunks, as the benchmark's evaluation does. It trains the
 # full method on OUT/cdaqstream too, a tiny question-shift stream, so the
-# paper's second setting is covered as well. One run takes its settings from a
-# --config manifest: the full method with no adversarial game, a halved KL
-# weight and a one-block, four-head model. The stdout of `contspan gradcheck`
+# paper's second setting is covered as well. Two runs take their settings from
+# a --config manifest: the full method with no adversarial game, a halved KL
+# weight and a one-block, four-head model; and the full method with one
+# attention head, where numpy makes views of the head layouts that the two-
+# and four-head runs copy. The stdout of `contspan gradcheck`
 # goes to OUT/gradcheck.txt. It runs inside OUT with relative paths, so
 # eval.json records the same checkpoint path in every OUT. Each other command's
 # output goes to OUT/<run>.log. Run it at both commits, then compare.
@@ -124,6 +126,10 @@ run_set() {
         >manifest/config.json
     contspan manifest run --config manifest/config.json --report manifest.json \
         --out-dir manifest
+    mkdir -p onehead
+    printf '%s\n' '{"data": "stream", "method": "ma_mrc", "memory_size": 12, "epochs": 2,' \
+        '"n_heads": 1}' >onehead/config.json
+    contspan onehead run --config onehead/config.json --report onehead.json --out-dir onehead
     for m in agem derpp online_ewc; do
         contspan "${m}_b7" run --data stream --method "$m" --memory-size 12 --epochs 2 \
             --batch-size 7 --order 1,2,0 --report "${m}_b7.json" --out-dir "${m}_b7"

@@ -181,20 +181,9 @@ def _scatter(rows: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return out
 
 
-def pack(a: Tensor, valid: np.ndarray) -> Tensor:
-    """The rows of a (B, l, h) tensor where the (B, l) boolean mask valid is
-    set, in row-major order, as (n_valid, h)."""
-    data = a.data[valid]
-
-    def bw(g, _a=a, _valid=valid):
-        yield _a, _scatter(g, _valid)
-
-    return _make(data, "pack", (a,), bw)
-
-
 def unpack(a: Tensor, valid: np.ndarray) -> Tensor:
-    """Packed (n_valid, h) rows scattered to (B, l, h), zeros at padding;
-    the inverse of pack."""
+    """Packed (n_valid, h) rows, those of the (B, l) boolean mask valid in
+    row-major order, scattered to (B, l, h), zeros at padding."""
     data = _scatter(a.data, valid)
 
     def bw(g, _a=a, _valid=valid):
@@ -206,7 +195,7 @@ def unpack(a: Tensor, valid: np.ndarray) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor, valid: np.ndarray,
            padded: bool = False) -> Tensor:
     """x @ w + b on the packed (n_valid, k) rows of the (B, l) boolean prefix
-    mask valid (see pack); padded=True returns the (B, l, n) scatter, with
+    mask valid (see unpack); padded=True returns the (B, l, n) scatter, with
     zeros at padding.
 
     The output and the backward give the padded (B, l, k) @ (k, n) + (n,)
@@ -384,32 +373,65 @@ def exp(a: Tensor) -> Tensor:
     return _make(data, "exp", (a,), bw)
 
 
-def softmax(a: Tensor, scale: float = 1.0, bias: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis of a * scale + bias, as one node.
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of z, in place."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
-    bias is a constant array that broadcasts to a's shape (attention's
-    additive mask). The bytes, forward and backward, are those of
-    softmax(a * scale + bias) through mul, add and softmax: the scaled,
-    shifted and exponentiated scores share one array, and the gradient is
-    softmax's times scale, as mul's backward would return it.
-    """
-    data = a.data * scale
-    if bias is not None:
-        data += bias
-    data -= data.max(axis=-1, keepdims=True)
-    np.exp(data, out=data)
-    data /= data.sum(axis=-1, keepdims=True)
 
-    def bw(g, _a=a, _y=data, _scale=scale):
-        # _y * (g - sum(g * _y)) * _scale, in place
-        gy = g * _y
-        dot = gy.sum(axis=-1, keepdims=True)
-        np.subtract(g, dot, out=gy)
-        gy *= _y
-        gy *= _scale
-        yield _a, gy
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y * (g - sum(g * y)), the gradient through softmax output y, as one new array."""
+    gy = g * y
+    np.subtract(g, gy.sum(axis=-1, keepdims=True), out=gy)
+    gy *= y
+    return gy
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    data = _softmax(a.data.copy(order="K"))
+
+    def bw(g, _a=a, _y=data):
+        yield _a, _softmax_grad(g, _y)
 
     return _make(data, "softmax", (a,), bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias: np.ndarray,
+              valid: np.ndarray) -> Tensor:
+    """softmax(q k^T / sqrt(dh) + bias) v over n_heads heads of padded (B, l, h)
+    q, k and v, as one node that keeps the probabilities; returns the packed
+    (n_valid, h) rows of the (B, l) mask valid. It runs the reshape, transpose,
+    matmul and softmax chain's numpy operations in its order on its layouts, so
+    values, gradients and the strides linear's bias gradient sums over match."""
+    B, l, h = q.data.shape
+    scale = 1.0 / math.sqrt(h // n_heads)
+
+    def split(a):  # (B, l, h) -> a (B, n_heads, l, dh) view
+        return np.transpose(a.reshape(B, l, n_heads, -1), (0, 2, 1, 3))
+
+    def merge(a):  # (B, n_heads, l, dh) -> (B, l, h)
+        return np.transpose(a, (0, 2, 1, 3)).reshape(B, l, h)
+
+    y = split(q.data) @ np.transpose(split(k.data), (0, 1, 3, 2))
+    y *= scale
+    y += bias
+    data = merge(_softmax(y) @ split(v.data))[valid]
+
+    def bw(g, _q=q, _k=k, _v=v, _y=y, _valid=valid):
+        gc = split(_scatter(g, _valid))
+        gs = _softmax_grad(gc @ np.swapaxes(split(_v.data), -1, -2), _y)
+        gs *= scale
+        if _tracked(_q):
+            yield _q, merge(gs @ split(_k.data))
+        if _tracked(_k):
+            yield _k, merge(np.swapaxes(np.swapaxes(split(_q.data), -1, -2) @ gs, -1, -2))
+        if _tracked(_v):
+            yield _v, merge(np.swapaxes(_y, -1, -2) @ gc)
+
+    return _make(data, "attention", (q, k, v), bw)
 
 
 def log_softmax(a: Tensor) -> Tensor:

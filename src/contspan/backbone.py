@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .metrics import atomic_write
+from .metrics import atomic_write, parse_json
 
 CHECKPOINT_MAGIC = b"CSPANCKP"
 CHECKPOINT_VERSION = 1
@@ -143,25 +143,13 @@ class BackboneModel:
     def _block(self, x: Tensor, i: int, attn_bias: np.ndarray, valid: np.ndarray) -> Tensor:
         """One encoder block on the packed rows of the (B, l) boolean mask valid."""
         P = self.params
-        cfg = self.config
-        B, l = valid.shape
-        h = cfg.hidden
-        nh = cfg.n_heads
-        dh = h // nh
 
         def lin(t, nm, padded=False):
             return ad.linear(t, P[f"blk{i}.w{nm}"], P[f"blk{i}.b{nm}"], valid, padded)
 
-        def heads(nm):
-            return ad.transpose(ad.reshape(lin(x, nm, padded=True), (B, l, nh, dh)),
-                                (0, 2, 1, 3))
-
-        q, k, v = heads("q"), heads("k"), heads("v")
-        probs = ad.softmax(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                           1.0 / math.sqrt(dh), attn_bias)
-        ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (B, l, h))
-        x = ad.layer_norm(x + lin(ad.pack(ctx, valid), "o"),
-                          P[f"blk{i}.ln1_g"], P[f"blk{i}.ln1_b"])
+        ctx = ad.attention(*(lin(x, nm, padded=True) for nm in "qkv"), self.config.n_heads,
+                           attn_bias, valid)
+        x = ad.layer_norm(x + lin(ctx, "o"), P[f"blk{i}.ln1_g"], P[f"blk{i}.ln1_b"])
         ff = lin(ad.gelu(lin(x, "1")), "2")
         return ad.layer_norm(x + ff, P[f"blk{i}.ln2_g"], P[f"blk{i}.ln2_b"])
 
@@ -229,7 +217,7 @@ class BackboneModel:
             version, hlen = struct.unpack("<IQ", read(12))
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
-            header = json.loads(read(hlen).decode("utf-8"))
+            header = parse_json(read(hlen), path)
             try:
                 model = cls(ModelConfig(**header["config"]), ad.seeded_rng(0))
                 entries = [(e["name"], tuple(map(operator.index, e["shape"])))

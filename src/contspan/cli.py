@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import json
 import logging
 import platform
 import sys
@@ -14,7 +13,7 @@ from . import gradcheck
 from .engine import ContinualConfig, ContinualEngine, METHODS, NORM_STRATEGIES, \
     UNCERTAINTY_KINDS
 from .backbone import BackboneModel, MAX_ANSWER_LEN
-from .metrics import EvalReport, StepResult, f1_all, f1_avg
+from .metrics import EvalReport, StepResult, f1_all, f1_avg, parse_json
 
 log = logging.getLogger("contspan")
 
@@ -112,8 +111,8 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     manifest: dict = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            manifest = json.load(f)
+        with open(args.config, "rb") as f:
+            manifest = parse_json(f.read(), args.config)
         if not isinstance(manifest, dict):
             raise ValueError(f"{args.config}: the manifest is not a JSON object")
     keys = set(ContinualConfig.__dataclass_fields__) | {"data"}  # the run flags' names

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import seeded_rng
+from .metrics import parse_json
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +49,8 @@ JSON_TYPES = {"int": ("an int", lambda v: type(v) is int),
               "str": ("a str", lambda v: type(v) is str),
               "str | int": ("a str or an int", lambda v: type(v) in (str, int)),
               "list[int]": ("a list of ints", _list_of(int)),
-              "list[str]": ("a list of strs", _list_of(str)),
+              "non-empty list[str]": ("a non-empty list of strs",
+                                      lambda v: v != [] and _list_of(str)(v)),
               "list[int] | None": ("a list of ints or None",
                                    lambda v: v is None or _list_of(int)(v))}
 # The kind of each field of a token record, a text record and a stream manifest
@@ -56,7 +58,7 @@ RECORD_FIELDS = {"id": "str | int", "domain": "int", "question_ids": "list[int]"
                  "passage_ids": "list[int]", "answer_start": "int", "answer_end": "int"}
 TEXT_FIELDS = {"id": "str | int", "domain": "int", "question": "str", "passage": "str",
                "answer_text": "str", "answer_char_start": "int"}
-MANIFEST_FIELDS = {"setting": "str", "l_max": "int", "domains": "list[str]"}
+MANIFEST_FIELDS = {"setting": "str", "l_max": "int", "domains": "non-empty list[str]"}
 
 
 @dataclass
@@ -371,9 +373,9 @@ def write_stream(stream: DomainStream, out_dir) -> None:
 
 def load_stream(data_dir) -> DomainStream:
     root = Path(data_dir)
-    with open(root / "manifest.json", encoding="utf-8") as f:
-        manifest = json.load(f)
-    _require(manifest, MANIFEST_FIELDS, str(root / "manifest.json"))
+    where = root / "manifest.json"
+    manifest = parse_json(where.read_bytes(), where)
+    _require(manifest, MANIFEST_FIELDS, where)
     vocab = read_vocab(root / "vocab.txt")
     domains = []
     for idx, name in enumerate(manifest["domains"]):
@@ -399,6 +401,8 @@ def read_vocab(path) -> dict[str, int]:
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: expected a token, a tab "
                                      f"and an integer id") from None
+    if sorted(vocab.values()) != list(range(len(vocab))):
+        raise ValueError(f"{path}: the ids must be 0..{len(vocab) - 1}, each once")
     return vocab
 
 
@@ -416,12 +420,13 @@ def read_jsonl_samples(path, l_max: int, vocab: dict[str, int]):
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{lineno}: malformed JSON: {e}") from None
+            rec = parse_json(line, f"{path}:{lineno}")
             if type(rec) is dict and rec.keys() & {"question_ids", "passage_ids"}:
                 sample = Sample.from_record(rec, f"{path}:{lineno}")
+                if bad := [i for i in sample.question_ids + sample.passage_ids
+                           if not 0 <= i < len(vocab)]:
+                    raise ValueError(f"{path}:{lineno}: token id {bad[0]} is outside the "
+                                     f"vocab's ids 0..{len(vocab) - 1}")
                 try:
                     samples.append(sample.assemble(l_max))
                 except ValueError:

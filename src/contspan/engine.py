@@ -481,19 +481,6 @@ class ContinualEngine:
         cur_reprs = self._pooled_reprs(model, [test[i] for i in cur_pick])
         return mem_reprs, cur_reprs, rng
 
-    def probe_separability(self, model: BackboneModel, t: int,
-                           order: list[int]) -> float:
-        """Fresh-probe accuracy on this engine's memory vs current-test reps.
-
-        Usable on any replay-carrying run (the non-adversarial reference
-        point for judging how much the minimax game aligned the spaces).
-        """
-        if self.memory is None or not self.memory.items:
-            raise ValueError("probe_separability needs a populated memory")
-        _, probe_acc = adv.train_probe_discriminator(self.cfg.hidden,
-                                                     *self._probe_reprs(model, t, order))
-        return probe_acc
-
     def _pooled_reprs(self, model: BackboneModel, samples: list[Sample]) -> np.ndarray:
         return np.concatenate([h.data[:, 0, :] for _, h, _, _, _ in
                                model.forward_chunks([s.input_ids for s in samples])])

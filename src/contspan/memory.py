@@ -41,15 +41,6 @@ class Memory:
     capacity: int
     items: list[MemoryItem] = field(default_factory=list)
 
-    def __len__(self):
-        return len(self.items)
-
-    def domain_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for it in self.items:
-            counts[it.origin_domain] = counts.get(it.origin_domain, 0) + 1
-        return counts
-
 
 def _score(chunk: list[MemoryItem], sl, el, kind: str):
     """Record each item's uncertainty from its start/end logit rows;
@@ -104,7 +95,7 @@ def init_memory(d1_train: list[Sample], capacity: int, model: BackboneModel,
 
 
 def retention_weights(items: list[MemoryItem], strategy: str,
-                      pool_mean: float | None = None) -> np.ndarray:
+                      pool_mean: float) -> np.ndarray:
     """Probability of keeping each item, from its forgottenness differential.
 
     norm1 compares against each item's best-ever uncertainty; norm2 against
@@ -117,8 +108,6 @@ def retention_weights(items: list[MemoryItem], strategy: str,
     if strategy == "norm1":
         ref = np.array([it.best_uncertainty for it in items])
     elif strategy == "norm2":
-        if pool_mean is None:
-            pool_mean = float(last.mean())
         ref = np.full(len(items), pool_mean)
     elif strategy == "random":
         return np.full(len(items), 1.0 / len(items))

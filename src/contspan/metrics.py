@@ -27,6 +27,14 @@ def atomic_write(path, mode="w", **kwargs):
     os.replace(f"{path}.tmp", path)
 
 
+def parse_json(raw, where):
+    """json.loads(raw); malformed JSON raises a ValueError that names where."""
+    try:
+        return json.loads(raw)
+    except ValueError as e:
+        raise ValueError(f"{where}: malformed JSON: {e}") from None
+
+
 def em_f1(pred_ids, gold_ids) -> tuple[int, float]:
     """Exact match and token-multiset F1 between two id sequences."""
     if not gold_ids:
@@ -110,8 +118,8 @@ class EvalReport:
 
     @classmethod
     def load(cls, path) -> "EvalReport":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        with open(path, "rb") as f:
+            return cls.from_dict(parse_json(f.read(), path))
 
     def write_csv(self, path):
         """F1-vs-step curve: step, domain, f1, em, f1_avg, f1_all."""

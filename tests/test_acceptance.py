@@ -14,10 +14,12 @@ seconds must stay under BUDGET_RATIO times the summed reference seconds.
 import gc
 import statistics
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from contspan import adversarial as adv
 from contspan import gradcheck
 from contspan import memory as mem
 from contspan.autodiff import seeded_rng
@@ -155,7 +157,8 @@ def protocol():
                            if "disc_accuracy" in s.extra])
         core_seconds += time.perf_counter() - tic
 
-        # replay-only ablation, with separability probes on its encoder
+        # replay-only ablation, with a fresh separability probe on its
+        # encoder after each step (its memory against the current test rows)
         engine = ContinualEngine(stream, ContinualConfig(
             method="ma_mrc", memory_size=30, adv_weight=0.0, kl_weight=0.0,
             seed=seed, **SEQ))
@@ -163,7 +166,8 @@ def protocol():
 
         def probe(t, model, memory, step, _e=engine, _r=refs):
             if t >= 2:
-                _r.append(_e.probe_separability(model, t, [0, 1, 2]))
+                reprs = _e._probe_reprs(model, t, [0, 1, 2])
+                _r.append(adv.train_probe_discriminator(_e.cfg.hidden, *reprs)[1])
 
         _, rep = engine.run(on_step=probe)
         finals["replay"].append(rep.steps[-1].f1_avg)
@@ -209,8 +213,8 @@ def test_criterion_03_memory_invariants():
                                                      memory_size=capacity))
 
         def check(t, model, memory, step, _cap=capacity):
-            assert len(memory) <= _cap
-            counts = memory.domain_counts()
+            assert len(memory.items) <= _cap
+            counts = Counter(it.origin_domain for it in memory.items)
             got = [counts.get(d, 0) for d in range(t)]
             assert got == expected_counts(_cap, t), (t, _cap, got)
             checked.append((_cap, t))

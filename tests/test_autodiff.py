@@ -292,28 +292,66 @@ def test_lean_ops_equal_plain_expressions_across_block_boundaries(i, monkeypatch
     test_lean_backwards_equal_plain_expressions(i)
 
 
-def test_scaled_masked_softmax_equals_the_mul_add_softmax_chain():
-    """The one-node softmax(a, scale, bias) on NEG_INF-masked attention
-    scores, one sequence fully masked, gives the values of softmax(a * scale
-    + bias) through mul, add and softmax, and sends the scores the same
-    gradient, bit for bit."""
+def test_attention_equals_the_node_chain():
+    """attention on NEG_INF-masked ragged rows, one sequence empty, gives the
+    values of the chain of reshape, transpose, matmul and softmax(scores *
+    scale + bias) nodes it replaced, and the same gradients bit for bit, down
+    through the padded linear layers that make q, k and v, whose bias
+    gradients sum over the strides the gradients arrive with."""
     rng = ad.seeded_rng(12)
-    B, nh, l = 3, 2, 6
-    scores = rng.normal(size=(B, nh, l, l)) * 5.0
-    mask = (np.arange(l) < np.array([6, 2, 0])[:, None]).astype(float)
-    bias = NEG_INF * (1.0 - mask)[:, None, None, :]
-    scale = 1.0 / math.sqrt(32)  # the desk model's; not a power of two
-    w = Tensor(rng.normal(size=scores.shape))
-    chain = Tensor(scores.copy(), requires_grad=True)
-    fused = Tensor(scores.copy(), requires_grad=True)
-    ref = ad.softmax(ad.add(ad.mul(chain, Tensor(scale)), Tensor(bias)))
-    out = ad.softmax(fused, scale, bias)
-    np.testing.assert_array_equal(out.data, ref.data)
-    assert np.all(np.isfinite(out.data))
-    ad.backward(ad.tsum(ref * w))
-    ad.backward(ad.tsum(out * w))
-    np.testing.assert_array_equal(fused.grad, chain.grad)
-    assert np.any(fused.grad[2] != 0.0)
+    B, l, h, nh = 3, 6, 64, 2  # the desk model's width; its scale is no power of two
+    dh = h // nh
+    valid = np.arange(l) < np.array([6, 2, 0])[:, None]
+    bias = NEG_INF * (1.0 - valid)[:, None, None, :]
+    params = [Tensor(rng.normal(size=s), requires_grad=True)
+              for s in [(int(valid.sum()), h)] + [(h, h), (h,)] * 3]
+    weights = rng.normal(size=(B, l, h)) * valid[..., None]
+
+    def heads(t):
+        return ad.transpose(ad.reshape(t, (B, l, nh, dh)), (0, 2, 1, 3))
+
+    def chain(q, k, v):
+        scores = ad.matmul(heads(q), ad.transpose(heads(k), (0, 1, 3, 2)))
+        probs = ad.softmax(ad.add(ad.mul(scores, Tensor(1.0 / math.sqrt(dh))), Tensor(bias)))
+        ctx = ad.reshape(ad.transpose(ad.matmul(probs, heads(v)), (0, 2, 1, 3)), (B, l, h))
+        return ad.tsum(ctx * Tensor(weights)), ctx.data[valid]
+
+    def node(q, k, v):
+        ctx = ad.attention(q, k, v, nh, bias, valid)
+        return ad.tsum(ctx * Tensor(weights[valid])), ctx.data
+
+    runs = []
+    for attend in (chain, node):
+        for p in params:
+            p.zero_grad()
+        x, *wb = params
+        loss, out = attend(*(ad.linear(x, wb[i], wb[i + 1], valid, padded=True)
+                             for i in (0, 2, 4)))
+        ad.backward(loss)
+        runs.append((out, [p.grad.copy() for p in params]))
+    (ref, ref_grads), (out, grads) = runs
+    np.testing.assert_array_equal(out, ref)
+    assert np.all(np.isfinite(out))
+    for i, (g, want) in enumerate(zip(grads, ref_grads)):
+        np.testing.assert_array_equal(g, want, err_msg=str(i))
+    assert all(np.any(g != 0.0) for g in grads)
+
+
+@pytest.mark.parametrize("name", "qkv")
+def test_attention_gradients_match_finite_differences(name):
+    """attention's q, k and v gradients on a ragged batch, zeros at padding
+    as linear(..., padded=True) leaves them, against central differences."""
+    valid = _ragged_valid()
+    rng = ad.seeded_rng(14)
+    bias = NEG_INF * (1.0 - valid)[:, None, None, :]
+    args = {nm: Tensor(rng.normal(size=(3, 5, 4)) * valid[..., None]) for nm in "qkv"}
+    weights = Tensor(rng.normal(size=(int(valid.sum()), 4)))
+
+    def f(t):
+        q, k, v = {**args, name: t}.values()
+        return ad.tsum(ad.square(ad.attention(q, k, v, 2, bias, valid)) * weights)
+
+    assert ad.finite_difference_check(f, args[name]) < 1e-6
 
 
 def test_forward_only_gelu_allocates_one_output_and_block_scratch():
@@ -340,21 +378,20 @@ def _ragged_valid():
     return np.arange(5) < np.array([5, 2, 1])[:, None]
 
 
-def test_pack_and_unpack_move_rows_and_gradients():
+def test_unpack_moves_rows_and_gradients():
     valid = _ragged_valid()
     rng = ad.seeded_rng(9)
-    full = rng.normal(size=(3, 5, 4))
-    packed = ad.pack(Tensor(full), valid)
-    np.testing.assert_array_equal(packed.data, full[valid])
-    back = ad.unpack(packed, valid).data
-    np.testing.assert_array_equal(back[valid], full[valid])
+    rows = rng.normal(size=(int(valid.sum()), 4))
+    back = ad.unpack(Tensor(rows), valid).data
+    np.testing.assert_array_equal(back[valid], rows)
     np.testing.assert_array_equal(back[~valid], 0.0)
 
-    wp = rng.normal(size=(int(valid.sum()), 4))
     wf = rng.normal(size=(3, 5, 4))
-    for x, f in ((full, lambda t: ad.tsum(ad.pack(t, valid) * Tensor(wp))),
-                 (full[valid], lambda t: ad.tsum(ad.square(ad.unpack(t, valid)) * Tensor(wf)))):
-        assert ad.finite_difference_check(f, Tensor(x)) < 1e-6
+
+    def f(t):
+        return ad.tsum(ad.square(ad.unpack(t, valid)) * Tensor(wf))
+
+    assert ad.finite_difference_check(f, Tensor(rows)) < 1e-6
 
 
 @pytest.mark.parametrize("padded", [False, True])

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -174,10 +175,11 @@ def test_packed_gradients_equal_padded(batch):
 
 
 def test_forward_batch_records_the_expected_nodes():
-    """Per encoder block the tape holds 24 nodes: attention probabilities are
-    one softmax node (scale and mask inside it, no mul or add), and the only
-    adds are the two residuals. Outside the blocks: the token and position
-    embeddings, their add and layer norm, the unpack and the two span heads."""
+    """Per encoder block the tape holds 12 nodes: six linear layers, one
+    attention node (heads, scale, mask, softmax and context inside it, no
+    reshape, transpose or matmul), the two residual adds, two layer norms and
+    gelu. Outside the blocks: the token and position embeddings, their add and
+    layer norm, the unpack and the two span heads."""
     model, id_lists = ragged_batch("l_max_row")
     _, _, sl, el = model.forward_batch(id_lists)
     ops, seen, stack = Counter(), set(), [sl, el]
@@ -189,27 +191,29 @@ def test_forward_batch_records_the_expected_nodes():
         ops[t._op] += 1
         stack.extend(t._inputs)
     L = model.config.n_layers
-    assert ops == Counter(linear=6 * L, reshape=4 * L, transpose=5 * L, matmul=2 * L + 2,
-                          softmax=L, pack=L, add=2 * L + 3, layer_norm=2 * L + 1,
-                          gelu=L, embedding=2, unpack=1)
-    assert sum(ops.values()) == 24 * L + 9
+    assert ops == Counter(linear=6 * L, attention=L, add=2 * L + 3, layer_norm=2 * L + 1,
+                          gelu=L, embedding=2, matmul=2, unpack=1)
+    assert sum(ops.values()) == 12 * L + 9
 
 
 def test_backward_consumes_the_graph(monkeypatch):
     """The walk frees each activation once it has passed it: the attention
-    probabilities die, the loss keeps its value, the gradients are those of a
-    fresh run, and a second walk over the consumed graph raises."""
+    probabilities, which each attention node keeps for its backward, die, the
+    loss keeps its value, the gradients are those of a fresh run, and a second
+    walk over the consumed graph raises."""
     model, id_lists = ragged_batch("l_max_row")
     samples = [SimpleNamespace(answer_start=0, answer_end=len(ids) - 1) for ids in id_lists]
     probs = []
-    softmax = ad.softmax
+    attention = ad.attention
 
-    def recording_softmax(a, *args):
-        out = softmax(a, *args)
-        probs.append(weakref.ref(out))
+    def recording_attention(*args):
+        out = attention(*args)
+        y = inspect.signature(out._backward).parameters["_y"].default
+        assert y.shape[-2:] == (64, 64)  # (B, n_heads, l, l)
+        probs.append(weakref.ref(y))
         return out
 
-    monkeypatch.setattr(ad, "softmax", recording_softmax)
+    monkeypatch.setattr(ad, "attention", recording_attention)
     _, _, sl, el = model.forward_batch(id_lists)
     loss = gold_span_loss(sl, el, samples)
     value = loss.data.copy()

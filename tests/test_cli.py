@@ -319,7 +319,11 @@ def mutate_stream(dataset, out, name, field, value, lineno=3):
     ("cdaq_d1.train.jsonl", "id", 1.5, "id must be a str or an int, got 1.5"),
     ("cdaq_d1.train.jsonl", "question", 5, "question must be a str, got 5"),
     ("cdaq_d1.train.jsonl", None, [1, 2], "not a JSON object"),
-    ("manifest.json", "domains", 5, "domains must be a list of strs, got 5"),
+    ("manifest.json", "domains", 5, "domains must be a non-empty list of strs, got 5"),
+    ("manifest.json", "domains", [], "domains must be a non-empty list of strs, got []"),
+    ("cdaq_d1.train.jsonl", "passage_ids", [5, 100],
+     "token id 100 is outside the vocab's ids 0..99"),
+    ("cdaq_d1.train.jsonl", "question_ids", [-1], "token id -1 is outside the vocab's ids 0..99"),
     ("manifest.json", "l_max", "64", "l_max must be an int, got '64'"),
     ("manifest.json", "l_max", None, "l_max must be an int, got None"),
 ])
@@ -333,6 +337,36 @@ def test_run_stream_value_of_the_wrong_type_exits_1(dataset, tmp_path, capsys, n
     where = path if name == "manifest.json" else f"{path}:3"
     (line,) = error_lines(capsys.readouterr().err)
     assert line == f"error: {where}: {expected}"
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "ck").exists()
+
+
+@pytest.mark.parametrize("name, old, new, expected", [
+    ("vocab.txt", "w99\t99", "w99\t100", "the ids must be 0..99, each once"),
+    ("vocab.txt", "w99\t99", "w99\t3", "the ids must be 0..99, each once"),
+    ("manifest.json", '"l_max"', "l_max", "malformed JSON: Expecting property name"),
+])
+def test_run_stream_file_with_bad_ids_or_json_exits_1(dataset, tmp_path, capsys, name, old,
+                                                      new, expected):
+    """A vocab whose ids are not 0..n-1 once gave two tokens one id; a
+    malformed manifest once failed with a message that named no file."""
+    shutil.copytree(dataset, tmp_path / "stream")
+    path = tmp_path / "stream" / name
+    path.write_text(path.read_text().replace(old, new, 1))
+    assert main(run_args(tmp_path / "stream", tmp_path / "r.json",
+                         out_dir=tmp_path / "ck")) == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line.startswith(f"error: {path}: {expected}")
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "ck").exists()
+
+
+def test_run_config_that_is_not_json_exits_1(dataset, tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text("{'method': 'lower'}")
+    rc = main(["run", "--config", str(manifest), "--data", str(dataset),
+               "--report", str(tmp_path / "r.json"), "--out-dir", str(tmp_path / "ck")])
+    assert rc == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line.startswith(f"error: {manifest}: malformed JSON: Expecting property name")
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "ck").exists()
 
 
@@ -450,6 +484,23 @@ def test_eval_checkpoint_with_float_shapes_exits_1(dataset, tmp_path, capsys):
     assert rc == 1
     (line,) = error_lines(capsys.readouterr().err)
     assert line.startswith(f"error: malformed checkpoint header: {path}")
+    assert not (tmp_path / "eval.json").exists()
+
+
+def test_eval_checkpoint_header_that_is_not_json_exits_1(dataset, tmp_path, capsys):
+    ckpt_dir = tmp_path / "ckpts"
+    assert main(run_args(dataset, tmp_path / "r.json", out_dir=ckpt_dir)) == 0
+    path = ckpt_dir / "step2.ckpt"
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    hb = raw[20:20 + hlen].replace(b'"config"', b"config", 1)
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(hb)) + hb + raw[20 + hlen:])
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(path), "--data", str(dataset),
+               "--report", str(tmp_path / "eval.json")])
+    assert rc == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line.startswith(f"error: {path}: malformed JSON: Expecting property name")
     assert not (tmp_path / "eval.json").exists()
 
 

@@ -18,6 +18,11 @@ def reserved_vocab():
     return {dat.CLS_TOKEN: CLS_ID, dat.SEP_TOKEN: SEP_ID, dat.UNK_TOKEN: UNK_ID}
 
 
+def token_vocab():
+    """A vocab with ids 0..29, so the token records below hold known ids."""
+    return dat.synthetic_vocab(GenConfig(vocab_size=30))
+
+
 def small_cfg(setting, seed=0, **over):
     kw = {**SMALL, **over}
     return GenConfig(setting=setting, seed=seed, **kw)
@@ -70,7 +75,7 @@ def test_ingest_drops_malformed_token_span(tmp_path):
            "passage_ids": list(range(20, 30)), "answer_start": 4, "answer_end": 5}
     _write_jsonl(path, [rec, dict(rec, id="neg", answer_start=-1),
                         dict(rec, id="rev", answer_start=6)])
-    samples, dropped = dat.read_jsonl_samples(path, 64, reserved_vocab())
+    samples, dropped = dat.read_jsonl_samples(path, 64, token_vocab())
     assert [s.id for s in samples] == ["t"] and dropped == 2
 
 
@@ -304,7 +309,32 @@ def test_ingest_token_record_missing_field_names_path_and_line(tmp_path):
            "passage_ids": list(range(20, 30)), "answer_start": 4, "answer_end": 5}
     _write_jsonl(path, [rec, {k: v for k, v in rec.items() if k != "answer_start"}])
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: missing field 'answer_start'")):
-        dat.read_jsonl_samples(path, 64, reserved_vocab())
+        dat.read_jsonl_samples(path, 64, token_vocab())
+
+
+@pytest.mark.parametrize("field, ids, bad", [("question_ids", [10, 30], 30),
+                                             ("passage_ids", [20, -1, 40], -1)])
+def test_ingest_token_id_outside_the_vocab_names_path_and_line(tmp_path, field, ids, bad):
+    """An id the vocab does not hold once loaded, and the run failed mid-run."""
+    path = tmp_path / "d.jsonl"
+    rec = {"id": "t", "domain": 0, "question_ids": [10, 11],
+           "passage_ids": list(range(20, 30)), "answer_start": 4, "answer_end": 5}
+    _write_jsonl(path, [rec, dict(rec, **{field: ids})])
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: token id {bad} is outside the vocab's ids 0..29")):
+        dat.read_jsonl_samples(path, 64, token_vocab())
+
+
+@pytest.mark.parametrize("ids", [[0, 1, 2, 4], [0, 1, 1, 2], [1, 2, 3]])
+def test_read_vocab_requires_ids_0_to_n_minus_1_each_once(tmp_path, ids):
+    """With ids 0, 1, 2 and 4, the text tokens a and b once both read as id 4."""
+    path = tmp_path / "vocab.txt"
+    path.write_text("".join(f"t{i}\t{tid}\n" for i, tid in enumerate(ids)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: the ids must be 0..{len(ids) - 1}, each once")):
+        dat.read_vocab(path)
+    path.write_text("".join(f"t{i}\t{i}\n" for i in range(len(ids))))
+    assert dat.read_vocab(path) == {f"t{i}": i for i in range(len(ids))}
 
 
 def test_ingest_unknown_tokens_with_frozen_vocab(tmp_path):

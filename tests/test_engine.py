@@ -201,9 +201,9 @@ def test_forgetting_matrix_shape_after_run():
 def test_memory_quotas_across_run():
     engine = ContinualEngine(small_stream(), small_config("ma_mrc"))
     engine.run()
-    counts = engine.memory.domain_counts()
+    counts = Counter(it.origin_domain for it in engine.memory.items)
     assert counts == {0: 2, 1: 2, 2: 2}
-    assert len(engine.memory) <= 6
+    assert len(engine.memory.items) <= 6
 
 
 def test_memory_quotas_follow_stream_position():
@@ -212,7 +212,7 @@ def test_memory_quotas_follow_stream_position():
     counts = []
 
     def record(t, model, memory, step):
-        by_domain = memory.domain_counts()
+        by_domain = Counter(it.origin_domain for it in memory.items)
         counts.append([by_domain.get(d, 0) for d in order[:t]])
 
     engine = ContinualEngine(small_stream(), small_config("ma_mrc", memory_size=12,

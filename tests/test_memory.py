@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ def test_init_memory_overflow_warns_and_stores_all(caplog):
     d1 = make_samples(4)
     with caplog.at_level("WARNING"):
         m = mem.init_memory(d1, 10, model, ad.seeded_rng(0, 5))
-    assert len(m) == 4
+    assert len(m.items) == 4
     assert "storing all" in caplog.text
 
 
@@ -139,18 +140,18 @@ def test_init_memory_inclusion_is_uniform(monkeypatch):
 
 def test_retention_uniform_when_differentials_equal():
     items = [make_item(best=-0.5, last=-1.5, idx=i) for i in range(4)]
-    np.testing.assert_allclose(mem.retention_weights(items, "norm1"), 0.25)
+    np.testing.assert_allclose(mem.retention_weights(items, "norm1", 0.0), 0.25)
 
 
 def test_retention_norm1_hand_case():
     items = [make_item(best=-0.5, last=-1.0), make_item(best=-0.5, last=-3.0)]
-    w = mem.retention_weights(items, "norm1")
+    w = mem.retention_weights(items, "norm1", 0.0)
     np.testing.assert_allclose(w, [1 / 6, 5 / 6], atol=1e-5)
 
 
 def test_retention_norm2_clamps_below_mean():
     items = [make_item(last=-1.0), make_item(last=-1.0), make_item(last=-4.0)]
-    w = mem.retention_weights(items, "norm2")
+    w = mem.retention_weights(items, "norm2", np.mean([it.last_uncertainty for it in items]))
     eps = mem.WEIGHT_EPS
     want = np.array([eps, eps, 2 + eps]) / (2 + 3 * eps)
     np.testing.assert_allclose(w, want, atol=1e-12)
@@ -165,14 +166,14 @@ def test_retention_norm2_explicit_pool_mean():
 
 def test_retention_random_is_uniform():
     items = [make_item(best=0.0, last=-9.0), make_item(best=0.0, last=0.0)]
-    np.testing.assert_allclose(mem.retention_weights(items, "random"), 0.5)
+    np.testing.assert_allclose(mem.retention_weights(items, "random", 0.0), 0.5)
 
 
 def test_retention_rejects_empty_and_unknown():
     with pytest.raises(ValueError, match="empty"):
-        mem.retention_weights([], "norm1")
+        mem.retention_weights([], "norm1", 0.0)
     with pytest.raises(ValueError, match="unknown retention"):
-        mem.retention_weights([make_item()], "bogus")
+        mem.retention_weights([make_item()], "bogus", 0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -181,9 +182,9 @@ def test_retention_rejects_empty_and_unknown():
 def test_retention_monotone_in_differential(diffs, which, bump):
     which %= len(diffs)
     items = [make_item(best=0.0, last=-d, idx=i) for i, d in enumerate(diffs)]
-    w_before = mem.retention_weights(items, "norm1")
+    w_before = mem.retention_weights(items, "norm1", 0.0)
     items[which].last_uncertainty -= bump
-    w_after = mem.retention_weights(items, "norm1")
+    w_after = mem.retention_weights(items, "norm1", 0.0)
     assert w_after[which] >= w_before[which] - 1e-12
     assert abs(w_after.sum() - 1.0) < 1e-9
 
@@ -204,8 +205,8 @@ def test_update_memory_rebalances_to_quotas(monkeypatch):
                        last_uncertainty=-1.0) for s in d0[:9]])
     d1 = make_samples(20, domain=1, seed=2)
     mem.update_memory(m, d1, None, t=2, rng=ad.seeded_rng(0, 2))
-    assert len(m) == 9
-    counts = m.domain_counts()
+    assert len(m.items) == 9
+    counts = Counter(it.origin_domain for it in m.items)
     assert counts == {0: 5, 1: 4}
     ids = [it.sample.id for it in m.items]
     assert len(set(ids)) == len(ids)
@@ -219,8 +220,8 @@ def test_update_memory_shortfall_reassigned_to_current(monkeypatch):
                        last_uncertainty=-1.0) for s in d0])
     d1 = make_samples(20, domain=1, seed=4)
     mem.update_memory(m, d1, None, t=2, rng=ad.seeded_rng(1, 2))
-    assert len(m) == 8
-    assert m.domain_counts() == {0: 2, 1: 6}
+    assert len(m.items) == 8
+    assert Counter(it.origin_domain for it in m.items) == {0: 2, 1: 6}
 
 
 def test_update_memory_keeps_the_forgotten_item(monkeypatch):
@@ -275,7 +276,7 @@ def test_memory_roundtrip(tmp_path):
     path = tmp_path / "mem.jsonl"
     mem.save_memory(m, path)
     header, *records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert header == {"_capacity": m.capacity} and len(records) == len(m)
+    assert header == {"_capacity": m.capacity} and len(records) == len(m.items)
     for a, rec in zip(m.items, records):
         b = Sample.from_record(rec, str(path)).assemble(16)
         assert a.sample.id == b.id
