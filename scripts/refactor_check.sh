@@ -11,7 +11,11 @@
 # first domain's 48 training rows) for ma_mrc, agem and der. agem, derpp and
 # online_ewc run once more with batch size 7 and order 1,2,0, so each method's
 # loss and gradient projection also meet a partial last batch and a stream
-# out of index order. It also scores
+# out of index order; upper and ewc run once more with order 2,0,1. A --resume
+# run over the finished ma_mrc directory replays every committed step's
+# memory and writes OUT/ma_mrc_resume.json; another resumes a copy of that
+# directory cut back to two committed steps (ma_mrc_cut), so step 3 trains on
+# the replayed memory. It also scores
 # that checkpoint on OUT/deskstream, made with the same generator settings
 # (so the same vocab) but 256 test rows per domain: forward-only passes then
 # run full 64-row chunks, as the benchmark's evaluation does. It trains the
@@ -31,8 +35,8 @@
 # may split a product differently and so round it differently, and both
 # sides of a comparison must round alike.
 #
-# The second form compares the three streams, every report, checkpoint and saved
-# memory and gradcheck.txt, prints the files that differ (a file missing on one
+# The second form compares the three streams, every report, checkpoint (init.ckpt
+# too) and saved memory and gradcheck.txt, prints the files that differ (a file missing on one
 # side differs) and their count, and exits 1 if any differ. A differing JSON
 # file that is equal once metadata.config_hash and metadata.config are dropped,
 # as after a config field is renamed or removed, is marked so; it still counts
@@ -47,8 +51,8 @@ usage() {
 
 outputs() {
     (cd "$1" && shopt -s nullglob &&
-        printf '%s\n' stream/* deskstream/* cdaqstream/* *.json */report*.json */step*.ckpt \
-            */step*.memory.jsonl gradcheck.txt)
+        printf '%s\n' stream/* deskstream/* cdaqstream/* *.json */report*.json */init.ckpt \
+            */step*.ckpt */step*.memory.jsonl gradcheck.txt)
 }
 
 # exit 0 if two JSON reports are equal without metadata.config_hash and
@@ -107,6 +111,22 @@ run_set() {
     for m in ma_mrc lower upper ewc online_ewc agem der derpp; do
         contspan "$m" run --data stream --method "$m" --memory-size 12 --epochs 2 \
             --report "$m.json" --out-dir "$m"
+    done
+    contspan ma_mrc_resume run --data stream --method ma_mrc --memory-size 12 --epochs 2 \
+        --report ma_mrc_resume.json --out-dir ma_mrc --resume
+    cp -r ma_mrc ma_mrc_cut
+    rm ma_mrc_cut/step3.* ma_mrc_cut/report.json
+    python3 -c 'import json, sys
+with open(sys.argv[1], encoding="utf-8") as f:
+    report = json.load(f)
+report["steps"] = report["steps"][:2]
+with open(sys.argv[1], "w", encoding="utf-8") as f:
+    json.dump(report, f)' ma_mrc_cut/report.partial.json
+    contspan ma_mrc_cut run --data stream --method ma_mrc --memory-size 12 --epochs 2 \
+        --report ma_mrc_cut.json --out-dir ma_mrc_cut --resume
+    for m in upper ewc; do
+        contspan "${m}_o201" run --data stream --method "$m" --memory-size 12 --epochs 2 \
+            --order 2,0,1 --report "${m}_o201.json" --out-dir "${m}_o201"
     done
     contspan eval eval --checkpoint ma_mrc/step3.ckpt --data stream --report eval.json
     contspan gendesk gen --setting cdac --domains 3 --train-size 48 --test-size 256 \

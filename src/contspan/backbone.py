@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import struct
 from dataclasses import dataclass, asdict
 
@@ -40,6 +41,8 @@ class ModelConfig:
     ff_mult: int = 4
 
     def __post_init__(self):
+        if bad := [k for k, v in asdict(self).items() if type(v) is not int or v < 1]:
+            raise ValueError(f"{bad[0]} must be an int >= 1, got {getattr(self, bad[0])!r}")
         if self.hidden % self.n_heads != 0:
             raise ValueError(f"hidden={self.hidden} not divisible by n_heads={self.n_heads}")
 
@@ -54,37 +57,30 @@ def _trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
+def param_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float | None]]:
+    """Each parameter's name, shape and initial fill (None: a truncated
+    normal draw), in draw and checkpoint order."""
+    h, ff = config.hidden, config.ff_mult * config.hidden
+    spec = [("tok_emb", (config.vocab_size, h), None), ("pos_emb", (config.l_max, h), None),
+            ("ln_emb_g", (h,), 1.0), ("ln_emb_b", (h,), 0.0)]
+    for i in range(config.n_layers):
+        spec += [(f"blk{i}.{nm}", (h, h), None) for nm in ("wq", "wk", "wv", "wo")]
+        spec += [(f"blk{i}.{nm}", (h,), 0.0) for nm in ("bq", "bk", "bv", "bo")]
+        spec += [(f"blk{i}.{nm}", shape, fill) for nm, shape, fill in (
+            ("ln1_g", (h,), 1.0), ("ln1_b", (h,), 0.0), ("w1", (h, ff), None),
+            ("b1", (ff,), 0.0), ("w2", (ff, h), None), ("b2", (h,), 0.0),
+            ("ln2_g", (h,), 1.0), ("ln2_b", (h,), 0.0))]
+    return spec + [("w_start", (h,), None), ("w_end", (h,), None)]
+
+
 class BackboneModel:
     """Encoder parameters plus span heads, all as named requires_grad tensors."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
-        self.params: dict[str, Tensor] = {}
-        h = config.hidden
-        ff = config.ff_mult * h
-
-        def p(name, array):
-            self.params[name] = Tensor(array, requires_grad=True)
-
-        p("tok_emb", _trunc_normal(rng, (config.vocab_size, h)))
-        p("pos_emb", _trunc_normal(rng, (config.l_max, h)))
-        p("ln_emb_g", np.ones(h))
-        p("ln_emb_b", np.zeros(h))
-        for i in range(config.n_layers):
-            for nm in ("wq", "wk", "wv", "wo"):
-                p(f"blk{i}.{nm}", _trunc_normal(rng, (h, h)))
-            for nm in ("bq", "bk", "bv", "bo"):
-                p(f"blk{i}.{nm}", np.zeros(h))
-            p(f"blk{i}.ln1_g", np.ones(h))
-            p(f"blk{i}.ln1_b", np.zeros(h))
-            p(f"blk{i}.w1", _trunc_normal(rng, (h, ff)))
-            p(f"blk{i}.b1", np.zeros(ff))
-            p(f"blk{i}.w2", _trunc_normal(rng, (ff, h)))
-            p(f"blk{i}.b2", np.zeros(h))
-            p(f"blk{i}.ln2_g", np.ones(h))
-            p(f"blk{i}.ln2_b", np.zeros(h))
-        p("w_start", _trunc_normal(rng, (h,)))
-        p("w_end", _trunc_normal(rng, (h,)))
+        self.params = {name: Tensor(_trunc_normal(rng, shape) if fill is None
+                                    else np.full(shape, fill), requires_grad=True)
+                       for name, shape, fill in param_spec(config)}
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -101,10 +97,6 @@ class BackboneModel:
         clone.config = self.config
         clone.params = {k: Tensor(v.data.copy()) for k, v in self.params.items()}
         return clone
-
-    def load_state(self, other: "BackboneModel"):
-        for k, v in other.params.items():
-            self.params[k].data = v.data.copy()
 
     # -- forward ------------------------------------------------------------
 
@@ -204,12 +196,14 @@ class BackboneModel:
 
     @classmethod
     def load(cls, path) -> "BackboneModel":
+        """Read a checkpoint, checking its header and size before allocating."""
         with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+
             def read(n):
-                raw = f.read(n)
-                if len(raw) < n:
+                if n > size - f.tell():
                     raise ValueError(f"truncated checkpoint: {path}")
-                return raw
+                return f.read(n)
 
             magic = f.read(len(CHECKPOINT_MAGIC))
             if magic != CHECKPOINT_MAGIC:
@@ -219,16 +213,20 @@ class BackboneModel:
                 raise ValueError(f"unsupported checkpoint version {version}")
             header = parse_json(read(hlen), path)
             try:
-                model = cls(ModelConfig(**header["config"]), ad.seeded_rng(0))
+                config = ModelConfig(**header["config"])
                 entries = [(e["name"], tuple(map(operator.index, e["shape"])))
                            for e in header["params"]]
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"malformed checkpoint header: {path} ({e!r})") from None
-            if entries != [(k, v.data.shape) for k, v in model.params.items()]:
+            if entries != [(name, shape) for name, shape, _ in param_spec(config)]:
                 raise ValueError(f"malformed checkpoint header: {path} (params do not fit config)")
-            for name, shape in entries:
-                arr = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8")
-                model.params[name].data = arr.reshape(shape).copy()
+            sizes = [math.prod(shape) for _, shape in entries]
+            parts = np.split(np.frombuffer(read(8 * sum(sizes)), dtype="<f8"),
+                             np.cumsum(sizes)[:-1])
+        model = cls.__new__(cls)
+        model.config = config
+        model.params = {name: Tensor(part.reshape(shape).copy(), requires_grad=True)
+                        for (name, shape), part in zip(entries, parts)}
         return model
 
 

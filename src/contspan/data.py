@@ -81,7 +81,7 @@ class Sample:
         if not 0 <= self.answer_start <= self.answer_end:
             raise ValueError(f"sample {self.id}: malformed answer span "
                              f"({self.answer_start}, {self.answer_end})")
-        s, offset, kept = build_input_sequence(self.question_ids, self.passage_ids, l_max)
+        s = build_input_sequence(self.question_ids, self.passage_ids, l_max)
         if self.answer_end >= len(s) - 1:
             raise ValueError(f"sample {self.id}: answer span truncated away")
         self.input_ids = s
@@ -96,10 +96,8 @@ class Sample:
                 "answer_start": self.answer_start, "answer_end": self.answer_end}
 
     @classmethod
-    def from_record(cls, rec: dict, where: str) -> "Sample":
-        """Inverse of ``record``; ``where`` (``path:line``) names the record
-        in the error a missing or mistyped field raises."""
-        _require(rec, RECORD_FIELDS, where)
+    def from_record(cls, rec: dict) -> "Sample":
+        """Inverse of ``record``, for a record ``_require`` has checked."""
         return cls(**{k: rec[k] for k in RECORD_FIELDS} | {"id": str(rec["id"])})
 
 
@@ -119,7 +117,6 @@ def _require(rec, kinds: dict[str, str], where: str):
 @dataclass
 class DomainData:
     name: str
-    index: int
     train: list[Sample]
     test: list[Sample]
 
@@ -204,23 +201,21 @@ def synthetic_vocab(cfg: GenConfig) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # input assembly
 
-def build_input_sequence(question_ids, passage_ids, l_max):
-    """Assemble [cls] Q [sep] P [sep], truncating the passage tail to fit.
+def passage_offset(question_ids) -> int:
+    """Index of the passage's first token in [cls] Q [sep] P [sep]: the shift
+    from passage-local answer indices to sequence indices."""
+    return 1 + len(question_ids) + 1
 
-    Returns (sequence, passage_offset, kept_passage_len). Passage-local
-    answer indices shift by the offset, which is 1 + |Q| + 1.
-    """
+
+def build_input_sequence(question_ids, passage_ids, l_max) -> list[int]:
+    """Assemble [cls] Q [sep] P [sep], truncating the passage tail to fit."""
     if not len(question_ids) or not len(passage_ids):
         raise ValueError("question and passage must be non-empty")
-    offset = 1 + len(question_ids) + 1
-    budget = l_max - offset - 1
+    budget = l_max - passage_offset(question_ids) - 1
     if budget < 1:
         raise ValueError(f"question of length {len(question_ids)} leaves no room "
                          f"for a passage at l_max={l_max}")
-    kept = min(len(passage_ids), budget)
-    s = ([CLS_ID] + list(question_ids) + [SEP_ID]
-         + list(passage_ids[:kept]) + [SEP_ID])
-    return s, offset, kept
+    return [CLS_ID] + list(question_ids) + [SEP_ID] + list(passage_ids[:budget]) + [SEP_ID]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +300,7 @@ def _gen_split(cfg: GenConfig, layout: VocabLayout, domain: int, split: str,
             passage, spans = _build_passage(rng, markers, length, filler_pool,
                                             payload_pool, payload_lens, position_window)
             p_start, p_end = spans[target]
-            offset = 1 + len(question) + 1
+            offset = passage_offset(question)
             sample = Sample(
                 id=f"{cfg.setting}-s{cfg.seed}-d{domain}-{split}-{i}",
                 domain=domain,
@@ -332,8 +327,7 @@ def _generate_stream(cfg: GenConfig) -> DomainStream:
         rng_te = seeded_rng(cfg.seed, k, 1)
         train = _gen_split(cfg, layout, k, "train", cfg.train_size, rng_tr)
         test = _gen_split(cfg, layout, k, "test", cfg.test_size, rng_te)
-        domains.append(DomainData(name=f"{cfg.setting}_d{k}", index=k,
-                                  train=train, test=test))
+        domains.append(DomainData(name=f"{cfg.setting}_d{k}", train=train, test=test))
     return DomainStream(cfg.setting, domains, synthetic_vocab(cfg), cfg.l_max)
 
 
@@ -382,11 +376,10 @@ def load_stream(data_dir) -> DomainStream:
         splits = {}
         for split in ("train", "test"):
             path = root / f"{name}.{split}.jsonl"
-            splits[split], dropped = read_jsonl_samples(path, manifest["l_max"], vocab)
+            splits[split], dropped = read_jsonl_samples(path, idx, manifest["l_max"], vocab)
             if dropped and splits[split]:  # read_jsonl_samples warns when none are left
                 log.warning("%s: %d record(s) dropped", path, dropped)
-        domains.append(DomainData(name=name, index=idx,
-                                  train=splits["train"], test=splits["test"]))
+        domains.append(DomainData(name=name, train=splits["train"], test=splits["test"]))
     return DomainStream(manifest["setting"], domains, vocab, manifest["l_max"])
 
 
@@ -406,10 +399,11 @@ def read_vocab(path) -> dict[str, int]:
     return vocab
 
 
-def read_jsonl_samples(path, l_max: int, vocab: dict[str, int]):
+def read_jsonl_samples(path, domain: int, l_max: int, vocab: dict[str, int]):
     """Read one domain file of JSON objects: token records, which hold token
     ids (question_ids or passage_ids), or text records.
 
+    Each record's ``domain`` must be domain, the file's manifest position.
     Text records are tokenized against vocab, which gains their unseen
     tokens. Returns (samples, dropped_count); records that fail span
     recovery or assembly are dropped and counted, never raised.
@@ -420,19 +414,25 @@ def read_jsonl_samples(path, l_max: int, vocab: dict[str, int]):
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            rec = parse_json(line, f"{path}:{lineno}")
-            if type(rec) is dict and rec.keys() & {"question_ids", "passage_ids"}:
-                sample = Sample.from_record(rec, f"{path}:{lineno}")
+            where = f"{path}:{lineno}"
+            rec = parse_json(line, where)
+            token = type(rec) is dict and rec.keys() & {"question_ids", "passage_ids"}
+            _require(rec, RECORD_FIELDS if token else TEXT_FIELDS, where)
+            if rec["domain"] != domain:
+                raise ValueError(f"{where}: domain {rec['domain']} is not {domain}, the "
+                                 f"file's position in the stream manifest")
+            if token:
+                sample = Sample.from_record(rec)
                 if bad := [i for i in sample.question_ids + sample.passage_ids
                            if not 0 <= i < len(vocab)]:
-                    raise ValueError(f"{path}:{lineno}: token id {bad[0]} is outside the "
+                    raise ValueError(f"{where}: token id {bad[0]} is outside the "
                                      f"vocab's ids 0..{len(vocab) - 1}")
                 try:
                     samples.append(sample.assemble(l_max))
                 except ValueError:
                     dropped += 1
             else:
-                sample = _sample_from_text(rec, vocab, l_max, path, lineno)
+                sample = _sample_from_text(rec, vocab, l_max)
                 if sample is None:
                     dropped += 1
                 else:
@@ -455,8 +455,7 @@ def _tokenize(text: str, vocab: dict[str, int]):
     return ids, spans
 
 
-def _sample_from_text(rec, vocab, l_max, path, lineno):
-    _require(rec, TEXT_FIELDS, f"{path}:{lineno}")
+def _sample_from_text(rec, vocab, l_max):
     q_ids, _ = _tokenize(rec["question"], vocab)
     p_ids, p_spans = _tokenize(rec["passage"], vocab)
     char_start = rec["answer_char_start"]
@@ -473,7 +472,7 @@ def _sample_from_text(rec, vocab, l_max, path, lineno):
     if rec["answer_text"].split() and rec["answer_text"] not in recovered \
             and " ".join(rec["answer_text"].split()) not in recovered:
         return None
-    offset = 1 + len(q_ids) + 1
+    offset = passage_offset(q_ids)
     sample = Sample(id=str(rec["id"]), domain=rec["domain"],
                     question_ids=q_ids, passage_ids=p_ids,
                     answer_start=tok_start + offset, answer_end=tok_end + offset)

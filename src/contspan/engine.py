@@ -24,12 +24,16 @@ from . import memory as mem
 from .autodiff import Tensor
 from .backbone import BackboneModel, ModelConfig, MAX_ANSWER_LEN, NEG_INF, \
     decode_answer, span_loss_batch
-from .data import JSON_TYPES, DomainStream, Sample
+from .data import JSON_TYPES, DomainData, DomainStream, Sample
 from .metrics import EvalReport, StepResult, em_f1, f1_avg, f1_all, config_hash
 
 log = logging.getLogger(__name__)
 
-METHODS = ("ma_mrc", "lower", "upper", "ewc", "online_ewc", "agem", "der", "derpp")
+# Each method's step from step 2 on; step 1 is train_initial for every method
+STEPS = {"ma_mrc": "incremental_step", "lower": "lower_bound_step",
+         "upper": "upper_bound_step", "ewc": "ewc_step", "online_ewc": "ewc_step",
+         "agem": "agem_step", "der": "der_step", "derpp": "der_step"}
+METHODS = tuple(STEPS)
 REPLAY_METHODS = ("ma_mrc", "agem", "der", "derpp")
 NORM_STRATEGIES = ("norm1", "norm2")
 UNCERTAINTY_KINDS = ("entropy", "prob", "random")
@@ -198,6 +202,7 @@ class ContinualEngine:
         config.validate(len(stream))
         self.stream = stream
         self.cfg = config
+        self.order = config.order(len(stream))
         self.model_cfg = ModelConfig(vocab_size=len(stream.vocab),
                                      hidden=config.hidden,
                                      n_layers=config.n_layers,
@@ -205,11 +210,14 @@ class ContinualEngine:
                                      l_max=stream.l_max)
         self.memory: mem.Memory | None = None
         self.fisher_states: list[FisherState] = []
-        self.init_model: BackboneModel | None = None
         self.timings: list[float] = []
 
     def _rng(self, stream_id: int, t: int = 0) -> np.random.Generator:
         return ad.seeded_rng(self.cfg.seed, stream_id, t)
+
+    def _domain(self, t: int) -> DomainData:
+        """The domain trained at step t (1-based)."""
+        return self.stream.domains[self.order[t - 1]]
 
     # -- public entry -------------------------------------------------------
 
@@ -222,13 +230,12 @@ class ContinualEngine:
         """
         cfg = self.cfg
         self.stream.require("train", "test")
-        order = cfg.order(len(self.stream))
         report = EvalReport(metadata={
             "config": asdict(cfg),
             "config_hash": config_hash(asdict(cfg)),
             "method": cfg.method,
             "seed": cfg.seed,
-            "order": order,
+            "order": self.order,
             "domains": [d.name for d in self.stream.domains],
             "setting": self.stream.setting,
         })
@@ -237,37 +244,31 @@ class ContinualEngine:
             out.mkdir(parents=True, exist_ok=True)
 
         model = BackboneModel(self.model_cfg, self._rng(_S_INIT))
-        self.init_model = model.copy()
         if out is not None:
-            self.init_model.save(out / "init.ckpt")
+            model.save(out / "init.ckpt")
             if resume and (out / "report.partial.json").exists():
-                model, report = self._replay_committed(out, report, order)
+                model, report = self._replay_committed(out, report)
 
         uses_memory = cfg.method in REPLAY_METHODS
 
-        for t in range(len(report.steps) + 1, len(order) + 1):
-            dom = self.stream.domains[order[t - 1]]
+        for t in range(len(report.steps) + 1, len(self.order) + 1):
             tic = time.perf_counter()
             extra = {}
             if t == 1:
-                self.train_initial(model, dom.train, t)
+                self.train_initial(model, t)
             else:
-                step_fn = {"lower": self.lower_bound_step, "upper": self.upper_bound_step,
-                           "ewc": self.ewc_step, "online_ewc": self.ewc_step,
-                           "agem": self.agem_step, "der": self.der_step, "derpp": self.der_step,
-                           "ma_mrc": self.incremental_step}[cfg.method]
+                step_fn = getattr(self, STEPS[cfg.method])
                 if uses_memory and not self.memory.items:
                     log.warning("empty memory at step %d; degenerating to plain "
                                 "fine-tuning", t)
                     step_fn = self.lower_bound_step
-                extra = step_fn(model, dom.train, t, order) or {}
-            self._after_step(model, t, order)
+                extra = step_fn(model, t) or {}
+            self._after_step(model, t)
             self.timings.append(time.perf_counter() - tic)
 
-            seen = [order[i] for i in range(t)]
-            per_domain, pooled = self.evaluate(model, seen)
+            per_domain, pooled = self.evaluate(model, self.order[:t])
             report.steps.append(StepResult(
-                step=t, trained_domain=dom.index, per_domain=per_domain,
+                step=t, trained_domain=self.order[t - 1], per_domain=per_domain,
                 f1_avg=f1_avg([e["f1"] for e in per_domain]),
                 f1_all=f1_all(pooled), extra=extra))
             if on_step is not None:
@@ -286,13 +287,13 @@ class ContinualEngine:
                 json.dump({"step_seconds": self.timings}, f, indent=2)
         return model, report
 
-    def _after_step(self, model: BackboneModel, t: int, order: list[int]):
+    def _after_step(self, model: BackboneModel, t: int):
         """Post-step bookkeeping on the model trained at step t: the replay
         memory's update and the Fisher record. Its rng substreams depend on
         the run seed and t alone, so replaying it on the saved checkpoints
         rebuilds the same state bit for bit."""
         cfg = self.cfg
-        train = self.stream.domains[order[t - 1]].train
+        train = self._domain(t).train
         if cfg.method in REPLAY_METHODS:
             kind = cfg.uncertainty_kind if cfg.method == "ma_mrc" else "random"
             if t == 1:
@@ -300,20 +301,20 @@ class ContinualEngine:
                                               self._rng(_S_MEM, t), kind)
             else:
                 mem.update_memory(self.memory, train, model, t, self._rng(_S_MEM, t),
-                                  cfg.norm_strategy, kind, order)
+                                  cfg.norm_strategy, kind, self.order)
         if cfg.method in ("ewc", "online_ewc"):
             self._record_fisher(model, train, t)
 
-    def _replay_committed(self, out: Path, report: EvalReport, order: list[int]):
+    def _replay_committed(self, out: Path, report: EvalReport):
         """Restore the steps that report.partial.json commits: their saved
         results, and the memory and Fisher state replayed from each step's
         checkpoint. Returns the last committed model and the saved report."""
-        saved = EvalReport.load(out / "report.partial.json")
-        if saved.metadata["config_hash"] != report.metadata["config_hash"]:
-            raise ValueError("resume config does not match the saved run")
+        saved = EvalReport.load(path := out / "report.partial.json")
+        if saved.metadata.get("config_hash") != report.metadata["config_hash"]:
+            raise ValueError(f"{path}: resume config does not match the saved run")
         for t in range(1, len(saved.steps) + 1):
             model = BackboneModel.load(out / f"step{t}.ckpt")
-            self._after_step(model, t, order)
+            self._after_step(model, t)
         log.info("resuming after completed step %d", len(saved.steps))
         return model, saved
 
@@ -344,30 +345,28 @@ class ContinualEngine:
 
     # -- per-method steps ---------------------------------------------------
 
-    def train_initial(self, model: BackboneModel, d1_train: list[Sample], t: int):
+    def train_initial(self, model: BackboneModel, t: int):
         """Step 1 for every method: plain span-loss training."""
-        losses = self._fit(model, d1_train, self._rng(_S_TRAIN, t))
+        losses = self._fit(model, self._domain(t).train, self._rng(_S_TRAIN, t))
         log.info("initial training losses per epoch: %s",
                  [f"{x:.3f}" for x in losses])
         return losses
 
-    def lower_bound_step(self, model, d_train, t, order):
-        self._fit(model, d_train, self._rng(_S_TRAIN, t))
+    def lower_bound_step(self, model, t):
+        self._fit(model, self._domain(t).train, self._rng(_S_TRAIN, t))
 
-    def upper_bound_step(self, model, d_train, t, order):
-        """Joint-training ceiling: restart from the initial parameters and
-        train on every seen domain's full training data."""
-        model.load_state(self.init_model)
-        union: list[Sample] = []
-        for i in range(t):
-            union.extend(self.stream.domains[order[i]].train)
+    def upper_bound_step(self, model, t):
+        """Joint-training ceiling: restart from the seed's initial parameters
+        and train on every seen domain's full training data, in stream order."""
+        model.params = BackboneModel(self.model_cfg, self._rng(_S_INIT)).params
+        union = [s for i in range(1, t + 1) for s in self._domain(i).train]
         self._fit(model, union, self._rng(_S_TRAIN, t))
 
-    def ewc_step(self, model, d_train, t, order):
+    def ewc_step(self, model, t):
         def loss_fn(batch):
             return span_loss(model, batch) + ewc_penalty(model, self.fisher_states, EWC_LAMBDA)
 
-        self._fit(model, d_train, self._rng(_S_TRAIN, t), loss_fn=loss_fn)
+        self._fit(model, self._domain(t).train, self._rng(_S_TRAIN, t), loss_fn=loss_fn)
 
     def _record_fisher(self, model: BackboneModel, d_train: list[Sample], t: int):
         """Diagonal Fisher from squared span-loss gradients on small batches.
@@ -393,7 +392,7 @@ class ContinualEngine:
         anchor = {k: p.data.copy() for k, p in model.params.items()}
         self.fisher_states.append(FisherState(fisher=fisher, anchor=anchor))
 
-    def agem_step(self, model, d_train, t, order):
+    def agem_step(self, model, t):
         rng = self._rng(_S_TRAIN, t)
         mem_items = self.memory.items
         params = model.parameters()
@@ -408,9 +407,9 @@ class ContinualEngine:
             for p, part in zip(params, np.split(g, np.cumsum([p.data.size for p in params]))):
                 p.grad = part.reshape(p.data.shape)
 
-        self._fit(model, d_train, rng, grad_hook=project)
+        self._fit(model, self._domain(t).train, rng, grad_hook=project)
 
-    def der_step(self, model, d_train, t, order):
+    def der_step(self, model, t):
         """Logit replay; the plus-plus variant adds gold-label replay."""
         rng = self._rng(_S_TRAIN, t)
         mem_items = self.memory.items
@@ -422,9 +421,9 @@ class ContinualEngine:
             pick = rng.choice(len(mem_items), size=k, replace=False)
             return loss + der_replay_loss(model, [mem_items[i] for i in pick], beta)
 
-        self._fit(model, d_train, rng, loss_fn=loss_fn)
+        self._fit(model, self._domain(t).train, rng, loss_fn=loss_fn)
 
-    def incremental_step(self, model, d_train, t, order) -> dict:
+    def incremental_step(self, model, t) -> dict:
         """Full method: mixed-batch replay + adversarial game + distillation."""
         cfg = self.cfg
         mem_items = self.memory.items
@@ -449,12 +448,12 @@ class ContinualEngine:
                                            sl, el, n) * cfg.kl_weight
             return loss
 
-        self._fit(model, d_train, rng, loss_fn=loss_fn)
+        self._fit(model, self._domain(t).train, rng, loss_fn=loss_fn)
         if cfg.adv_weight == 0.0:
             return {}
         # the game discriminator's held-out accuracy and, as the sharper
         # measure, that of a fresh probe trained on the same representations
-        mem_reprs, cur_reprs, rng = self._probe_reprs(model, t, order)
+        mem_reprs, cur_reprs, rng = self._probe_reprs(model, t)
         extra = {"disc_accuracy": adv.discriminator_accuracy(disc, mem_reprs, cur_reprs)}
         if min(len(mem_reprs), len(cur_reprs)) < 2:  # the probe would hold out no row
             log.warning("step %d: no probe_accuracy, the probe has %d row(s) a side",
@@ -464,15 +463,14 @@ class ContinualEngine:
                 cfg.hidden, mem_reprs, cur_reprs, rng)[1]
         return extra
 
-    def _probe_reprs(self, model, t, order):
+    def _probe_reprs(self, model, t):
         """Pooled representations of up to 64 memory items and as many unseen
         current-domain test rows, plus the probe's rng, which drew them."""
-        cur_dom = order[t - 1]
-        test = self.stream.domains[cur_dom].test
+        test = self._domain(t).test
         rng = self._rng(_S_PROBE, t)
         # during the step memory holds no current-domain items; after an
         # update it does, and those must not dilute the separability probe
-        mem_items = [it for it in self.memory.items if it.origin_domain != cur_dom]
+        mem_items = [it for it in self.memory.items if it.sample.domain != self.order[t - 1]]
         k = min(len(mem_items), len(test), 64)
         mem_pick = rng.choice(len(mem_items), size=k, replace=False)
         cur_pick = rng.choice(len(test), size=k, replace=False)

@@ -126,7 +126,7 @@ def check_der_terms() -> float:
     model = _tiny_model()
     rng = ad.seeded_rng(SEED, 14)
     samples, _ = _ragged_samples(rng, model, [2, 4, 3])
-    items = [MemoryItem(sample=s, origin_domain=0,
+    items = [MemoryItem(sample=s,
                         teacher_start_logits=rng.normal(size=len(s.input_ids)),
                         teacher_end_logits=rng.normal(size=len(s.input_ids)))
              for s in samples]

@@ -29,7 +29,6 @@ WEIGHT_EPS = 1e-6
 @dataclass
 class MemoryItem:
     sample: Sample
-    origin_domain: int
     best_uncertainty: float = -math.inf
     last_uncertainty: float = -math.inf
     teacher_start_logits: np.ndarray | None = None
@@ -144,7 +143,7 @@ def update_memory(memory: Memory, d_t_train: list[Sample], model: BackboneModel,
 
     by_domain: dict[int, list[MemoryItem]] = {}
     for it in memory.items:
-        by_domain.setdefault(it.origin_domain, []).append(it)
+        by_domain.setdefault(it.sample.domain, []).append(it)
     stray = set(by_domain) - set(past)
     if stray:
         raise ValueError(f"memory holds domains {sorted(stray)}, not among the "
@@ -169,8 +168,7 @@ def update_memory(memory: Memory, d_t_train: list[Sample], model: BackboneModel,
         log.warning("memory quota %d exceeds current domain size %d; storing all",
                     quotas[t - 1] + shortfall, len(d_t_train))
     idx = rng.choice(len(d_t_train), size=new_quota, replace=False)
-    new_items = [MemoryItem(sample=d_t_train[i], origin_domain=d_t_train[i].domain)
-                 for i in sorted(idx.tolist())]
+    new_items = [MemoryItem(sample=d_t_train[i]) for i in sorted(idx.tolist())]
     # retained items keep the logits cached when they entered memory
     _cache_teacher_logits(model, new_items, kind)
 
@@ -188,7 +186,7 @@ def save_memory(memory: Memory, path):
         for it in memory.items:
             rec = it.sample.record()
             rec["_memory"] = {
-                "origin_domain": it.origin_domain,
+                "origin_domain": it.sample.domain,
                 "best_uncertainty": it.best_uncertainty,
                 "last_uncertainty": it.last_uncertainty,
                 "teacher_start_logits": it.teacher_start_logits.tolist(),

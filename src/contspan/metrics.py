@@ -111,15 +111,20 @@ class EvalReport:
             f.write("\n")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported report schema {d.get('schema_version')}")
-        return cls(metadata=d["metadata"], steps=[StepResult(**s) for s in d["steps"]])
+    def from_dict(cls, d, where) -> "EvalReport":
+        """Inverse of ``to_dict``; a malformed report raises an error naming where."""
+        if type(d) is not dict or d.get("schema_version") != SCHEMA_VERSION \
+                or type(d.get("metadata")) is not dict:
+            raise ValueError(f"{where}: not a report of schema {SCHEMA_VERSION}")
+        try:
+            return cls(metadata=d["metadata"], steps=[StepResult(**s) for s in d["steps"]])
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"{where}: malformed report ({e})") from None
 
     @classmethod
     def load(cls, path) -> "EvalReport":
         with open(path, "rb") as f:
-            return cls.from_dict(parse_json(f.read(), path))
+            return cls.from_dict(parse_json(f.read(), path), path)
 
     def write_csv(self, path):
         """F1-vs-step curve: step, domain, f1, em, f1_avg, f1_all."""

@@ -166,7 +166,7 @@ def protocol():
 
         def probe(t, model, memory, step, _e=engine, _r=refs):
             if t >= 2:
-                reprs = _e._probe_reprs(model, t, [0, 1, 2])
+                reprs = _e._probe_reprs(model, t)
                 _r.append(adv.train_probe_discriminator(_e.cfg.hidden, *reprs)[1])
 
         _, rep = engine.run(on_step=probe)
@@ -214,7 +214,7 @@ def test_criterion_03_memory_invariants():
 
         def check(t, model, memory, step, _cap=capacity):
             assert len(memory.items) <= _cap
-            counts = Counter(it.origin_domain for it in memory.items)
+            counts = Counter(it.sample.domain for it in memory.items)
             got = [counts.get(d, 0) for d in range(t)]
             assert got == expected_counts(_cap, t), (t, _cap, got)
             checked.append((_cap, t))

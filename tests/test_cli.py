@@ -2,15 +2,19 @@ import ctypes
 import json
 import math
 import platform
+import re
 import shutil
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from contspan import cli
+from contspan.autodiff import seeded_rng
+from contspan.backbone import BackboneModel, ModelConfig
 from contspan.cli import main
 from contspan.data import load_stream
 from contspan.engine import METHODS, NORM_STRATEGIES, UNCERTAINTY_KINDS
@@ -359,6 +363,51 @@ def test_run_stream_file_with_bad_ids_or_json_exits_1(dataset, tmp_path, capsys,
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "ck").exists()
 
 
+@pytest.fixture(scope="module")
+def stream3(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ds3") / "stream"
+    assert main(["gen", "--setting", "cdac", "--domains", "3", "--train-size", "16",
+                 "--test-size", "8", "--seed", "0", "--out", str(out)]) == 0
+    return out
+
+
+def relabel(stream, out, domains: dict[str, int]):
+    """Copy the stream to out, setting the domain of every record of each
+    named domain's files to the given value."""
+    shutil.copytree(stream, out)
+    for name, domain in domains.items():
+        for split in ("train", "test"):
+            path = out / f"{name}.{split}.jsonl"
+            path.write_text("".join(json.dumps({**json.loads(line), "domain": domain}) + "\n"
+                                    for line in path.read_text().splitlines()))
+
+
+# the relabelled domains, and the first file and record domain a load meets
+MISLABELLED = {"all_zero": ({"cdac_d1": 0, "cdac_d2": 0}, "cdac_d1", 0, 1),
+               "d0_five": ({"cdac_d0": 5}, "cdac_d0", 5, 0)}
+
+
+@pytest.mark.parametrize("case", sorted(MISLABELLED))
+@pytest.mark.parametrize("command", ["eval", *METHODS])
+def test_stream_record_of_another_domain_exits_1_at_load(stream3, tmp_path, capsys, case,
+                                                         command):
+    """A record's domain must be its file's manifest position. Labelled all
+    0, a stream once ran der with memory quotas of 1, 1 and 4 items for
+    2, 2 and 2; with d0 labelled 5, a run once committed step 1 and then
+    failed with a message that named no file."""
+    domains, name, got, position = MISLABELLED[case]
+    data = tmp_path / "stream"
+    relabel(stream3, data, domains)
+    args = (["eval", "--checkpoint", str(tmp_path / "none.ckpt")] if command == "eval"
+            else ["run", "--method", command, "--memory-size", "6", "--epochs", "1",
+                  "--out-dir", str(tmp_path / "ck")])
+    assert main(args + ["--data", str(data), "--report", str(tmp_path / "r.json")]) == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line == (f"error: {data / name}.train.jsonl:1: domain {got} is not {position}, "
+                    f"the file's position in the stream manifest")
+    assert sorted(tmp_path.iterdir()) == [data]
+
+
 def test_run_config_that_is_not_json_exits_1(dataset, tmp_path, capsys):
     manifest = tmp_path / "m.json"
     manifest.write_text("{'method': 'lower'}")
@@ -504,6 +553,44 @@ def test_eval_checkpoint_header_that_is_not_json_exits_1(dataset, tmp_path, caps
     assert not (tmp_path / "eval.json").exists()
 
 
+@pytest.mark.parametrize("config, expected", [
+    ({"vocab_size": 50_000}, "truncated checkpoint: {path}"),
+    ({"vocab_size": 100.0}, "malformed checkpoint header: {path} (ValueError('vocab_size "
+                            "must be an int >= 1, got 100.0'))"),
+    ({"l_max": -1}, "malformed checkpoint header: {path} (ValueError('l_max must be an int "
+                    ">= 1, got -1'))")], ids=["vocab-50000", "float-vocab", "negative-l_max"])
+def test_eval_checkpoint_header_beyond_its_file_exits_1_before_allocating(
+        dataset, tmp_path, capsys, config, expected):
+    """A 1.3 KB checkpoint whose header claimed a vocab of 400,000 once drew a
+    random model of that size (about 440 MB) before its size was checked."""
+    path = tmp_path / "big.ckpt"
+    BackboneModel(ModelConfig(vocab_size=100, hidden=16, n_layers=1, n_heads=2, l_max=32),
+                  seeded_rng(0)).save(path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    header = json.loads(raw[20:20 + hlen])
+    header["config"].update(config)
+    header["params"][0]["shape"][0] = header["config"]["vocab_size"]
+    header["params"][1]["shape"][0] = header["config"]["l_max"]
+    hb = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(hb)) + hb + raw[20 + hlen:])
+    expected = expected.format(path=path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            BackboneModel.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the claimed tok_emb alone would take 6.4 MB
+    rc = main(["eval", "--checkpoint", str(path), "--data", str(dataset),
+               "--report", str(tmp_path / "eval.json")])
+    assert rc == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line == f"error: {expected}"
+    assert not (tmp_path / "eval.json").exists()
+
+
 def test_eval_rejects_an_empty_test_split(dataset, tmp_path, capsys):
     ckpt_dir = tmp_path / "ckpts"
     assert main(run_args(dataset, tmp_path / "r.json", out_dir=ckpt_dir)) == 0
@@ -530,6 +617,41 @@ def test_report_renders_table_and_csv(dataset, tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 4  # header + one row per (step, seen domain)
     assert lines[0] == "step,domain,f1,em,f1_avg,f1_all"
+
+
+@pytest.mark.parametrize("doc, expected", [
+    ([1], "not a report of schema 1"),
+    ({"schema_version": 1, "metadata": {}, "steps": [{"x": 1}]},
+     "malformed report (StepResult.__init__() got an unexpected keyword argument 'x')"),
+    ({"schema_version": 1, "metadata": [], "steps": []}, "not a report of schema 1"),
+    ({"schema_version": 1, "metadata": {}}, "malformed report ('steps')"),
+    ({"schema_version": 1, "metadata": {}, "steps": [1]}, "malformed report (")], ids=["list", "unknown-step-key", "metadata-list", "no-steps", "step-int"])
+def test_report_of_another_shape_exits_1(tmp_path, capsys, doc, expected):
+    """[1] once ended in an AttributeError traceback, a step with key x in a
+    TypeError traceback."""
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--input", str(path)]) == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line.startswith(f"error: {path}: {expected}")
+
+
+@pytest.mark.parametrize("doc, expected", [
+    ([1], "not a report of schema 1"),
+    ({"schema_version": 1, "metadata": {}, "steps": []},
+     "resume config does not match the saved run")], ids=["list", "no-config-hash"])
+def test_resume_from_a_partial_report_of_another_shape_exits_1(dataset, tmp_path, capsys, doc,
+                                                               expected):
+    """A partial report without metadata.config_hash once ended in a KeyError
+    traceback."""
+    ckpt_dir = tmp_path / "ckpts"
+    args = run_args(dataset, tmp_path / "r.json", out_dir=ckpt_dir)
+    assert main(args) == 0
+    (ckpt_dir / "report.partial.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(args + ["--resume"]) == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line == f"error: {ckpt_dir / 'report.partial.json'}: {expected}"
 
 
 def test_gradcheck_exits_zero(capsys):

@@ -8,7 +8,8 @@ from contspan import data as dat
 from contspan.autodiff import seeded_rng
 from contspan.data import (GenConfig, Sample, VocabLayout, build_input_sequence,
                            generate_cdaq_stream, generate_cdac_stream,
-                           write_stream, load_stream, CLS_ID, SEP_ID, UNK_ID)
+                           passage_offset, write_stream, load_stream, CLS_ID, SEP_ID,
+                           UNK_ID)
 from contspan.metrics import em_f1
 
 SMALL = dict(n_domains=3, train_size=40, test_size=20, vocab_size=200, l_max=64)
@@ -31,19 +32,21 @@ def small_cfg(setting, seed=0, **over):
 # -- assembly ---------------------------------------------------------------
 
 def test_build_input_sequence_arithmetic():
-    s, offset, kept = build_input_sequence([10, 11, 12], [20, 21, 22, 23, 24], 64)
-    assert len(s) == 11 and offset == 5 and kept == 5
+    s = build_input_sequence([10, 11, 12], [20, 21, 22, 23, 24], 64)
+    offset = passage_offset([10, 11, 12])
+    assert len(s) == 11 and offset == 5 and s[offset:-1] == [20, 21, 22, 23, 24]
     assert s[0] == CLS_ID and s[4] == SEP_ID and s[-1] == SEP_ID
     # passage-local answer [0, 1] lands at S-indices [5, 6]
     assert s[5:7] == [20, 21]
     # the shortest input, a 1-token question and passage, has 5 tokens
-    s, offset, kept = build_input_sequence([10], [20], 64)
-    assert s == [CLS_ID, 10, SEP_ID, 20, SEP_ID] and offset == 3 and kept == 1
+    s = build_input_sequence([10], [20], 64)
+    assert s == [CLS_ID, 10, SEP_ID, 20, SEP_ID] and passage_offset([10]) == 3
 
 
 def test_build_input_sequence_truncates_tail_keeps_final_sep():
-    s, offset, kept = build_input_sequence([10, 11, 12], [20, 21, 22, 23, 24], 9)
-    assert len(s) == 9 and kept == 3
+    s = build_input_sequence([10, 11, 12], [20, 21, 22, 23, 24], 9)
+    # 3 of the 5 passage tokens are kept, after the offset of 5
+    assert len(s) == 9 and s[passage_offset([10, 11, 12]):-1] == [20, 21, 22]
     assert s[-1] == SEP_ID and s[5:8] == [20, 21, 22]
 
 
@@ -75,7 +78,7 @@ def test_ingest_drops_malformed_token_span(tmp_path):
            "passage_ids": list(range(20, 30)), "answer_start": 4, "answer_end": 5}
     _write_jsonl(path, [rec, dict(rec, id="neg", answer_start=-1),
                         dict(rec, id="rev", answer_start=6)])
-    samples, dropped = dat.read_jsonl_samples(path, 64, token_vocab())
+    samples, dropped = dat.read_jsonl_samples(path, 0, 64, token_vocab())
     assert [s.id for s in samples] == ["t"] and dropped == 2
 
 
@@ -239,7 +242,7 @@ def test_ingest_recovers_answer_span(tmp_path):
         "answer_text": "the key", "answer_char_start": 21,
     }])
     vocab = reserved_vocab()
-    samples, dropped = dat.read_jsonl_samples(path, 64, vocab)
+    samples, dropped = dat.read_jsonl_samples(path, 0, 64, vocab)
     assert dropped == 0 and len(samples) == 1
     s = samples[0]
     tokens = {v: k for k, v in vocab.items()}
@@ -256,7 +259,7 @@ def test_ingest_snaps_mid_token_offset(tmp_path):
         "answer_char_start": 5,
     }])
     vocab = reserved_vocab()
-    samples, _ = dat.read_jsonl_samples(path, 64, vocab)
+    samples, _ = dat.read_jsonl_samples(path, 0, 64, vocab)
     assert len(samples) == 1
     tokens = {v: k for k, v in vocab.items()}
     assert [tokens[t] for t in samples[0].answer_ids] == ["keeper"]
@@ -269,7 +272,7 @@ def test_ingest_drops_irrecoverable_span(tmp_path):
         "passage": "short text", "answer_text": "absent words",
         "answer_char_start": 0,
     }])
-    samples, dropped = dat.read_jsonl_samples(path, 64, reserved_vocab())
+    samples, dropped = dat.read_jsonl_samples(path, 0, 64, reserved_vocab())
     assert samples == [] and dropped == 1
 
 
@@ -277,7 +280,7 @@ def test_ingest_empty_file_warns_not_raises(tmp_path, caplog):
     path = tmp_path / "d.jsonl"
     path.write_text("")
     with caplog.at_level("WARNING"):
-        samples, dropped = dat.read_jsonl_samples(path, 64, reserved_vocab())
+        samples, dropped = dat.read_jsonl_samples(path, 0, 64, reserved_vocab())
     assert samples == [] and dropped == 0
     assert "no usable samples" in caplog.text
 
@@ -289,9 +292,9 @@ def test_ingest_malformed_json_names_line(tmp_path):
                        "answer_char_start": 0})
     path.write_text(good + "\nnot json\n")
     with pytest.raises(ValueError, match="malformed JSON"):
-        dat.read_jsonl_samples(path, 64, reserved_vocab())
+        dat.read_jsonl_samples(path, 0, 64, reserved_vocab())
     try:
-        dat.read_jsonl_samples(path, 64, reserved_vocab())
+        dat.read_jsonl_samples(path, 0, 64, reserved_vocab())
     except ValueError as e:
         assert ":2:" in str(e)
 
@@ -300,7 +303,7 @@ def test_ingest_missing_field_rejected(tmp_path):
     path = tmp_path / "d.jsonl"
     _write_jsonl(path, [{"id": "a", "domain": 0, "question": "q"}])
     with pytest.raises(ValueError, match="missing field"):
-        dat.read_jsonl_samples(path, 64, reserved_vocab())
+        dat.read_jsonl_samples(path, 0, 64, reserved_vocab())
 
 
 def test_ingest_token_record_missing_field_names_path_and_line(tmp_path):
@@ -309,7 +312,7 @@ def test_ingest_token_record_missing_field_names_path_and_line(tmp_path):
            "passage_ids": list(range(20, 30)), "answer_start": 4, "answer_end": 5}
     _write_jsonl(path, [rec, {k: v for k, v in rec.items() if k != "answer_start"}])
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: missing field 'answer_start'")):
-        dat.read_jsonl_samples(path, 64, token_vocab())
+        dat.read_jsonl_samples(path, 0, 64, token_vocab())
 
 
 @pytest.mark.parametrize("field, ids, bad", [("question_ids", [10, 30], 30),
@@ -322,7 +325,39 @@ def test_ingest_token_id_outside_the_vocab_names_path_and_line(tmp_path, field, 
     _write_jsonl(path, [rec, dict(rec, **{field: ids})])
     with pytest.raises(ValueError, match=re.escape(
             f"{path}:2: token id {bad} is outside the vocab's ids 0..29")):
-        dat.read_jsonl_samples(path, 64, token_vocab())
+        dat.read_jsonl_samples(path, 0, 64, token_vocab())
+
+
+TOKEN_REC = {"id": "t", "domain": 1, "question_ids": [10, 11],
+             "passage_ids": list(range(20, 30)), "answer_start": 4, "answer_end": 5}
+TEXT_REC = {"id": "r", "domain": 1, "question": "who sleeps",
+            "passage": "the old keeper sleeps", "answer_text": "keeper",
+            "answer_char_start": 8}
+
+
+@pytest.mark.parametrize("rec", [TOKEN_REC, TEXT_REC,
+                                 dict(TEXT_REC, answer_text="absent")],
+                         ids=["token", "text", "text-dropped"])
+def test_load_rejects_a_record_of_another_domain(tmp_path, rec):
+    """A record's domain is its file's position in the manifest; another
+    value once reached the replay memory and skewed its per-domain quotas.
+    A record the load would drop is rejected as well."""
+    for name in ("a", "b"):
+        for split in ("train", "test"):
+            _write_jsonl(tmp_path / f"{name}.{split}.jsonl", [dict(TOKEN_REC, domain=0)]
+                         if name == "a" else [TOKEN_REC, dict(rec, domain=0)])
+    (tmp_path / "vocab.txt").write_text("".join(f"w{i}\t{i}\n" for i in range(30)))
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"setting": "cdac", "l_max": 64, "domains": ["a", "b"]}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{tmp_path / 'b.train.jsonl'}:2: domain 0 is not 1, the file's position "
+            f"in the stream manifest")):
+        load_stream(tmp_path)
+    _write_jsonl(tmp_path / "b.train.jsonl", [TOKEN_REC, rec])
+    _write_jsonl(tmp_path / "b.test.jsonl", [TOKEN_REC, rec])
+    stream = load_stream(tmp_path)
+    assert [s.domain for d in stream.domains for s in d.train] == \
+        [0, 1] + [1] * (rec.get("answer_text") != "absent")
 
 
 @pytest.mark.parametrize("ids", [[0, 1, 2, 4], [0, 1, 1, 2], [1, 2, 3]])
@@ -346,7 +381,7 @@ def test_ingest_unknown_tokens_with_frozen_vocab(tmp_path):
     }])
     vocab = {dat.CLS_TOKEN: CLS_ID, dat.SEP_TOKEN: SEP_ID, dat.UNK_TOKEN: UNK_ID,
              "went": 3, "home": 4}
-    samples, dropped = dat.read_jsonl_samples(path, 64, vocab)
+    samples, dropped = dat.read_jsonl_samples(path, 0, 64, vocab)
     # frozen-vocab reads are only used for the pre-tokenized format; the
     # text path always extends, so the new words gain fresh ids
     assert dropped == 0 and "alice" in vocab

@@ -79,7 +79,7 @@ def test_ewc_penalty_cases():
 def _der_item(teacher_s, teacher_e):
     s = Sample(id="x", domain=0, question_ids=[10], passage_ids=[20],
                answer_start=3, answer_end=3).assemble(8)
-    return mem.MemoryItem(sample=s, origin_domain=0,
+    return mem.MemoryItem(sample=s,
                           teacher_start_logits=np.asarray(teacher_s, float),
                           teacher_end_logits=np.asarray(teacher_e, float))
 
@@ -184,6 +184,27 @@ def test_upper_step_trains_on_seen_union():
     assert sizes == [24, 48, 72]
 
 
+def test_upper_restarts_each_step_from_the_seeds_initial_parameters():
+    """Step t of upper starts from the parameters the run seed draws before
+    step 1 and trains on the first t domains of the order, in stream order."""
+    stream = small_stream()
+    engine = ContinualEngine(stream, small_config("upper", domain_order=[2, 0, 1]))
+    init = BackboneModel(engine.model_cfg, ad.seeded_rng(0, 0, 0))
+    calls = []
+    orig = engine._fit
+
+    def spy(model, samples, rng, **kw):
+        calls.append((params_equal(model, init), [s.id for s in samples]))
+        return orig(model, samples, rng, **kw)
+
+    engine._fit = spy
+    model, _ = engine.run()
+    assert not params_equal(model, init)
+    ids = [[s.id for s in stream.domains[d].train] for d in (2, 0, 1)]
+    assert calls == [(True, ids[0]), (True, ids[0] + ids[1]),
+                     (True, ids[0] + ids[1] + ids[2])]
+
+
 def test_order_permutation_is_respected():
     stream = small_stream()
     _, report = ContinualEngine(stream, small_config("lower", domain_order=[2, 0, 1])).run()
@@ -201,7 +222,7 @@ def test_forgetting_matrix_shape_after_run():
 def test_memory_quotas_across_run():
     engine = ContinualEngine(small_stream(), small_config("ma_mrc"))
     engine.run()
-    counts = Counter(it.origin_domain for it in engine.memory.items)
+    counts = Counter(it.sample.domain for it in engine.memory.items)
     assert counts == {0: 2, 1: 2, 2: 2}
     assert len(engine.memory.items) <= 6
 
@@ -212,7 +233,7 @@ def test_memory_quotas_follow_stream_position():
     counts = []
 
     def record(t, model, memory, step):
-        by_domain = Counter(it.origin_domain for it in memory.items)
+        by_domain = Counter(it.sample.domain for it in memory.items)
         counts.append([by_domain.get(d, 0) for d in order[:t]])
 
     engine = ContinualEngine(small_stream(), small_config("ma_mrc", memory_size=12,
@@ -401,11 +422,11 @@ def test_resume_rejects_config_mismatch(tmp_path):
 def test_fisher_estimates_are_nonnegative_and_shaped():
     stream = small_stream(n_domains=2)
     engine = ContinualEngine(stream, small_config("ewc"))
-    engine.run()
+    model, _ = engine.run()
     assert len(engine.fisher_states) == 2
     for st in engine.fisher_states:
         for k, f in st.fisher.items():
-            assert f.shape == engine.init_model.params[k].data.shape
+            assert f.shape == model.params[k].data.shape
             assert (f >= 0.0).all()
 
 

@@ -37,8 +37,7 @@ def make_samples(n, domain=0, q_len=2, p_len=3, seed=0):
 
 def make_item(domain=0, best=-math.inf, last=-math.inf, idx=0):
     s = make_samples(idx + 1, domain=domain)[idx]
-    return mem.MemoryItem(sample=s, origin_domain=domain,
-                          best_uncertainty=best, last_uncertainty=last)
+    return mem.MemoryItem(sample=s, best_uncertainty=best, last_uncertainty=last)
 
 
 def observe(model, item, kind):
@@ -201,12 +200,12 @@ def test_update_memory_rebalances_to_quotas(monkeypatch):
     _no_observe(monkeypatch)
     d0 = make_samples(10, domain=0)
     m = mem.Memory(capacity=9, items=[
-        mem.MemoryItem(sample=s, origin_domain=0, best_uncertainty=0.0,
+        mem.MemoryItem(sample=s, best_uncertainty=0.0,
                        last_uncertainty=-1.0) for s in d0[:9]])
     d1 = make_samples(20, domain=1, seed=2)
     mem.update_memory(m, d1, None, t=2, rng=ad.seeded_rng(0, 2))
     assert len(m.items) == 9
-    counts = Counter(it.origin_domain for it in m.items)
+    counts = Counter(it.sample.domain for it in m.items)
     assert counts == {0: 5, 1: 4}
     ids = [it.sample.id for it in m.items]
     assert len(set(ids)) == len(ids)
@@ -216,12 +215,12 @@ def test_update_memory_shortfall_reassigned_to_current(monkeypatch):
     _no_observe(monkeypatch)
     d0 = make_samples(2, domain=0)
     m = mem.Memory(capacity=8, items=[
-        mem.MemoryItem(sample=s, origin_domain=0, best_uncertainty=0.0,
+        mem.MemoryItem(sample=s, best_uncertainty=0.0,
                        last_uncertainty=-1.0) for s in d0])
     d1 = make_samples(20, domain=1, seed=4)
     mem.update_memory(m, d1, None, t=2, rng=ad.seeded_rng(1, 2))
     assert len(m.items) == 8
-    assert Counter(it.origin_domain for it in m.items) == {0: 2, 1: 6}
+    assert Counter(it.sample.domain for it in m.items) == {0: 2, 1: 6}
 
 
 def test_update_memory_keeps_the_forgotten_item(monkeypatch):
@@ -234,7 +233,7 @@ def test_update_memory_keeps_the_forgotten_item(monkeypatch):
                  make_item(domain=0, best=0.0, last=-5.0, idx=1)]
         m = mem.Memory(capacity=2, items=items)
         mem.update_memory(m, d1, None, t=2, rng=ad.seeded_rng(trial, 2))
-        kept = [it for it in m.items if it.origin_domain == 0]
+        kept = [it for it in m.items if it.sample.domain == 0]
         assert len(kept) == 1
         if kept[0].last_uncertainty == -5.0:
             kept_forgotten += 1
@@ -260,7 +259,7 @@ def test_update_memory_preserves_cached_teacher_logits():
     d1 = make_samples(8, domain=1, seed=7)
     mem.update_memory(m, d1, model, t=2, rng=ad.seeded_rng(0, 2))
     for it in m.items:
-        if it.origin_domain == 0:
+        if it.sample.domain == 0:
             np.testing.assert_array_equal(it.teacher_start_logits,
                                           cached[it.sample.id])
         else:
@@ -278,7 +277,7 @@ def test_memory_roundtrip(tmp_path):
     header, *records = [json.loads(line) for line in path.read_text().splitlines()]
     assert header == {"_capacity": m.capacity} and len(records) == len(m.items)
     for a, rec in zip(m.items, records):
-        b = Sample.from_record(rec, str(path)).assemble(16)
+        b = Sample.from_record(rec).assemble(16)
         assert a.sample.id == b.id
         assert a.sample.input_ids == b.input_ids
         assert a.best_uncertainty == rec["_memory"]["best_uncertainty"]

@@ -126,7 +126,7 @@ def test_report_roundtrip_and_byte_stability(tmp_path):
 
 def test_report_rejects_unknown_schema():
     with pytest.raises(ValueError, match="schema"):
-        EvalReport.from_dict({"schema_version": 99, "metadata": {}, "steps": []})
+        EvalReport.from_dict({"schema_version": 99, "metadata": {}, "steps": []}, "r.json")
 
 
 def test_csv_has_one_row_per_domain_entry(tmp_path):
