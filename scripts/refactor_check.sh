@@ -18,7 +18,10 @@
 # the replayed memory. It also scores
 # that checkpoint on OUT/deskstream, made with the same generator settings
 # (so the same vocab) but 256 test rows per domain: forward-only passes then
-# run full 64-row chunks, as the benchmark's evaluation does. It trains the
+# run full 64-row chunks, as the benchmark's evaluation does, and on
+# OUT/raggedstream, a copy of it cut to 65 and 97 test rows in its first two
+# domains, so the last chunks hold 1 and 33 rows: a batch too small to split
+# and one that splits into odd halves. It trains the
 # full method on OUT/cdaqstream too, a tiny question-shift stream, so the
 # paper's second setting is covered as well. Two runs take their settings from
 # a --config manifest: the full method with no adversarial game, a halved KL
@@ -35,7 +38,7 @@
 # may split a product differently and so round it differently, and both
 # sides of a comparison must round alike.
 #
-# The second form compares the three streams, every report, checkpoint (init.ckpt
+# The second form compares the four streams, every report, checkpoint (init.ckpt
 # too) and saved memory and gradcheck.txt, prints the files that differ (a file missing on one
 # side differs) and their count, and exits 1 if any differ. A differing JSON
 # file that is equal once metadata.config_hash and metadata.config are dropped,
@@ -51,8 +54,8 @@ usage() {
 
 outputs() {
     (cd "$1" && shopt -s nullglob &&
-        printf '%s\n' stream/* deskstream/* cdaqstream/* *.json */report*.json */init.ckpt \
-            */step*.ckpt */step*.memory.jsonl gradcheck.txt)
+        printf '%s\n' stream/* deskstream/* raggedstream/* cdaqstream/* *.json \
+            */report*.json */init.ckpt */step*.ckpt */step*.memory.jsonl gradcheck.txt)
 }
 
 # exit 0 if two JSON reports are equal without metadata.config_hash and
@@ -133,6 +136,11 @@ with open(sys.argv[1], "w", encoding="utf-8") as f:
         --seed 0 --out deskstream
     contspan eval_desk eval --checkpoint ma_mrc/step3.ckpt --data deskstream \
         --report eval_desk.json
+    cp -r deskstream raggedstream
+    head -n 65 deskstream/cdac_d0.test.jsonl >raggedstream/cdac_d0.test.jsonl
+    head -n 97 deskstream/cdac_d1.test.jsonl >raggedstream/cdac_d1.test.jsonl
+    contspan eval_ragged eval --checkpoint ma_mrc/step3.ckpt --data raggedstream \
+        --report eval_ragged.json
     contspan gencdaq gen --setting cdaq --domains 3 --train-size 48 --test-size 16 \
         --seed 0 --out cdaqstream
     contspan ma_mrc_cdaq run --data cdaqstream --method ma_mrc --memory-size 12 --epochs 2 \

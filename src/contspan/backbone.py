@@ -15,7 +15,9 @@ import math
 import operator
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
+from functools import cache
 
 import numpy as np
 
@@ -28,6 +30,13 @@ CHECKPOINT_VERSION = 1
 
 NEG_INF = -1e9  # additive mask value; finite so tensors stay NaN/Inf-free
 EVAL_BATCH = 64  # rows per chunk of a forward-only pass
+# Padded tokens (rows x width) from which a forward-only pass runs as two
+# half-batches. Measured on a 2-vCPU host (one BLAS thread), desk model, rows
+# of 0.55-1.0 x width tokens, split over unsplit time: width 64 gains from 6
+# rows (384 tokens, 0.82) and loses at 2-4 (1.07-1.5); width 48 gains from 6
+# rows (288, 0.92); width 32 loses up to 32 rows (1024, 1.01) and gains at 64
+# (0.60). The distillation teacher's 4-row batches (at most 256) stay whole.
+SPLIT_TOKENS = 1024
 INIT_STD = 0.02  # weight init scale
 
 
@@ -73,6 +82,12 @@ def param_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float | 
     return spec + [("w_start", (h,), None), ("w_end", (h,), None)]
 
 
+@cache
+def _worker() -> ThreadPoolExecutor:
+    """The one thread that runs the second half of a split forward-only pass."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="contspan-encode")
+
+
 class BackboneModel:
     """Encoder parameters plus span heads, all as named requires_grad tensors."""
 
@@ -110,17 +125,40 @@ class BackboneModel:
         only around attention. Values and gradients at valid positions equal
         those of the padded pass bit for bit (see ad.linear) when the longest
         row has at least 2 tokens, as every assembled input (at least 5) has.
+
+        An untracked pass (one through copy()) of at least SPLIT_TOKENS
+        padded tokens runs as two row-halves, the second on one worker
+        thread, while numpy releases the GIL in BLAS and its large loops.
+        Each half is padded to the whole batch's width l, so attention's
+        softmax sums over the same l positions, and every row's bytes are
+        those of the unsplit pass. A tracked pass never splits: its weight
+        and bias gradients sum over all sequences in order.
         """
-        cfg = self.config
+        l = max(len(ids) for ids in id_lists)
+        half = len(id_lists) // 2
+        if half == 0 or len(id_lists) * l < SPLIT_TOKENS \
+                or any(p.requires_grad for p in self.params.values()):
+            x, mask = self._encode(id_lists, l)
+        else:
+            rest = _worker().submit(self._encode, id_lists[half:], l)
+            try:
+                x0, mask0 = self._encode(id_lists[:half], l)
+            finally:
+                rest.exception()  # wait for the worker's half however this one ends
+            x1, mask1 = rest.result()
+            x, mask = Tensor(np.concatenate([x0.data, x1.data])), np.concatenate([mask0, mask1])
+        return ad.unpack(x, mask > 0), mask
+
+    def _encode(self, id_lists, l: int) -> tuple[Tensor, np.ndarray]:
+        """The encoder over id_lists padded to width l: the packed rows of
+        the valid tokens, in row-major order, and the (B, l) mask."""
         for ids in id_lists:
             self._check_ids(np.asarray(ids, dtype=np.int64))
-        lens = [len(ids) for ids in id_lists]
-        l = max(lens)
         batch = np.zeros((len(id_lists), l), dtype=np.int64)
         mask = np.zeros((len(id_lists), l))
         for i, ids in enumerate(id_lists):
-            batch[i, :lens[i]] = ids
-            mask[i, :lens[i]] = 1.0
+            batch[i, :len(ids)] = ids
+            mask[i, :len(ids)] = 1.0
 
         P = self.params
         valid = mask > 0
@@ -128,9 +166,9 @@ class BackboneModel:
             + ad.embedding(P["pos_emb"], np.nonzero(valid)[1])
         x = ad.layer_norm(x, P["ln_emb_g"], P["ln_emb_b"])
         attn_bias = NEG_INF * (1.0 - mask)[:, None, None, :]
-        for i in range(cfg.n_layers):
+        for i in range(self.config.n_layers):
             x = self._block(x, i, attn_bias, valid)
-        return ad.unpack(x, valid), mask
+        return x, mask
 
     def _block(self, x: Tensor, i: int, attn_bias: np.ndarray, valid: np.ndarray) -> Tensor:
         """One encoder block on the packed rows of the (B, l) boolean mask valid."""
@@ -167,10 +205,11 @@ class BackboneModel:
     def forward_chunks(self, id_lists):
         """Forward-only passes over id_lists, EVAL_BATCH rows at a time.
 
-        Runs through one untracked copy, so no tape is recorded and the
-        encoder runs on the packed valid tokens (see encode_batch). Yields
-        (rows, h, mask, sl, el) per chunk, rows being the chunk's slice of
-        id_lists.
+        Runs through one untracked copy, so no tape is recorded, the encoder
+        runs on the packed valid tokens, and a chunk of at least SPLIT_TOKENS
+        padded tokens runs as two half-batches on two threads (see
+        encode_batch). Yields (rows, h, mask, sl, el) per chunk, rows being
+        the chunk's slice of id_lists.
         """
         model = self.copy()
         for lo in range(0, len(id_lists), EVAL_BATCH):

@@ -17,17 +17,21 @@ from .metrics import EvalReport, StepResult, f1_all, f1_avg, parse_json
 
 log = logging.getLogger("contspan")
 
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8  # glibc's mallopt numbers
 
 
 def _keep_freed_heap() -> bool:
-    """Have glibc keep freed memory on the heap for reuse.
+    """Have glibc keep freed memory on one heap for reuse.
 
     A forward-only pass frees its whole working set after every chunk. With
     glibc's defaults, arrays that large are mmapped, or trimmed back to the
     OS on free, and page-faulted in again for the next chunk. This sets the
     mmap threshold to 32 MiB, the ceiling of glibc's own dynamic rule, and
-    the trim threshold to 64 MiB. Returns True if glibc took both settings;
+    the trim threshold to 64 MiB. It also allows one arena: the worker
+    thread of a split forward-only pass (see BackboneModel.encode_batch)
+    would otherwise get an arena of its own, which keeps its half-batch's
+    freed heap beside the main one's and raised the training workloads'
+    peak RSS by 12-14 MB. Returns True if glibc took all three settings;
     under any other C library it does nothing.
     """
     if platform.libc_ver()[0] != "glibc":
@@ -37,7 +41,8 @@ def _keep_freed_heap() -> bool:
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    return bool(mallopt(M_MMAP_THRESHOLD, 32 << 20) and mallopt(M_TRIM_THRESHOLD, 64 << 20))
+    return bool(mallopt(M_MMAP_THRESHOLD, 32 << 20) and mallopt(M_TRIM_THRESHOLD, 64 << 20)
+                and mallopt(M_ARENA_MAX, 1))
 
 
 def domain_order(text: str) -> list[int]:

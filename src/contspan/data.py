@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import logging
-import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import seeded_rng
-from .metrics import parse_json
+from .metrics import parse_json, require_fields
 
 log = logging.getLogger(__name__)
 
@@ -38,21 +37,6 @@ CDAC_LEN_LO = (15, 25)
 CDAC_LEN_HI = (40, 55)
 
 
-def _list_of(kind):
-    return lambda v: type(v) is list and all(type(i) is kind for i in v)
-
-
-# The JSON values each annotation or field kind takes: an int is no bool, a float is finite
-JSON_TYPES = {"int": ("an int", lambda v: type(v) is int),
-              "float": ("a finite float",
-                        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
-              "str": ("a str", lambda v: type(v) is str),
-              "str | int": ("a str or an int", lambda v: type(v) in (str, int)),
-              "list[int]": ("a list of ints", _list_of(int)),
-              "non-empty list[str]": ("a non-empty list of strs",
-                                      lambda v: v != [] and _list_of(str)(v)),
-              "list[int] | None": ("a list of ints or None",
-                                   lambda v: v is None or _list_of(int)(v))}
 # The kind of each field of a token record, a text record and a stream manifest
 RECORD_FIELDS = {"id": "str | int", "domain": "int", "question_ids": "list[int]",
                  "passage_ids": "list[int]", "answer_start": "int", "answer_end": "int"}
@@ -97,21 +81,8 @@ class Sample:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Sample":
-        """Inverse of ``record``, for a record ``_require`` has checked."""
+        """Inverse of ``record``, for a record ``require_fields`` has checked."""
         return cls(**{k: rec[k] for k in RECORD_FIELDS} | {"id": str(rec["id"])})
-
-
-def _require(rec, kinds: dict[str, str], where: str):
-    """Reject a record that is not a JSON object, lacks a field of kinds or
-    holds a value not of the field's JSON_TYPES kind, naming where it came from."""
-    if type(rec) is not dict:
-        raise ValueError(f"{where}: not a JSON object")
-    for key, kind in kinds.items():
-        if key not in rec:
-            raise ValueError(f"{where}: missing field {key!r}")
-        what, typed = JSON_TYPES[kind]
-        if not typed(rec[key]):
-            raise ValueError(f"{where}: {key} must be {what}, got {rec[key]!r}")
 
 
 @dataclass
@@ -369,7 +340,7 @@ def load_stream(data_dir) -> DomainStream:
     root = Path(data_dir)
     where = root / "manifest.json"
     manifest = parse_json(where.read_bytes(), where)
-    _require(manifest, MANIFEST_FIELDS, where)
+    require_fields(manifest, MANIFEST_FIELDS, where)
     vocab = read_vocab(root / "vocab.txt")
     domains = []
     for idx, name in enumerate(manifest["domains"]):
@@ -417,7 +388,7 @@ def read_jsonl_samples(path, domain: int, l_max: int, vocab: dict[str, int]):
             where = f"{path}:{lineno}"
             rec = parse_json(line, where)
             token = type(rec) is dict and rec.keys() & {"question_ids", "passage_ids"}
-            _require(rec, RECORD_FIELDS if token else TEXT_FIELDS, where)
+            require_fields(rec, RECORD_FIELDS if token else TEXT_FIELDS, where)
             if rec["domain"] != domain:
                 raise ValueError(f"{where}: domain {rec['domain']} is not {domain}, the "
                                  f"file's position in the stream manifest")

@@ -1,9 +1,12 @@
 """Continual-learning engine: the full method plus six baselines.
 
 One engine instance owns one run: a domain stream, a config, a backbone,
-and (for replay methods) the fixed-capacity memory. Training is strictly
-single-threaded; every random choice comes from per-purpose substreams of
-the run seed, so identical configs reproduce bit-identical trajectories.
+and (for replay methods) the fixed-capacity memory. Training runs on one
+thread; a large forward-only pass (evaluation, memory scoring, teacher
+logits, the probe's representations) runs half its rows on one worker
+thread, with the bytes of the unsplit pass (BackboneModel.encode_batch).
+Every random choice comes from per-purpose substreams of the run seed, so
+identical configs reproduce bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from . import memory as mem
 from .autodiff import Tensor
 from .backbone import BackboneModel, ModelConfig, MAX_ANSWER_LEN, NEG_INF, \
     decode_answer, span_loss_batch
-from .data import JSON_TYPES, DomainData, DomainStream, Sample
-from .metrics import EvalReport, StepResult, em_f1, f1_avg, f1_all, config_hash
+from .data import DomainData, DomainStream, Sample
+from .metrics import JSON_TYPES, EvalReport, StepResult, em_f1, f1_avg, f1_all, config_hash
 
 log = logging.getLogger(__name__)
 

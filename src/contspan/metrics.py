@@ -11,11 +11,51 @@ import csv
 import hashlib
 import json
 import os
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 SCHEMA_VERSION = 1
+
+
+def _list_of(kind):
+    return lambda v: type(v) is list and all(type(i) is kind for i in v)
+
+
+# The JSON values each annotation or field kind takes: an int is no bool, a float is finite
+JSON_TYPES = {"int": ("an int", lambda v: type(v) is int),
+              "float": ("a finite float",
+                        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+              "str": ("a str", lambda v: type(v) is str),
+              "str | int": ("a str or an int", lambda v: type(v) in (str, int)),
+              "list[int]": ("a list of ints", _list_of(int)),
+              "non-empty list[str]": ("a non-empty list of strs",
+                                      lambda v: v != [] and _list_of(str)(v)),
+              "list[int] | None": ("a list of ints or None",
+                                   lambda v: v is None or _list_of(int)(v)),
+              "object": ("an object", lambda v: type(v) is dict),
+              "list[object]": ("a list of objects", _list_of(dict)),
+              "non-empty list[object]": ("a non-empty list of objects",
+                                         lambda v: v != [] and _list_of(dict)(v))}
+# The kind of each field of a report step and of a step's per-domain entry
+STEP_FIELDS = {"step": "int", "trained_domain": "int",
+               "per_domain": "non-empty list[object]", "f1_avg": "float",
+               "f1_all": "float", "extra": "object"}
+SCORE_FIELDS = {"domain": "int", "em": "float", "f1": "float"}
+
+
+def require_fields(rec, kinds: dict[str, str], where: str):
+    """Reject a record that is not a JSON object, lacks a field of kinds or
+    holds a value not of the field's JSON_TYPES kind, naming where it came from."""
+    if type(rec) is not dict:
+        raise ValueError(f"{where}: not a JSON object")
+    for key, kind in kinds.items():
+        if key not in rec:
+            raise ValueError(f"{where}: missing field {key!r}")
+        what, typed = JSON_TYPES[kind]
+        if not typed(rec[key]):
+            raise ValueError(f"{where}: {key} must be {what}, got {rec[key]!r}")
 
 
 @contextmanager
@@ -112,14 +152,25 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d, where) -> "EvalReport":
-        """Inverse of ``to_dict``; a malformed report raises an error naming where."""
-        if type(d) is not dict or d.get("schema_version") != SCHEMA_VERSION \
+        """Inverse of ``to_dict``; a report that is not of schema 1, or whose
+        steps, per-domain scores or metadata.order hold a value of another
+        JSON kind, raises an error naming where."""
+        version = d.get("schema_version") if type(d) is dict else None
+        if type(version) is not int or version != SCHEMA_VERSION \
                 or type(d.get("metadata")) is not dict:
             raise ValueError(f"{where}: not a report of schema {SCHEMA_VERSION}")
         try:
-            return cls(metadata=d["metadata"], steps=[StepResult(**s) for s in d["steps"]])
-        except (KeyError, TypeError) as e:
+            report = cls(metadata=d["metadata"], steps=[StepResult(**s) for s in d["steps"]])
+            require_fields(d, {"steps": "list[object]"}, "top level")
+            require_fields({"order": d["metadata"].get("order", [])}, {"order": "list[int]"},
+                           "metadata")
+            for i, s in enumerate(d["steps"]):
+                require_fields(s, STEP_FIELDS, f"steps[{i}]")
+                for j, e in enumerate(s["per_domain"]):
+                    require_fields(e, SCORE_FIELDS, f"steps[{i}].per_domain[{j}]")
+        except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{where}: malformed report ({e})") from None
+        return report
 
     @classmethod
     def load(cls, path) -> "EvalReport":

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import struct
+import threading
 import weakref
 from collections import Counter
 from types import SimpleNamespace
@@ -172,6 +173,98 @@ def test_packed_gradients_equal_padded(batch):
         grads.append({k: p.grad.copy() for k, p in model.params.items()})
     for name in model.params:
         np.testing.assert_array_equal(grads[1][name], grads[0][name], err_msg=name)
+
+
+SPLIT_CONFIGS = {"default": {}, "h32_4heads": {"hidden": 32, "n_heads": 4},
+                 "one_head": {"n_heads": 1}}
+
+
+def encoder_threads(monkeypatch) -> list[str]:
+    """The name of the thread each BackboneModel._encode call ran on, listed
+    as the call ends, however it ends."""
+    names = []
+    encode = BackboneModel._encode
+
+    def recording(self, *args):
+        try:
+            return encode(self, *args)
+        finally:
+            names.append(threading.current_thread().name)
+
+    monkeypatch.setattr(BackboneModel, "_encode", recording)
+    return names
+
+
+def output_bytes(outputs) -> list[tuple[tuple[int, ...], bytes]]:
+    """Shape and bytes of each forward_batch output (h, mask, sl, el)."""
+    arrays = [o.data if isinstance(o, Tensor) else o for o in outputs]
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("config", SPLIT_CONFIGS)
+@pytest.mark.parametrize("rows", [1, 2, 3, 33, 64, 65])
+@pytest.mark.parametrize("floor", ["measured", "zero"])
+def test_untracked_forward_equals_the_tracked_one_bit_for_bit(monkeypatch, config, rows,
+                                                               floor):
+    """A forward-only pass of SPLIT_TOKENS padded tokens or more runs as two
+    half-batches, the second on the worker thread; a tracked pass never
+    splits. The untracked copy's outputs equal the tracked pass's bytes on
+    ragged batches, at the measured floor and with every batch of two or
+    more rows split."""
+    if floor == "zero":
+        monkeypatch.setattr(backbone, "SPLIT_TOKENS", 0)
+    model = BackboneModel(ModelConfig(vocab_size=50, **SPLIT_CONFIGS[config]),
+                          ad.seeded_rng(7))
+    rng = ad.seeded_rng(8)
+    id_lists = [rng.integers(0, 50, size=n) for n in rng.integers(5, 65, size=rows)]
+    threads = encoder_threads(monkeypatch)
+    tracked = model.forward_batch(id_lists)
+    assert threads == ["MainThread"]
+    threads.clear()
+    untracked = model.copy().forward_batch(id_lists)
+    split = floor == "zero" and rows > 1 or rows >= 33
+    assert sorted(threads) == ["MainThread", "contspan-encode_0"][:1 + split]
+    assert output_bytes(untracked) == output_bytes(tracked)
+
+
+@pytest.mark.parametrize("bad_row", ["first", "last"])
+def test_an_error_in_either_half_reaches_the_caller(monkeypatch, bad_row):
+    """An id beyond the vocab in the worker's half (the last row) reaches the
+    caller as the very ValueError the worker raised, as one in the caller's
+    half (the first row) does; either way, both halves have ended when it
+    does, and the next split pass runs as before."""
+    model = BackboneModel(ModelConfig(vocab_size=50), ad.seeded_rng(7)).copy()
+    rng = ad.seeded_rng(9)
+    id_lists = [rng.integers(0, 50, size=64) for _ in range(40)]
+    expected = output_bytes(model.forward_batch(id_lists))
+    bad = [ids.copy() for ids in id_lists]
+    bad[0 if bad_row == "first" else -1][3] = 50
+    raised = []
+    check = BackboneModel._check_ids
+
+    def recording(self, ids):
+        try:
+            check(self, ids)
+        except ValueError as e:
+            raised.append((threading.current_thread().name, e))
+            raise
+
+    monkeypatch.setattr(BackboneModel, "_check_ids", recording)
+    ended = encoder_threads(monkeypatch)
+    with pytest.raises(ValueError, match=r"^token id out of range for vocab 50$") as excinfo:
+        model.forward_batch(bad)
+    assert sorted(ended) == ["MainThread", "contspan-encode_0"]
+    ((thread, error),) = raised
+    assert thread == ("MainThread" if bad_row == "first" else "contspan-encode_0")
+    assert excinfo.value is error
+    assert output_bytes(model.forward_batch(id_lists)) == expected
+
+
+def test_encode_batch_keeps_its_signature():
+    """perfbench/traced.py wraps encode_batch as (self, id_lists) and counts
+    the batch's rows there."""
+    assert list(inspect.signature(BackboneModel.encode_batch).parameters) == ["self",
+                                                                             "id_lists"]
 
 
 def test_forward_batch_records_the_expected_nodes():

@@ -18,7 +18,7 @@ from contspan.backbone import BackboneModel, ModelConfig
 from contspan.cli import main
 from contspan.data import load_stream
 from contspan.engine import METHODS, NORM_STRATEGIES, UNCERTAINTY_KINDS
-from contspan.metrics import EvalReport
+from contspan.metrics import EvalReport, StepResult
 
 
 @pytest.fixture(scope="module")
@@ -625,15 +625,104 @@ def test_report_renders_table_and_csv(dataset, tmp_path, capsys):
      "malformed report (StepResult.__init__() got an unexpected keyword argument 'x')"),
     ({"schema_version": 1, "metadata": [], "steps": []}, "not a report of schema 1"),
     ({"schema_version": 1, "metadata": {}}, "malformed report ('steps')"),
-    ({"schema_version": 1, "metadata": {}, "steps": [1]}, "malformed report (")], ids=["list", "unknown-step-key", "metadata-list", "no-steps", "step-int"])
+    ({"schema_version": 1, "metadata": {}, "steps": [1]}, "malformed report ("),
+    ({"schema_version": 1, "metadata": {}, "steps": [
+        {"step": 1, "trained_domain": 0, "per_domain": 5, "f1_avg": 0.5, "f1_all": 0.5,
+         "extra": {}}]},
+     "malformed report (steps[0]: per_domain must be a non-empty list of objects, got 5)"),
+    ({"schema_version": 1, "metadata": {"order": 5}, "steps": []},
+     "malformed report (metadata: order must be a list of ints, got 5)")],
+    ids=["list", "unknown-step-key", "metadata-list", "no-steps", "step-int",
+         "per-domain-int", "order-int"])
 def test_report_of_another_shape_exits_1(tmp_path, capsys, doc, expected):
-    """[1] once ended in an AttributeError traceback, a step with key x in a
-    TypeError traceback."""
+    """[1] once ended in an AttributeError traceback, a step with key x, an
+    int per_domain or an int metadata.order in a TypeError traceback."""
     path = tmp_path / "r.json"
     path.write_text(json.dumps(doc))
     assert main(["report", "--input", str(path)]) == 1
     (line,) = error_lines(capsys.readouterr().err)
     assert line.startswith(f"error: {path}: {expected}")
+
+
+def valid_report() -> dict:
+    """A two-step report as EvalReport.to_dict writes it."""
+    report = EvalReport(metadata={"method": "ma_mrc", "seed": 0, "order": [1, 0]})
+    for t in (1, 2):
+        per = [{"domain": d, "em": 0.5, "f1": 0.25 * t} for d in (1, 0)[:t]]
+        report.steps.append(StepResult(step=t, trained_domain=(1, 0)[t - 1], per_domain=per,
+                                       f1_avg=0.25 * t, f1_all=0.25 * t,
+                                       extra={"probe_acc": 0.5}))
+    return report.to_dict()
+
+
+# The JSON kind of each report field a mutation may change; a path is the
+# keys from the document's root
+REPORT_KINDS = {("schema_version",): "1", ("metadata",): "object", ("steps",): "steps",
+                ("metadata", "order"): "list[int]"}
+REPORT_KINDS.update({("steps", i, f): kind for i in (0, 1) for f, kind in (
+    ("step", "int"), ("trained_domain", "int"), ("per_domain", "non-empty list[object]"),
+    ("f1_avg", "float"), ("f1_all", "float"), ("extra", "object"))})
+REPORT_KINDS.update({("steps", 1, "per_domain", j, f): kind for j in (0, 1)
+                     for f, kind in (("domain", "int"), ("em", "float"), ("f1", "float"))})
+
+
+def still_valid(kind, value) -> bool:
+    if value is DROP:
+        return kind == "list[int]"  # metadata.order is optional
+    return {"1": lambda v: type(v) is int and v == 1,
+            "object": lambda v: type(v) is dict,
+            "steps": lambda v: v == [],
+            "int": lambda v: type(v) is int,
+            "float": lambda v: type(v) in (int, float) and math.isfinite(v),
+            "list[int]": lambda v: type(v) is list and all(type(i) is int for i in v),
+            "non-empty list[object]": lambda v: False}[kind](value)
+
+
+@st.composite
+def report_mutations(draw):
+    """One field of a valid report and what a mutation makes of it: DROP,
+    or a JSON value not of the field's kind (null, NaN and lists included)."""
+    path = draw(st.sampled_from(sorted(REPORT_KINDS, key=repr)))
+    value = draw(st.one_of(
+        st.just(DROP), st.text(max_size=4), st.booleans(), st.none(), st.integers(-3, 3),
+        st.floats(), st.just(math.nan),
+        st.lists(st.one_of(st.integers(0, 9), st.floats(0, 9), st.text(max_size=1),
+                           st.none(), st.dictionaries(st.text(max_size=2), st.integers(),
+                                                      max_size=1)), max_size=3),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)))
+    assume(not still_valid(REPORT_KINDS[path], value))
+    return path, value
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(report_mutations())
+def test_report_rejects_every_mutated_report(capsys, mutation):
+    path, value = mutation
+    doc = valid_report()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "r.json"
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["report", "--input", str(report), "--csv", str(Path(tmp) / "c.csv")])
+        out, err = capsys.readouterr()
+        (line,) = error_lines(err)
+        assert rc == 1 and line.startswith(f"error: {report}: ")
+        assert out == "" and sorted(Path(tmp).iterdir()) == [report]
+
+
+def test_report_of_the_valid_document_renders(tmp_path, capsys):
+    """The document the mutations start from is a valid report."""
+    (tmp_path / "r.json").write_text(json.dumps(valid_report()))
+    assert main(["report", "--input", str(tmp_path / "r.json")]) == 0
+    assert "method=ma_mrc seed=0 order=[1, 0]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("doc, expected", [
