@@ -30,7 +30,9 @@
 # and four-head runs copy. The stdout of `contspan gradcheck`
 # goes to OUT/gradcheck.txt. It runs inside OUT with relative paths, so
 # eval.json records the same checkpoint path in every OUT. Each other command's
-# output goes to OUT/<run>.log. Run it at both commits, then compare.
+# output goes to OUT/<run>.log. The line count of the checkout's package
+# (the total of `wc -l src/contspan/*.py`) goes to OUT/src_lines.txt. Run it
+# at both commits, then compare.
 #
 # Every command runs with one BLAS thread (OPENBLAS_NUM_THREADS,
 # OMP_NUM_THREADS and MKL_NUM_THREADS set to 1, as perfbench/run.py's
@@ -43,7 +45,9 @@
 # side differs) and their count, and exits 1 if any differ. A differing JSON
 # file that is equal once metadata.config_hash and metadata.config are dropped,
 # as after a config field is renamed or removed, is marked so; it still counts
-# as differing. Logs and timing.json hold wall times and are left out.
+# as differing. Logs and timing.json hold wall times and are left out, and
+# so is src_lines.txt: the comparison prints both sides' line counts instead
+# ("missing" for a run that wrote none).
 set -euo pipefail
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
@@ -78,8 +82,13 @@ sys.exit(load(sys.argv[1]) != load(sys.argv[2]))
 EOF
 }
 
+src_lines() {
+    cat "$1/src_lines.txt" 2>/dev/null || echo missing
+}
+
 compare() {
     local old=$1 new=$2 n=0 total=0 f
+    echo "src/contspan lines: $(src_lines "$old") in $old, $(src_lines "$new") in $new"
     for f in $({ outputs "$old"; outputs "$new"; } | sort -u); do
         total=$((total + 1))
         if ! cmp -s "$old/$f" "$new/$f"; then
@@ -103,8 +112,11 @@ contspan() {
 }
 
 run_set() {
-    export PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src"
+    local root
+    root="$(cd "$(dirname "$0")/.." && pwd)"
+    export PYTHONPATH="$root/src"
     mkdir -p "$OUT"
+    cat "$root"/src/contspan/*.py | wc -l >"$OUT/src_lines.txt"
     cd "$OUT"
     local m c
     python3 -m contspan.cli gradcheck >gradcheck.txt 2>gradcheck.log ||

@@ -23,22 +23,13 @@ class Discriminator:
     """Three affine layers h -> h -> h/2 -> 1 with a sigmoid output."""
 
     def __init__(self, hidden: int, rng: np.random.Generator):
-        h2 = max(1, hidden // 2)
-        self.params: dict[str, Tensor] = {}
-
-        def p(name, arr):
-            self.params[name] = Tensor(arr, requires_grad=True)
-
-        std = 0.05
-        p("w1", rng.normal(0.0, std, (hidden, hidden)))
-        p("b1", np.zeros(hidden))
-        p("w2", rng.normal(0.0, std, (hidden, h2)))
-        p("b2", np.zeros(h2))
-        p("w3", rng.normal(0.0, std, (h2, 1)))
-        p("b3", np.zeros(1))
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
+        h2, std = max(1, hidden // 2), 0.05
+        init = {"w1": rng.normal(0.0, std, (hidden, hidden)), "b1": np.zeros(hidden),
+                "w2": rng.normal(0.0, std, (hidden, h2)), "b2": np.zeros(h2),
+                "w3": rng.normal(0.0, std, (h2, 1)), "b3": np.zeros(1)}
+        self.flat, leaves = ad.flat_leaves(np.concatenate([a.ravel() for a in init.values()]),
+                                           [a.shape for a in init.values()])
+        self.params = dict(zip(init, leaves))
 
     def frozen_params(self) -> dict[str, Tensor]:
         """Constant copies; gradients flow only to the input representations."""
@@ -135,7 +126,7 @@ def train_probe_discriminator(hidden: int, mem_reprs: np.ndarray, cur_reprs: np.
     mem_tr, mem_ho = split(mem_reprs)
     cur_tr, cur_ho = split(cur_reprs)
     probe = Discriminator(hidden, rng)
-    opt = ad.Adam(probe.parameters(), lr=PROBE_LR)
+    opt = ad.Adam(probe.flat, lr=PROBE_LR)
     for _ in range(PROBE_STEPS):
         _probe_step(probe, opt, mem_tr, cur_tr)
     return probe, discriminator_accuracy(probe, mem_ho, cur_ho)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
-BLOCK = 1 << 15  # float64 elements per slice of gelu's in-place chains (256 KiB)
+BLOCK = 1 << 15  # float64 elements per slice of gelu's and Adam's in-place chains (256 KiB)
 LN_EPS = 1e-5  # layer_norm's variance floor
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator floor
 
@@ -45,10 +45,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self):
-        if self.requires_grad:
-            self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
@@ -559,10 +555,10 @@ def take_along_last(a: Tensor, idx: np.ndarray) -> Tensor:
 def backward(root: Tensor):
     """Populate ``grad`` on every reachable requires_grad leaf.
 
-    ``root`` must be scalar. Grads accumulate, so call ``zero_grad`` on the
-    parameters first if a fresh pass is wanted. Nodes keep only their
-    tracked inputs, so no constant enters the walk and every node it visits
-    receives a gradient.
+    ``root`` must be scalar. Grads accumulate in place (a leaf's grad may be
+    a view into a flat gradient; see flat_leaves), so zero them first if a
+    fresh pass is wanted. Nodes keep only their tracked inputs, so no
+    constant enters the walk and every node it visits receives a gradient.
 
     The walk consumes the graph: each node it passes loses its closure and
     its inputs, so activations are freed as the walk goes, while every
@@ -646,30 +642,47 @@ def seeded_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# optimizer
+# flat parameters and optimizer
+
+def views(vec: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views into the 1-d vec, one per shape, in order."""
+    parts = np.split(vec, np.cumsum([math.prod(s) for s in shapes])[:-1])
+    return [part.reshape(s) for part, s in zip(parts, shapes)]
+
+
+def flat_leaves(vec: np.ndarray, shapes, requires_grad: bool = True):
+    """A tensor over the 1-d float64 vector vec, and one leaf per shape whose
+    data are consecutive views into it (views()). With requires_grad, each
+    leaf's grad is the same view into the tensor's grad, so backward() fills
+    the one flat gradient, and Adam on the tensor updates every leaf."""
+    flat = Tensor(vec, requires_grad)
+    leaves = [Tensor(d) for d in views(flat.data, shapes)]
+    for leaf, g in zip(leaves, views(flat.grad, shapes) if requires_grad else ()):
+        leaf.requires_grad, leaf.grad = True, g
+    return flat, leaves
+
 
 class Adam:
-    """Standard Adam over a list of parameter tensors."""
+    """Standard Adam over one flat parameter tensor (see flat_leaves)."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 3e-5):
-        self.params = list(params)
+    def __init__(self, flat: Tensor, lr: float = 3e-5):
+        self.flat = flat
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(flat.data)
+        self.v = np.zeros_like(flat.data)
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        self.flat.grad.fill(0.0)
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - ADAM_B1 ** self.t
         bc2 = 1.0 - ADAM_B2 ** self.t
-        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-        # data -= lr*(m/bc1) / (sqrt(v/bc2) + eps), in place
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
+        # in place, a BLOCK at a time so its arrays stay in cache: m = b1*m +
+        # (1-b1)*g; v = b2*v + (1-b2)*g*g; data -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+        for lo in range(0, self.m.size, BLOCK):
+            g, m, v = (a[lo:lo + BLOCK] for a in (self.flat.grad, self.m, self.v))
             buf = g * (1.0 - ADAM_B1)
             m *= ADAM_B1
             m += buf
@@ -683,4 +696,4 @@ class Adam:
             vhat += ADAM_EPS
             buf *= self.lr
             buf /= vhat
-            p.data -= buf
+            self.flat.data[lo:lo + BLOCK] -= buf

@@ -89,29 +89,32 @@ def _worker() -> ThreadPoolExecutor:
 
 
 class BackboneModel:
-    """Encoder parameters plus span heads, all as named requires_grad tensors."""
+    """Encoder parameters plus span heads: named tensors that are views into
+    one flat vector, in param_spec (checkpoint) order."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        self.config = config
-        self.params = {name: Tensor(_trunc_normal(rng, shape) if fill is None
-                                    else np.full(shape, fill), requires_grad=True)
-                       for name, shape, fill in param_spec(config)}
+        self._adopt(config, np.concatenate([(_trunc_normal(rng, shape) if fill is None
+                                             else np.full(shape, fill)).ravel()
+                                            for _, shape, fill in param_spec(config)]), True)
 
     # -- parameter plumbing -------------------------------------------------
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
+    def _adopt(self, config: ModelConfig, vec: np.ndarray, requires_grad: bool):
+        """Take config, and vec, the parameters in param_spec order, as the
+        flat vector that the named parameters view. Returns self."""
+        self.config = config
+        spec = param_spec(config)
+        self.flat, leaves = ad.flat_leaves(vec, [shape for _, shape, _ in spec], requires_grad)
+        self.params = {name: leaf for (name, _, _), leaf in zip(spec, leaves)}
+        return self
 
     def zero_grad(self):
-        for t in self.params.values():
-            t.zero_grad()
+        self.flat.grad.fill(0.0)
 
     def copy(self) -> "BackboneModel":
         """Untracked copy: forward passes through it record no tape."""
-        clone = BackboneModel.__new__(BackboneModel)
-        clone.config = self.config
-        clone.params = {k: Tensor(v.data.copy()) for k, v in self.params.items()}
-        return clone
+        return BackboneModel.__new__(BackboneModel)._adopt(self.config, self.flat.data.copy(),
+                                                           False)
 
     # -- forward ------------------------------------------------------------
 
@@ -219,7 +222,8 @@ class BackboneModel:
     # -- checkpointing ------------------------------------------------------
 
     def save(self, path):
-        """Binary container: magic, version, JSON header, raw LE float64 arrays."""
+        """Binary container: magic, version, JSON header, then the flat
+        parameter vector as raw LE float64."""
         header = {
             "config": asdict(self.config),
             "params": [{"name": k, "shape": list(v.data.shape)}
@@ -230,8 +234,7 @@ class BackboneModel:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(hb)))
             f.write(hb)
-            for v in self.params.values():
-                f.write(np.ascontiguousarray(v.data, dtype="<f8").tobytes())
+            f.write(self.flat.data.astype("<f8", copy=False).tobytes())
 
     @classmethod
     def load(cls, path) -> "BackboneModel":
@@ -259,14 +262,9 @@ class BackboneModel:
                 raise ValueError(f"malformed checkpoint header: {path} ({e!r})") from None
             if entries != [(name, shape) for name, shape, _ in param_spec(config)]:
                 raise ValueError(f"malformed checkpoint header: {path} (params do not fit config)")
-            sizes = [math.prod(shape) for _, shape in entries]
-            parts = np.split(np.frombuffer(read(8 * sum(sizes)), dtype="<f8"),
-                             np.cumsum(sizes)[:-1])
-        model = cls.__new__(cls)
-        model.config = config
-        model.params = {name: Tensor(part.reshape(shape).copy(), requires_grad=True)
-                        for (name, shape), part in zip(entries, parts)}
-        return model
+            n = sum(math.prod(shape) for _, shape in entries)
+            vec = np.frombuffer(read(8 * n), dtype="<f8").astype(np.float64)
+        return cls.__new__(cls)._adopt(config, vec, True)
 
 
 # ---------------------------------------------------------------------------

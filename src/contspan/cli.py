@@ -193,8 +193,8 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

@@ -100,8 +100,9 @@ class ContinualConfig:
 
 @dataclass
 class FisherState:
-    fisher: dict[str, np.ndarray]
-    anchor: dict[str, np.ndarray]
+    """A diagonal Fisher and its anchor, flat vectors in param_spec order."""
+    fisher: np.ndarray
+    anchor: np.ndarray
 
 
 def agem_project(g: np.ndarray, g_ref: np.ndarray) -> np.ndarray:
@@ -117,15 +118,25 @@ def agem_project(g: np.ndarray, g_ref: np.ndarray) -> np.ndarray:
     return g - (dot / denom) * g_ref
 
 
+def agem_project_grad(model: BackboneModel, memory: list[Sample]):
+    """A-GEM's gradient hook: project the model's flat gradient off that of
+    its span loss on the memory samples, when the two conflict."""
+    g = model.flat.grad.copy()
+    model.zero_grad()
+    ad.backward(span_loss(model, memory))
+    model.flat.grad[...] = agem_project(g, model.flat.grad)
+
+
 def ewc_penalty(model: BackboneModel, states: list[FisherState], lam: float) -> Tensor:
     """(lam/2) * sum over recorded tasks of F * (theta - anchor)^2."""
     if not states:
         raise ValueError("no Fisher state recorded")
     total = Tensor(0.0)
+    shapes = [p.data.shape for p in model.params.values()]
     for st in states:
-        for name, p in model.params.items():
-            total = total + ad.tsum(Tensor(st.fisher[name])
-                                    * ad.square(p - Tensor(st.anchor[name])))
+        for p, f, a in zip(model.params.values(), ad.views(st.fisher, shapes),
+                           ad.views(st.anchor, shapes)):
+            total = total + ad.tsum(Tensor(f) * ad.square(p - Tensor(a)))
     return total * (lam / 2.0)
 
 
@@ -330,7 +341,7 @@ class ContinualEngine:
         the parameters' gradients before the optimizer step (A-GEM)."""
         cfg = self.cfg
         loss_fn = loss_fn or (lambda batch: span_loss(model, batch))
-        opt = ad.Adam(model.parameters(), lr=cfg.lr)
+        opt = ad.Adam(model.flat, lr=cfg.lr)
         epoch_losses = []
         for _ in range(cfg.epochs):
             perm = rng.permutation(len(samples))
@@ -361,7 +372,7 @@ class ContinualEngine:
     def upper_bound_step(self, model, t):
         """Joint-training ceiling: restart from the seed's initial parameters
         and train on every seen domain's full training data, in stream order."""
-        model.params = BackboneModel(self.model_cfg, self._rng(_S_INIT)).params
+        model.flat.data[...] = BackboneModel(self.model_cfg, self._rng(_S_INIT)).flat.data
         union = [s for i in range(1, t + 1) for s in self._domain(i).train]
         self._fit(model, union, self._rng(_S_TRAIN, t))
 
@@ -380,35 +391,25 @@ class ContinualEngine:
         rng = self._rng(_S_FISHER, t)
         n = min(N_FISHER, len(d_train))
         idx = rng.choice(len(d_train), size=n, replace=False)
-        fisher = {k: np.zeros_like(p.data) for k, p in model.params.items()}
+        fisher = np.zeros_like(model.flat.grad)
         batches = [idx[lo:lo + 8] for lo in range(0, n, 8)]
         for batch in batches:
             model.zero_grad()
             ad.backward(span_loss(model, [d_train[i] for i in batch]))
-            for k, p in model.params.items():
-                fisher[k] += p.grad * p.grad
-        for k in fisher:
-            fisher[k] /= len(batches)
+            fisher += model.flat.grad * model.flat.grad
+        fisher /= len(batches)
         if self.cfg.method == "online_ewc" and self.fisher_states:
-            prev = self.fisher_states.pop()
-            fisher = {k: ONLINE_EWC_GAMMA * prev.fisher[k] + fisher[k] for k in fisher}
-        anchor = {k: p.data.copy() for k, p in model.params.items()}
-        self.fisher_states.append(FisherState(fisher=fisher, anchor=anchor))
+            fisher = ONLINE_EWC_GAMMA * self.fisher_states.pop().fisher + fisher
+        self.fisher_states.append(FisherState(fisher=fisher, anchor=model.flat.data.copy()))
 
     def agem_step(self, model, t):
         rng = self._rng(_S_TRAIN, t)
         mem_items = self.memory.items
-        params = model.parameters()
 
         def project():
-            g = np.concatenate([p.grad.reshape(-1) for p in params])
             k = min(self.cfg.batch_size, len(mem_items))
             pick = rng.choice(len(mem_items), size=k, replace=False)
-            model.zero_grad()
-            ad.backward(span_loss(model, [mem_items[i].sample for i in pick]))
-            g = agem_project(g, np.concatenate([p.grad.reshape(-1) for p in params]))
-            for p, part in zip(params, np.split(g, np.cumsum([p.data.size for p in params]))):
-                p.grad = part.reshape(p.data.shape)
+            agem_project_grad(model, [mem_items[i].sample for i in pick])
 
         self._fit(model, self._domain(t).train, rng, grad_hook=project)
 
@@ -433,7 +434,7 @@ class ContinualEngine:
         rng = self._rng(_S_TRAIN, t)
         teacher = distill.snapshot_teacher(model)
         disc = adv.Discriminator(cfg.hidden, self._rng(_S_DISC, t))
-        disc_opt = ad.Adam(disc.parameters(), lr=DISC_LR)
+        disc_opt = ad.Adam(disc.flat, lr=DISC_LR)
         k = min(max(1, math.ceil(cfg.batch_size * MEMORY_FRAC)), len(mem_items))
 
         def loss_fn(cur):

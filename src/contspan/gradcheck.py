@@ -93,8 +93,7 @@ def check_kl_loss() -> float:
     than its current row, so the teacher's logits are padded."""
     model = _tiny_model()
     teacher = distill.snapshot_teacher(model)
-    for p in teacher.params.values():
-        p.data += 0.01  # make teacher and student genuinely differ
+    teacher.flat.data += 0.01  # make teacher and student genuinely differ
     rng = ad.seeded_rng(SEED, 12)
     _, ids = _ragged_samples(rng, model, [3, 1, 2])
 
@@ -109,10 +108,9 @@ def check_kl_loss() -> float:
 def check_ewc_penalty() -> float:
     model = _tiny_model()
     rng = ad.seeded_rng(SEED, 13)
-    state = FisherState(
-        fisher={k: np.abs(rng.normal(size=p.data.shape)) for k, p in model.params.items()},
-        anchor={k: p.data + rng.normal(scale=0.1, size=p.data.shape)
-                for k, p in model.params.items()})
+    n = model.flat.data.size
+    state = FisherState(fisher=np.abs(rng.normal(size=n)),
+                        anchor=model.flat.data + rng.normal(scale=0.1, size=n))
 
     def loss():
         return ewc_penalty(model, [state], lam=2.0)
@@ -145,8 +143,7 @@ def check_combined_loss() -> float:
     rng = ad.seeded_rng(SEED, 15)
     disc = adv.Discriminator(model.config.hidden, rng)
     teacher = distill.snapshot_teacher(model)
-    for p in teacher.params.values():
-        p.data += 0.01
+    teacher.flat.data += 0.01
     samples, ids = _ragged_samples(rng, model, [4, 2, 1, 3])
 
     def loss():

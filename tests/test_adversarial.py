@@ -95,7 +95,7 @@ CUR = np.array([[-1.0, 0.0]])
 
 def game_losses(disc):
     """(L_D, L_T) from the two halves of one game alternation."""
-    l_d = adv.discriminator_step(disc, ad.Adam(disc.parameters()), MEM, CUR)
+    l_d = adv.discriminator_step(disc, ad.Adam(disc.flat), MEM, CUR)
     return l_d, adv.encoder_adversarial_loss(disc, Tensor(MEM), Tensor(CUR)).item()
 
 
@@ -122,7 +122,7 @@ def test_adversarial_batch_validation():
     with pytest.raises(ValueError, match="non-empty"):
         adv.encoder_adversarial_loss(d, Tensor(empty), Tensor(one))
     with pytest.raises(ValueError, match="non-empty"):
-        adv.discriminator_step(d, ad.Adam(d.parameters()), one, empty)
+        adv.discriminator_step(d, ad.Adam(d.flat), one, empty)
 
 
 def test_log_floor_keeps_core_finite():
@@ -133,7 +133,7 @@ def test_log_floor_keeps_core_finite():
 def test_discriminator_step_decreases_l_d():
     rng = ad.seeded_rng(9)
     d = make_disc(seed=10)
-    opt = ad.Adam(d.parameters(), lr=1e-2)
+    opt = ad.Adam(d.flat, lr=1e-2)
     mem = rng.normal(size=(16, H)) + 2.0
     cur = rng.normal(size=(16, H)) - 2.0
     first = adv.discriminator_step(d, opt, mem, cur)
@@ -145,7 +145,7 @@ def test_discriminator_step_decreases_l_d():
 def test_minimax_step_parameter_isolation():
     rng = ad.seeded_rng(11)
     d = make_disc(seed=12)
-    opt = ad.Adam(d.parameters(), lr=1e-3)
+    opt = ad.Adam(d.flat, lr=1e-3)
     mem = Tensor(rng.normal(size=(4, H)), requires_grad=True)
     cur = Tensor(rng.normal(size=(4, H)), requires_grad=True)
 
@@ -169,16 +169,18 @@ def test_minimax_step_parameter_isolation():
 def test_alternating_game_reduces_separability():
     """On two shifted clusters, a probe separates well; the minimax does not."""
     rng = ad.seeded_rng(13)
-    mem = Tensor(rng.normal(size=(32, H)) + 1.5, requires_grad=True)
-    cur = Tensor(rng.normal(size=(32, H)) - 1.5, requires_grad=True)
+    # both sides as views into one flat vector, which one Adam updates
+    reps, (mem, cur) = ad.flat_leaves(np.concatenate([
+        (rng.normal(size=(32, H)) + 1.5).ravel(), (rng.normal(size=(32, H)) - 1.5).ravel()]),
+        [(32, H)] * 2)
 
     _, probe_acc = adv.train_probe_discriminator(H, mem.data.copy(), cur.data.copy(),
                                                  ad.seeded_rng(14))
     assert probe_acc > 0.9
 
     d = make_disc(seed=15)
-    d_opt = ad.Adam(d.parameters(), lr=1e-2)
-    rep_opt = ad.Adam([mem, cur], lr=1e-1)
+    d_opt = ad.Adam(d.flat, lr=1e-2)
+    rep_opt = ad.Adam(reps, lr=1e-1)
     for _ in range(200):
         adv.discriminator_step(d, d_opt, mem.data, cur.data)
         l_t = adv.encoder_adversarial_loss(d, mem, cur)

@@ -496,7 +496,7 @@ def test_model_is_trainable_on_toy_task():
         return span_loss_batch(sl, el, ys[idx], ye[idx])
 
     initial = batch_loss(np.arange(64)).item()
-    opt = ad.Adam(m.parameters(), lr=3e-3)
+    opt = ad.Adam(m.flat, lr=3e-3)
     for step in range(200):
         idx = rng.permutation(64)[:16]
         loss = batch_loss(idx)

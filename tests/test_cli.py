@@ -1,10 +1,13 @@
 import ctypes
 import json
 import math
+import os
 import platform
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,9 +15,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from contspan import autodiff as ad
 from contspan import cli
 from contspan.autodiff import seeded_rng
-from contspan.backbone import BackboneModel, ModelConfig
+from contspan.backbone import BackboneModel, ModelConfig, param_spec
 from contspan.cli import main
 from contspan.data import load_stream
 from contspan.engine import METHODS, NORM_STRATEGIES, UNCERTAINTY_KINDS
@@ -589,6 +593,124 @@ def test_eval_checkpoint_header_beyond_its_file_exits_1_before_allocating(
     (line,) = error_lines(capsys.readouterr().err)
     assert line == f"error: {expected}"
     assert not (tmp_path / "eval.json").exists()
+
+
+# A checkpoint config in which every field differs from ModelConfig's
+# default, so a dropped field changes the config. hidden is odd, so a dropped
+# n_heads (default 2) no longer divides it; no parameter dimension is 1, so a
+# shape dimension retyped as true (index 1) is another shape.
+HEADER_CONFIG = {"vocab_size": 100, "hidden": 15, "n_layers": 1, "n_heads": 3, "l_max": 32,
+                 "ff_mult": 2}
+HEADER_PARAMS = (0, 2, 8, 16, 21)  # tok_emb, ln_emb_g, blk0.bq, blk0.w2, w_end
+# The JSON kind of each header field a mutation may change, by its path of keys
+HEADER_KINDS = {("config",): dict, ("params",): list}
+HEADER_KINDS.update({("config", k): int for k in HEADER_CONFIG})
+HEADER_KINDS.update({path: kind for i in HEADER_PARAMS for path, kind in (
+    (("params", i), dict), (("params", i, "name"), str), (("params", i, "shape"), list),
+    (("params", i, "shape", 0), int))})
+HEADER_SHAPES = [shape for _, shape, _ in param_spec(ModelConfig(**HEADER_CONFIG))]
+RESHAPE = object()
+
+
+@pytest.fixture(scope="module")
+def header_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    BackboneModel(ModelConfig(**HEADER_CONFIG), seeded_rng(0)).save(path)
+    return path.read_bytes()
+
+
+@st.composite
+def header_mutations(draw):
+    """One checkpoint header field and what a mutation makes of it: DROP, a
+    JSON value of another type, or (for a parameter's shape) another shape."""
+    path = draw(st.sampled_from(sorted(HEADER_KINDS, key=repr)))
+    kind = HEADER_KINDS[path]
+    kinds = [st.just(DROP), st.none(), st.booleans(), st.integers(-2, 40),
+             st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4),
+             st.lists(st.integers(0, 40), max_size=2),
+             st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2)]
+    if path[-1] == "shape":
+        kinds.append(st.just(RESHAPE))
+    value = draw(st.one_of(kinds))
+    if value is RESHAPE:
+        value = draw(st.lists(st.integers(1, 40), max_size=3))
+        assume(tuple(value) != HEADER_SHAPES[path[1]])
+    else:
+        assume(value is DROP or type(value) is not kind)
+    return path, value
+
+
+def test_eval_of_the_unmutated_header_checkpoint_runs(dataset, header_checkpoint, tmp_path):
+    (tmp_path / "m.ckpt").write_bytes(header_checkpoint)
+    assert main(["eval", "--checkpoint", str(tmp_path / "m.ckpt"), "--data", str(dataset),
+                 "--report", str(tmp_path / "eval.json")]) == 0
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header_mutations())
+def test_eval_rejects_every_mutated_checkpoint_header_before_allocating(
+        dataset, header_checkpoint, capsys, monkeypatch, mutation):
+    path, value = mutation
+
+    def no_parameters(*args, **kwargs):
+        raise AssertionError("parameters allocated for a malformed header")
+
+    monkeypatch.setattr(ad, "flat_leaves", no_parameters)
+    raw = header_checkpoint
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    header = json.loads(raw[20:20 + hlen])
+    parent = header
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    hb = json.dumps(header).encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "m.ckpt"
+        ckpt.write_bytes(raw[:12] + struct.pack("<Q", len(hb)) + hb + raw[20 + hlen:])
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                   "--report", str(Path(tmp) / "eval.json")])
+        (line,) = error_lines(capsys.readouterr().err)
+        assert rc == 1 and line.startswith(f"error: malformed checkpoint header: {ckpt} (")
+        assert sorted(Path(tmp).iterdir()) == [ckpt]
+
+
+# Runs the CLI with its address space limited to 1 GiB, which a small run fits
+LIMITED_CLI = ("import resource, runpy, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+               "runpy.run_module('contspan.cli', run_name='__main__')")
+
+
+@pytest.mark.parametrize("hidden", [10 ** 12, 10 ** 6])
+def test_run_out_of_memory_exits_1(dataset, tmp_path, hidden):
+    """A model too large to allocate ends the run with one error line, not a
+    traceback. The run is a subprocess under an address-space limit, so no
+    size can exhaust the host: hidden 10**6 asks for a 0.8 GB embedding,
+    which many hosts could hold but the limit cannot."""
+    (tmp_path / "c.json").write_text(json.dumps({"hidden": hidden, "n_heads": 1}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", LIMITED_CLI, "run", "--config",
+                           str(tmp_path / "c.json"), "--data", str(dataset),
+                           "--report", str(tmp_path / "r.json")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    (line,) = error_lines(proc.stderr)
+    assert line.startswith("error: Unable to allocate")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_memory_error_without_a_message_is_named(monkeypatch, capsys):
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_report", out_of_memory)
+    assert main(["report", "--input", "r.json"]) == 1
+    assert error_lines(capsys.readouterr().err) == ["error: MemoryError"]
 
 
 def test_eval_rejects_an_empty_test_split(dataset, tmp_path, capsys):

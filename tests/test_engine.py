@@ -61,15 +61,17 @@ def test_agem_projection_never_conflicts():
 def test_ewc_penalty_cases():
     model = BackboneModel(ModelConfig(vocab_size=10, hidden=4, n_layers=1,
                                       n_heads=2, l_max=8), ad.seeded_rng(0))
-    anchor = {k: p.data.copy() for k, p in model.params.items()}
-    fisher = {k: np.ones_like(p.data) for k, p in model.params.items()}
-    state = FisherState(fisher=fisher, anchor=anchor)
+    anchor = model.flat.data.copy()
+    state = FisherState(fisher=np.ones_like(anchor), anchor=anchor)
     assert ewc_penalty(model, [state], lam=2.0).item() == pytest.approx(0.0)
 
-    zero_f = {k: np.zeros_like(p.data) for k, p in model.params.items()}
-    zero_f["w_start"] = np.ones_like(model.params["w_start"].data)
-    anchor2 = {k: v.copy() for k, v in anchor.items()}
-    anchor2["w_start"] = anchor["w_start"] - 1.0  # theta - anchor = [1,1,1,1]
+    # w_start is the last parameter but one, 4 floats wide
+    w_start = slice(-8, -4)
+    np.testing.assert_array_equal(anchor[w_start], model.params["w_start"].data)
+    zero_f = np.zeros_like(anchor)
+    zero_f[w_start] = 1.0
+    anchor2 = anchor.copy()
+    anchor2[w_start] -= 1.0  # theta - anchor = [1,1,1,1]
     pen = ewc_penalty(model, [FisherState(zero_f, anchor2)], lam=2.0)
     assert pen.item() == pytest.approx(4.0, abs=1e-12)  # (2/2) * sum of 1s
     with pytest.raises(ValueError, match="no Fisher"):
@@ -151,10 +153,9 @@ def test_ewc_equals_online_ewc_over_two_domains():
     # EWC keeps a state per step; online EWC one running state
     first, second = e1.fisher_states
     [merged] = e2.fisher_states
-    for k, f in merged.fisher.items():
-        np.testing.assert_array_equal(f, ONLINE_EWC_GAMMA * first.fisher[k]
-                                      + second.fisher[k])
-        np.testing.assert_array_equal(merged.anchor[k], second.anchor[k])
+    np.testing.assert_array_equal(merged.fisher, ONLINE_EWC_GAMMA * first.fisher
+                                  + second.fisher)
+    np.testing.assert_array_equal(merged.anchor, second.anchor)
 
 
 def test_lower_equals_upper_on_single_domain():
@@ -425,9 +426,8 @@ def test_fisher_estimates_are_nonnegative_and_shaped():
     model, _ = engine.run()
     assert len(engine.fisher_states) == 2
     for st in engine.fisher_states:
-        for k, f in st.fisher.items():
-            assert f.shape == model.params[k].data.shape
-            assert (f >= 0.0).all()
+        assert st.fisher.shape == st.anchor.shape == model.flat.data.shape
+        assert (st.fisher >= 0.0).all()
 
 
 def test_teacher_constant_during_incremental_step(monkeypatch):

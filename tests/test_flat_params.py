@@ -1,0 +1,224 @@
+"""One flat parameter vector per model: the named parameters, and their
+gradients, are views into one data vector and one gradient vector.
+
+The per-tensor Adam loop and A-GEM's concatenate/project/split round trip,
+which the flat vector replaced, live on here as oracles: the flat code must
+equal them bit for bit.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from contspan import adversarial as adv
+from contspan import autodiff as ad
+from contspan import distill
+from contspan import engine as eng
+from contspan import gradcheck
+from contspan.autodiff import ADAM_B1, ADAM_B2, ADAM_EPS, Tensor
+from contspan.backbone import BackboneModel, ModelConfig, span_loss_batch
+from contspan.data import GenConfig, generate_cdaq_stream
+from contspan.engine import ContinualConfig, ContinualEngine, agem_project, \
+    agem_project_grad, span_loss
+
+DESK = ModelConfig(vocab_size=200, hidden=64, n_layers=2, n_heads=2, l_max=64)
+
+
+class PerTensorAdam:
+    """The Adam step as one loop over separate parameter arrays, as it ran
+    before the flat vector: the oracle of ad.Adam."""
+
+    def __init__(self, arrays, lr):
+        self.data = [a.copy() for a in arrays]
+        self.lr = lr
+        self.t = 0
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+
+    def step(self, grads):
+        self.t += 1
+        bc1 = 1.0 - ADAM_B1 ** self.t
+        bc2 = 1.0 - ADAM_B2 ** self.t
+        for p, g, m, v in zip(self.data, grads, self.m, self.v):
+            buf = g * (1.0 - ADAM_B1)
+            m *= ADAM_B1
+            m += buf
+            np.multiply(g, 1.0 - ADAM_B2, out=buf)
+            buf *= g
+            v *= ADAM_B2
+            v += buf
+            np.divide(m, bc1, out=buf)
+            vhat = v / bc2
+            np.sqrt(vhat, out=vhat)
+            vhat += ADAM_EPS
+            buf *= self.lr
+            buf /= vhat
+            p -= buf
+
+
+def _desk_loss(rng):
+    model = BackboneModel(DESK, rng)
+    ids = [rng.integers(0, DESK.vocab_size, size=n) for n in (64, 41, 17, 5)]
+    y_s = np.array([3, 40, 0, 2])
+    y_e = np.array([9, 40, 16, 4])
+
+    def loss():
+        _, _, sl, el = model.forward_batch(ids)
+        return span_loss_batch(sl, el, y_s, y_e)
+
+    return model, loss
+
+
+def _disc_loss(rng):
+    disc = adv.Discriminator(DESK.hidden, rng)
+    mem, cur = rng.normal(size=(8, DESK.hidden)) + 0.5, rng.normal(size=(6, DESK.hidden))
+    return disc, lambda: adv._bce(disc, Tensor(mem), Tensor(cur))
+
+
+@pytest.mark.parametrize("owner, n_tensors", [(_desk_loss, 38), (_disc_loss, 6)],
+                         ids=["desk_model", "discriminator"])
+def test_flat_adam_equals_the_per_tensor_loop(owner, n_tensors):
+    """Four Adam steps on real gradients: every parameter and both moments
+    equal the per-tensor loop's bit for bit after each step."""
+    model, loss = owner(ad.seeded_rng(21))
+    params = list(model.params.values())
+    assert len(params) == n_tensors
+    start = model.flat.data.copy()
+    ref = PerTensorAdam([p.data for p in params], lr=3e-3)
+    opt = ad.Adam(model.flat, lr=3e-3)
+    for _ in range(4):
+        opt.zero_grad()
+        ad.backward(loss())
+        grads = [p.grad.copy() for p in params]
+        assert all(g.any() for g in grads[-2:])
+        opt.step()
+        ref.step(grads)
+        for i, (p, want) in enumerate(zip(params, ref.data)):
+            np.testing.assert_array_equal(p.data, want, err_msg=str(i))
+        np.testing.assert_array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
+        np.testing.assert_array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
+    assert not np.array_equal(model.flat.data, start)
+
+
+def test_agem_hook_equals_the_concatenate_project_split_path():
+    """On a conflicting pair of gradients, the projection written into the
+    flat gradient equals the old path: concatenate the per-tensor gradients,
+    project, split and reshape."""
+    stream = generate_cdaq_stream(GenConfig(setting="cdaq", n_domains=1, train_size=8,
+                                            test_size=1, vocab_size=100, l_max=32, seed=4,
+                                            passage_len=(10, 18)))
+    model = BackboneModel(ModelConfig(vocab_size=100, hidden=16, n_layers=1, n_heads=2,
+                                      l_max=32), ad.seeded_rng(5))
+    current = stream.domains[0].train[:6]
+    # the same rows with every answer moved onto the [cls] token
+    memory = [dataclasses.replace(s, answer_start=0, answer_end=0) for s in current]
+    params = list(model.params.values())
+
+    def grads(samples):
+        model.zero_grad()
+        ad.backward(span_loss(model, samples))
+        return [p.grad.copy() for p in params]
+
+    g_cur, g_mem = grads(current), grads(memory)
+    g, g_ref = (np.concatenate([x.reshape(-1) for x in gs]) for gs in (g_cur, g_mem))
+    assert g @ g_ref < 0.0  # they conflict, so the projection acts
+    parts = np.split(agem_project(g, g_ref), np.cumsum([x.size for x in g_cur]))
+    want = [part.reshape(x.shape) for x, part in zip(g_cur, parts)]
+
+    model.zero_grad()
+    ad.backward(span_loss(model, current))
+    agem_project_grad(model, memory)
+    for i, (p, w) in enumerate(zip(params, want)):
+        np.testing.assert_array_equal(p.grad, w, err_msg=str(i))
+    assert not np.array_equal(model.flat.grad, g)
+
+
+def test_flat_leaves_are_views_in_order():
+    vec = np.arange(11.0)
+    flat, (a, b, c) = ad.flat_leaves(vec, [(2, 3), (4,), (1, 1)])
+    assert flat.data is vec and flat.requires_grad
+    np.testing.assert_array_equal(a.data, [[0, 1, 2], [3, 4, 5]])
+    np.testing.assert_array_equal(c.data, [[10]])
+    for leaf in (a, b, c):
+        assert leaf.requires_grad and leaf.data.base is vec
+        assert np.shares_memory(leaf.grad, flat.grad)
+    ad.backward(ad.tsum(ad.square(b)) + ad.tsum(a))
+    np.testing.assert_array_equal(flat.grad, [1] * 6 + [12, 14, 16, 18, 0])
+    frozen, leaves = ad.flat_leaves(vec.copy(), [(11,)], requires_grad=False)
+    assert frozen.grad is None and leaves[0].grad is None and not leaves[0].requires_grad
+
+
+def test_checkpoint_body_is_the_flat_vector(tmp_path):
+    model = BackboneModel(DESK, ad.seeded_rng(2))
+    model.save(tmp_path / "m.ckpt")
+    raw = (tmp_path / "m.ckpt").read_bytes()
+    assert raw.endswith(model.flat.data.astype("<f8").tobytes())
+    loaded = BackboneModel.load(tmp_path / "m.ckpt")
+    np.testing.assert_array_equal(loaded.flat.data, model.flat.data)
+    assert loaded.flat.data.flags.writeable and loaded.flat.requires_grad
+    assert all(p.data.base is loaded.flat.data for p in loaded.params.values())
+
+
+def test_no_copy_shares_the_live_vector(tmp_path, monkeypatch):
+    """The KL teacher, forward_chunks' untracked copy, a loaded checkpoint
+    and upper's fresh draw share no memory with the student's vectors, and an
+    Adam step on the student leaves each of them byte-identical."""
+    stream = generate_cdaq_stream(GenConfig(setting="cdaq", n_domains=2, train_size=8,
+                                            test_size=4, vocab_size=100, l_max=32, seed=6,
+                                            passage_len=(10, 18)))
+    engine = ContinualEngine(stream, ContinualConfig(method="upper", hidden=16, n_layers=1,
+                                                     epochs=1, batch_size=8))
+    student = BackboneModel(engine.model_cfg, ad.seeded_rng(7))
+
+    drawn = []
+
+    class Drawn(BackboneModel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            drawn.append(self)
+
+    monkeypatch.setattr(eng, "BackboneModel", Drawn)
+    monkeypatch.setattr(ContinualEngine, "_fit", lambda *a, **k: None)
+    engine.upper_bound_step(student, 2)
+    (fresh,) = drawn
+    np.testing.assert_array_equal(student.flat.data, fresh.flat.data)
+
+    copies = []
+    copy = BackboneModel.copy
+    monkeypatch.setattr(BackboneModel, "copy", lambda self: copies.append(copy(self))
+                        or copies[-1])
+    teacher = distill.snapshot_teacher(student)
+    train = stream.domains[0].train
+    next(student.forward_chunks([s.input_ids for s in train]))
+    assert copies[0] is teacher and len(copies) == 2
+    student.save(tmp_path / "s.ckpt")
+    loaded = BackboneModel.load(tmp_path / "s.ckpt")
+
+    others = {"teacher": teacher, "chunk_copy": copies[1], "loaded": loaded,
+              "upper_draw": fresh}
+    before = {k: m.flat.data.copy() for k, m in others.items()}
+    live = [student.flat.data, student.flat.grad]
+    for name, other in others.items():
+        mine = [other.flat.data, other.flat.grad] + [p.data for p in other.params.values()]
+        assert not any(np.shares_memory(a, b) for a in mine if a is not None for b in live), \
+            name
+
+    opt = ad.Adam(student.flat, lr=1e-2)
+    opt.zero_grad()
+    ad.backward(span_loss(student, train))
+    opt.step()
+    assert not np.array_equal(student.flat.data, before["loaded"])
+    for name, other in others.items():
+        assert other.flat.data.tobytes() == before[name].tobytes(), name
+        for p in other.params.values():
+            assert p.data.base is other.flat.data, name
+
+
+def test_gradcheck_param_swap_restores_the_view():
+    model = gradcheck._tiny_model()
+    samples, _ = gradcheck._ragged_samples(ad.seeded_rng(3), model, [4, 2])
+    view = model.params["blk0.wq"]
+    err = gradcheck._param_check(model, "blk0.wq", lambda: span_loss(model, samples))
+    assert err < gradcheck.TOLERANCE
+    assert model.params["blk0.wq"] is view and np.shares_memory(view.data, model.flat.data)
