@@ -31,8 +31,14 @@
 # goes to OUT/gradcheck.txt. It runs inside OUT with relative paths, so
 # eval.json records the same checkpoint path in every OUT. Each other command's
 # output goes to OUT/<run>.log. The line count of the checkout's package
-# (the total of `wc -l src/contspan/*.py`) goes to OUT/src_lines.txt. Run it
-# at both commits, then compare.
+# (the total of `wc -l src/contspan/*.py`) goes to OUT/src_lines.txt. One
+# more ma_mrc run on OUT/stream goes through perfbench/traced.py, as it is,
+# and writes the number of Adam steps and of backward walks (the span counts
+# of autodiff.adam.step and autodiff.backward) and the counters
+# autodiff.nodes, adversarial.probe.steps, distill.teacher_rows and
+# memory.forward_rows to OUT/trace_counts.json, so an update that routes
+# around a traced function shows as a difference. Its report and spans stay
+# in OUT/trace/. Run it at both commits, then compare.
 #
 # Every command runs with one BLAS thread (OPENBLAS_NUM_THREADS,
 # OMP_NUM_THREADS and MKL_NUM_THREADS set to 1, as perfbench/run.py's
@@ -41,8 +47,9 @@
 # sides of a comparison must round alike.
 #
 # The second form compares the four streams, every report, checkpoint (init.ckpt
-# too) and saved memory and gradcheck.txt, prints the files that differ (a file missing on one
-# side differs) and their count, and exits 1 if any differ. A differing JSON
+# too) and saved memory, gradcheck.txt and trace_counts.json, prints the files
+# that differ (a file missing on one side differs) and their count, and exits
+# 1 if any differ. A differing JSON
 # file that is equal once metadata.config_hash and metadata.config are dropped,
 # as after a config field is renamed or removed, is marked so; it still counts
 # as differing. Logs and timing.json hold wall times and are left out, and
@@ -174,6 +181,26 @@ with open(sys.argv[1], "w", encoding="utf-8") as f:
         contspan "${m}_b7" run --data stream --method "$m" --memory-size 12 --epochs 2 \
             --batch-size 7 --order 1,2,0 --report "${m}_b7.json" --out-dir "${m}_b7"
     done
+    mkdir -p trace
+    python3 "$root/perfbench/traced.py" trace/spans.npz -- run --data stream \
+        --method ma_mrc --memory-size 12 --epochs 2 --report trace/ma_mrc.json \
+        >trace.log 2>&1 || { echo "failed: traced ma_mrc run (see $OUT/trace.log)" >&2; exit 1; }
+    python3 - trace/spans.npz >trace_counts.json <<'EOF'
+import json
+import sys
+
+import numpy as np
+
+spans = np.load(sys.argv[1])
+names, counts = json.loads(str(spans["names"])), json.loads(str(spans["counts"]))
+per_name = np.bincount(spans["name_of"], minlength=len(names))
+out = {f"{name}.spans": int(per_name[names.index(name)]) if name in names else 0
+       for name in ("autodiff.adam.step", "autodiff.backward")}
+out.update({name: int(counts.get(name, 0)) for name in (
+    "autodiff.nodes", "adversarial.probe.steps", "distill.teacher_rows",
+    "memory.forward_rows")})
+print(json.dumps(out, indent=1, sort_keys=True))
+EOF
     for c in 0 60 100; do
         for m in ma_mrc agem der; do
             contspan "${m}_c$c" run --data stream --method "$m" --memory-size "$c" \

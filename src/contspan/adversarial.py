@@ -3,7 +3,9 @@
 The discriminator labels memory representations 1 and current-domain
 representations 0. Updates alternate: the discriminator maximizes the core
 objective on detached representations, then the encoder minimizes it (plus
-the mean-discrepancy term) through a frozen copy of the discriminator.
+the mean-discrepancy term) through disc.copy(), a frozen untracked copy. The
+discriminator, the probe and the encoder share one model base
+(autodiff.FlatModel), and every update of each is one Adam.update.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ PROBE_LR = 1e-2
 PROBE_HOLDOUT = 0.5  # share of each side held out to score the probe
 
 
-class Discriminator:
+class Discriminator(ad.FlatModel):
     """Three affine layers h -> h -> h/2 -> 1 with a sigmoid output."""
 
     def __init__(self, hidden: int, rng: np.random.Generator):
@@ -27,17 +29,12 @@ class Discriminator:
         init = {"w1": rng.normal(0.0, std, (hidden, hidden)), "b1": np.zeros(hidden),
                 "w2": rng.normal(0.0, std, (hidden, h2)), "b2": np.zeros(h2),
                 "w3": rng.normal(0.0, std, (h2, 1)), "b3": np.zeros(1)}
-        self.flat, leaves = ad.flat_leaves(np.concatenate([a.ravel() for a in init.values()]),
-                                           [a.shape for a in init.values()])
-        self.params = dict(zip(init, leaves))
+        super().__init__(np.concatenate([a.ravel() for a in init.values()]),
+                         [(k, a.shape) for k, a in init.items()])
 
-    def frozen_params(self) -> dict[str, Tensor]:
-        """Constant copies; gradients flow only to the input representations."""
-        return {k: Tensor(v.data.copy()) for k, v in self.params.items()}
-
-    def forward(self, reprs: Tensor, params: dict[str, Tensor] | None = None) -> Tensor:
+    def forward(self, reprs: Tensor) -> Tensor:
         """Probability that each row of (n, h) comes from memory."""
-        P = self.params if params is None else params
+        P = self.params
         x = ad.gelu(ad.matmul(reprs, P["w1"]) + P["b1"])
         x = ad.gelu(ad.matmul(x, P["w2"]) + P["b2"])
         logit = ad.matmul(x, P["w3"]) + P["b3"]
@@ -52,38 +49,31 @@ def mmd(memory_reprs: Tensor, current_reprs: Tensor) -> Tensor:
     return ad.tsum(ad.square(diff))
 
 
-def _bce(disc: Discriminator, mem: Tensor, cur: Tensor,
-         params: dict[str, Tensor] | None = None) -> Tensor:
+def _bce(disc: Discriminator, mem: Tensor, cur: Tensor) -> Tensor:
     """-mean log D(mem) - mean log(1 - D(cur)): memory labeled 1, current 0."""
-    d_mem = disc.forward(mem, params)
-    d_cur = disc.forward(cur, params)
+    d_mem = disc.forward(mem)
+    d_cur = disc.forward(cur)
     return -ad.tmean(ad.log(d_mem, floor=LOG_FLOOR)) \
         - ad.tmean(ad.log(Tensor(1.0) - d_cur, floor=LOG_FLOOR))
 
 
-def _core_loss(disc: Discriminator, mem: Tensor, cur: Tensor,
-               params: dict[str, Tensor] | None) -> Tensor:
+def _core_loss(disc: Discriminator, mem: Tensor, cur: Tensor) -> Tensor:
     if mem.data.shape[0] == 0 or cur.data.shape[0] == 0:
         raise ValueError("adversarial game needs non-empty memory and current sides")
-    return _bce(disc, mem, cur, params) + mmd(mem, cur)
+    return _bce(disc, mem, cur) + mmd(mem, cur)
 
 
 def discriminator_step(disc: Discriminator, opt: ad.Adam,
                        mem_reprs: np.ndarray, cur_reprs: np.ndarray) -> float:
     """One maximizing update on detached representations; returns L_D."""
-    mem = Tensor(mem_reprs)
-    cur = Tensor(cur_reprs)
-    l_d = -_core_loss(disc, mem, cur, None)
-    opt.zero_grad()
-    ad.backward(l_d)
-    opt.step()
-    return l_d.item()
+    return opt.update(-_core_loss(disc, Tensor(mem_reprs), Tensor(cur_reprs)))
 
 
 def encoder_adversarial_loss(disc: Discriminator, mem: Tensor, cur: Tensor) -> Tensor:
-    """Encoder-side core loss through a frozen discriminator copy, so its
-    gradient reaches only the representations (and the encoder above them)."""
-    return _core_loss(disc, mem, cur, disc.frozen_params())
+    """Encoder-side core loss through disc.copy(), untracked and sharing no
+    memory with disc: its gradient reaches only the representations (and the
+    encoder above them), never disc's own gradient or parameters."""
+    return _core_loss(disc.copy(), mem, cur)
 
 
 def discriminator_accuracy(disc: Discriminator, mem_reprs: np.ndarray,
@@ -104,11 +94,7 @@ def _probe_step(disc: Discriminator, opt: ad.Adam,
     This is the ordinary BCE direction, not the game's L_D, which per the
     minimax sign convention trains the discriminator against these labels.
     """
-    bce = _bce(disc, Tensor(mem_reprs), Tensor(cur_reprs))
-    opt.zero_grad()
-    ad.backward(bce)
-    opt.step()
-    return bce.item()
+    return opt.update(_bce(disc, Tensor(mem_reprs), Tensor(cur_reprs)))
 
 
 def train_probe_discriminator(hidden: int, mem_reprs: np.ndarray, cur_reprs: np.ndarray,

@@ -15,6 +15,7 @@ backed by numpy arrays; no other state.
 from __future__ import annotations
 
 import math
+from copy import copy as shallow_copy
 from typing import Callable, Sequence
 
 import numpy as np
@@ -662,6 +663,26 @@ def flat_leaves(vec: np.ndarray, shapes, requires_grad: bool = True):
     return flat, leaves
 
 
+class FlatModel:
+    """A model whose named parameters (params) view one flat tensor (flat; see
+    flat_leaves). spec holds each parameter's (name, shape), in vec's order."""
+
+    def __init__(self, vec: np.ndarray, spec, requires_grad: bool = True):
+        self.flat, leaves = flat_leaves(vec, [shape for _, shape in spec], requires_grad)
+        self.params = {name: leaf for (name, _), leaf in zip(spec, leaves)}
+
+    def zero_grad(self):
+        self.flat.grad.fill(0.0)
+
+    def copy(self):
+        """Untracked copy over its own copy of the vector, other attributes (a
+        config) shared: forward passes through it record no tape."""
+        other = shallow_copy(self)
+        FlatModel.__init__(other, self.flat.data.copy(),
+                           [(name, p.data.shape) for name, p in self.params.items()], False)
+        return other
+
+
 class Adam:
     """Standard Adam over one flat parameter tensor (see flat_leaves)."""
 
@@ -672,8 +693,15 @@ class Adam:
         self.m = np.zeros_like(flat.data)
         self.v = np.zeros_like(flat.data)
 
-    def zero_grad(self):
+    def update(self, loss: Tensor, grad_hook=None) -> float:
+        """One update that minimises loss: zero the flat gradient, backward(),
+        let grad_hook() rewrite the gradient (A-GEM), step. Returns the loss."""
         self.flat.grad.fill(0.0)
+        backward(loss)
+        if grad_hook is not None:
+            grad_hook()
+        self.step()
+        return loss.item()
 
     def step(self):
         self.t += 1

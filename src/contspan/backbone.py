@@ -88,33 +88,16 @@ def _worker() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="contspan-encode")
 
 
-class BackboneModel:
+class BackboneModel(ad.FlatModel):
     """Encoder parameters plus span heads: named tensors that are views into
     one flat vector, in param_spec (checkpoint) order."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        self._adopt(config, np.concatenate([(_trunc_normal(rng, shape) if fill is None
-                                             else np.full(shape, fill)).ravel()
-                                            for _, shape, fill in param_spec(config)]), True)
-
-    # -- parameter plumbing -------------------------------------------------
-
-    def _adopt(self, config: ModelConfig, vec: np.ndarray, requires_grad: bool):
-        """Take config, and vec, the parameters in param_spec order, as the
-        flat vector that the named parameters view. Returns self."""
-        self.config = config
-        spec = param_spec(config)
-        self.flat, leaves = ad.flat_leaves(vec, [shape for _, shape, _ in spec], requires_grad)
-        self.params = {name: leaf for (name, _, _), leaf in zip(spec, leaves)}
-        return self
-
-    def zero_grad(self):
-        self.flat.grad.fill(0.0)
-
-    def copy(self) -> "BackboneModel":
-        """Untracked copy: forward passes through it record no tape."""
-        return BackboneModel.__new__(BackboneModel)._adopt(self.config, self.flat.data.copy(),
-                                                           False)
+        self.config, spec = config, param_spec(config)
+        super().__init__(np.concatenate([(_trunc_normal(rng, shape) if fill is None
+                                          else np.full(shape, fill)).ravel()
+                                         for _, shape, fill in spec]),
+                         [(name, shape) for name, shape, _ in spec])
 
     # -- forward ------------------------------------------------------------
 
@@ -139,8 +122,7 @@ class BackboneModel:
         """
         l = max(len(ids) for ids in id_lists)
         half = len(id_lists) // 2
-        if half == 0 or len(id_lists) * l < SPLIT_TOKENS \
-                or any(p.requires_grad for p in self.params.values()):
+        if half == 0 or len(id_lists) * l < SPLIT_TOKENS or self.flat.requires_grad:
             x, mask = self._encode(id_lists, l)
         else:
             rest = _worker().submit(self._encode, id_lists[half:], l)
@@ -256,6 +238,8 @@ class BackboneModel:
             header = parse_json(read(hlen), path)
             try:
                 config = ModelConfig(**header["config"])
+                if missing := asdict(config).keys() - header["config"]:
+                    raise KeyError(min(missing))  # a default would stand in for it
                 entries = [(e["name"], tuple(map(operator.index, e["shape"])))
                            for e in header["params"]]
             except (KeyError, TypeError, ValueError) as e:
@@ -264,7 +248,10 @@ class BackboneModel:
                 raise ValueError(f"malformed checkpoint header: {path} (params do not fit config)")
             n = sum(math.prod(shape) for _, shape in entries)
             vec = np.frombuffer(read(8 * n), dtype="<f8").astype(np.float64)
-        return cls.__new__(cls)._adopt(config, vec, True)
+        model = cls.__new__(cls)
+        model.config = config
+        ad.FlatModel.__init__(model, vec, entries)
+        return model
 
 
 # ---------------------------------------------------------------------------

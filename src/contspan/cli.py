@@ -114,6 +114,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.resume and not args.out_dir:
+        print("error: --resume needs --out-dir (the run's checkpoint directory)", file=sys.stderr)
+        return 2
     manifest: dict = {}
     if args.config:
         with open(args.config, "rb") as f:

@@ -336,24 +336,17 @@ class ContinualEngine:
 
     def _fit(self, model: BackboneModel, samples: list[Sample],
              rng: np.random.Generator, loss_fn=None, grad_hook=None) -> list[float]:
-        """Adam epochs over shuffled batches, minimising loss_fn(batch), the
-        batch's whole loss (by default its span loss). grad_hook() may rewrite
-        the parameters' gradients before the optimizer step (A-GEM)."""
+        """Adam epochs over shuffled batches, one Adam.update per batch on
+        loss_fn(batch), the batch's whole loss (by default its span loss).
+        grad_hook() may rewrite the flat gradient before the step (A-GEM)."""
         cfg = self.cfg
         loss_fn = loss_fn or (lambda batch: span_loss(model, batch))
         opt = ad.Adam(model.flat, lr=cfg.lr)
         epoch_losses = []
         for _ in range(cfg.epochs):
             perm = rng.permutation(len(samples))
-            losses = []
-            for lo in range(0, len(samples), cfg.batch_size):
-                loss = loss_fn([samples[i] for i in perm[lo:lo + cfg.batch_size]])
-                opt.zero_grad()
-                ad.backward(loss)
-                if grad_hook is not None:
-                    grad_hook()
-                opt.step()
-                losses.append(loss.item())
+            losses = [opt.update(loss_fn([samples[i] for i in perm[lo:lo + cfg.batch_size]]),
+                                 grad_hook) for lo in range(0, len(samples), cfg.batch_size)]
             epoch_losses.append(sum(losses) / max(len(losses), 1))
         return epoch_losses
 

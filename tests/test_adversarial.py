@@ -84,7 +84,7 @@ class _ConstDisc(adv.Discriminator):
         super().__init__(2, ad.seeded_rng(0))
         self.p_mem, self.p_cur = p_mem, p_cur
 
-    def forward(self, reprs, params=None):
+    def forward(self, reprs):
         vals = np.where(reprs.data[:, 0] > 0, self.p_mem, self.p_cur)
         return Tensor(vals)
 
@@ -158,7 +158,7 @@ def test_minimax_step_parameter_isolation():
     # the encoder's loss runs through a frozen copy of the discriminator
     l_t = adv.encoder_adversarial_loss(d, mem, cur)
     before = {k: v.data.copy() for k, v in d.params.items()}
-    opt.zero_grad()
+    d.zero_grad()
     ad.backward(l_t)
     for k, v in d.params.items():
         np.testing.assert_array_equal(v.data, before[k])
@@ -183,10 +183,7 @@ def test_alternating_game_reduces_separability():
     rep_opt = ad.Adam(reps, lr=1e-1)
     for _ in range(200):
         adv.discriminator_step(d, d_opt, mem.data, cur.data)
-        l_t = adv.encoder_adversarial_loss(d, mem, cur)
-        rep_opt.zero_grad()
-        ad.backward(l_t)
-        rep_opt.step()
+        rep_opt.update(adv.encoder_adversarial_loss(d, mem, cur))
     _, post_acc = adv.train_probe_discriminator(H, mem.data.copy(), cur.data.copy(),
                                                  ad.seeded_rng(16))
     assert post_acc <= 0.65

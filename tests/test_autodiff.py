@@ -185,9 +185,7 @@ def test_adam_converges_on_quadratic():
     x = Tensor([5.0, -3.0], requires_grad=True)
     opt = ad.Adam(x, lr=0.1)
     for _ in range(500):
-        opt.zero_grad()
-        ad.backward(ad.tsum(ad.square(x)))
-        opt.step()
+        opt.update(ad.tsum(ad.square(x)))
     assert np.abs(x.data).max() < 1e-3
 
 

@@ -499,9 +499,6 @@ def test_model_is_trainable_on_toy_task():
     opt = ad.Adam(m.flat, lr=3e-3)
     for step in range(200):
         idx = rng.permutation(64)[:16]
-        loss = batch_loss(idx)
-        opt.zero_grad()
-        ad.backward(loss)
-        opt.step()
+        opt.update(batch_loss(idx))
     final = batch_loss(np.arange(64)).item()
     assert final < 0.5 * initial

@@ -504,6 +504,15 @@ def test_resume_without_a_committed_checkpoint_exits_1(dataset, tmp_path, capsys
     assert "step1.ckpt" in capsys.readouterr().err
 
 
+def test_resume_without_an_out_dir_exits_2(dataset, tmp_path, capsys):
+    """--resume has nothing to resume from without --out-dir: an error, not a
+    silent run from scratch."""
+    rc = main(run_args(dataset, tmp_path / "r.json") + ["--resume"])
+    (line,) = error_lines(capsys.readouterr().err)
+    assert rc == 2 and "--out-dir" in line
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_checkpoint_roundtrip(dataset, tmp_path, capsys):
     ckpt_dir = tmp_path / "ckpts"
     assert main(run_args(dataset, tmp_path / "r.json", out_dir=ckpt_dir)) == 0
@@ -612,6 +621,15 @@ HEADER_SHAPES = [shape for _, shape, _ in param_spec(ModelConfig(**HEADER_CONFIG
 RESHAPE = object()
 
 
+def with_header(raw: bytes, edit) -> bytes:
+    """The checkpoint raw with edit(header) applied to its JSON header."""
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    header = json.loads(raw[20:20 + hlen])
+    edit(header)
+    hb = json.dumps(header).encode("utf-8")
+    return raw[:12] + struct.pack("<Q", len(hb)) + hb + raw[20 + hlen:]
+
+
 @pytest.fixture(scope="module")
 def header_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
@@ -657,26 +675,47 @@ def test_eval_rejects_every_mutated_checkpoint_header_before_allocating(
         raise AssertionError("parameters allocated for a malformed header")
 
     monkeypatch.setattr(ad, "flat_leaves", no_parameters)
-    raw = header_checkpoint
-    (hlen,) = struct.unpack("<Q", raw[12:20])
-    header = json.loads(raw[20:20 + hlen])
-    parent = header
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is DROP:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    hb = json.dumps(header).encode("utf-8")
+
+    def mutate(header):
+        parent = header
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = Path(tmp) / "m.ckpt"
-        ckpt.write_bytes(raw[:12] + struct.pack("<Q", len(hb)) + hb + raw[20 + hlen:])
+        ckpt.write_bytes(with_header(header_checkpoint, mutate))
         capsys.readouterr()
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
                    "--report", str(Path(tmp) / "eval.json")])
         (line,) = error_lines(capsys.readouterr().err)
         assert rc == 1 and line.startswith(f"error: malformed checkpoint header: {ckpt} (")
         assert sorted(Path(tmp).iterdir()) == [ckpt]
+
+
+# Every field differs from its default. hidden is even, so a dropped n_heads
+# (default 2) still divides it, and no parameter shape depends on n_heads.
+FULL_HEADER_CONFIG = {"vocab_size": 100, "hidden": 16, "n_layers": 1, "n_heads": 4,
+                      "l_max": 32, "ff_mult": 2}
+
+
+@pytest.mark.parametrize("field", sorted(FULL_HEADER_CONFIG))
+def test_eval_rejects_a_header_that_lacks_a_config_field(dataset, tmp_path, capsys, field):
+    """A field missing from the header's config is an error, not its default:
+    a checkpoint without n_heads would otherwise load as another model."""
+    saved = tmp_path / "saved.ckpt"
+    BackboneModel(ModelConfig(**FULL_HEADER_CONFIG), seeded_rng(0)).save(saved)
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(with_header(saved.read_bytes(), lambda h: h["config"].pop(field)))
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+               "--report", str(tmp_path / "eval.json")])
+    (line,) = error_lines(capsys.readouterr().err)
+    assert rc == 1 and line.startswith(f"error: malformed checkpoint header: {ckpt} (")
+    assert not (tmp_path / "eval.json").exists()
 
 
 # Runs the CLI with its address space limited to 1 GiB, which a small run fits

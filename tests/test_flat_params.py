@@ -1,9 +1,10 @@
 """One flat parameter vector per model: the named parameters, and their
 gradients, are views into one data vector and one gradient vector.
 
-The per-tensor Adam loop and A-GEM's concatenate/project/split round trip,
-which the flat vector replaced, live on here as oracles: the flat code must
-equal them bit for bit.
+The per-tensor Adam loop, A-GEM's concatenate/project/split round trip and
+the hand-written zero/backward/hook/step sequence, which the flat vector and
+Adam.update replaced, live on here as oracles: the code that replaced them
+must equal them bit for bit.
 """
 
 import dataclasses
@@ -88,17 +89,81 @@ def test_flat_adam_equals_the_per_tensor_loop(owner, n_tensors):
     ref = PerTensorAdam([p.data for p in params], lr=3e-3)
     opt = ad.Adam(model.flat, lr=3e-3)
     for _ in range(4):
-        opt.zero_grad()
-        ad.backward(loss())
-        grads = [p.grad.copy() for p in params]
+        grads = []
+        opt.update(loss(), lambda: grads.extend(p.grad.copy() for p in params))
         assert all(g.any() for g in grads[-2:])
-        opt.step()
         ref.step(grads)
         for i, (p, want) in enumerate(zip(params, ref.data)):
             np.testing.assert_array_equal(p.data, want, err_msg=str(i))
         np.testing.assert_array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
         np.testing.assert_array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
     assert not np.array_equal(model.flat.data, start)
+
+
+def reference_update(opt, loss, grad_hook=None):
+    """The zero/backward/hook/step sequence that _fit, discriminator_step and
+    _probe_step each wrote out before Adam.update: the oracle of
+    Adam.update."""
+    opt.flat.grad.fill(0.0)
+    ad.backward(loss)
+    if grad_hook is not None:
+        grad_hook()
+    opt.step()
+    return loss.item()
+
+
+def assert_same_adam(opt, ref):
+    for a, b in ((opt.flat.data, ref.flat.data), (opt.m, ref.m), (opt.v, ref.v)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_adam_update_equals_the_written_out_sequence_with_an_agem_hook():
+    """Three updates of the desk model with A-GEM's projection as the hook:
+    the loss, the parameters and both moments equal the oracle's bit for
+    bit, and the projection acts."""
+    stream = generate_cdaq_stream(GenConfig(setting="cdaq", n_domains=1, train_size=6,
+                                            test_size=1, vocab_size=DESK.vocab_size,
+                                            l_max=DESK.l_max, seed=8))
+    current = stream.domains[0].train
+    # the same rows with every answer moved onto the [cls] token
+    memory = [dataclasses.replace(s, answer_start=0, answer_end=0) for s in current]
+    models = [BackboneModel(DESK, ad.seeded_rng(9)) for _ in range(2)]
+    opts = [ad.Adam(m.flat, lr=3e-3) for m in models]
+    acted = [[], []]
+
+    def hook(i):
+        def project():
+            g = models[i].flat.grad.copy()
+            agem_project_grad(models[i], memory)
+            acted[i].append(not np.array_equal(g, models[i].flat.grad))
+        return project
+
+    for _ in range(3):
+        got = opts[0].update(span_loss(models[0], current), hook(0))
+        want = reference_update(opts[1], span_loss(models[1], current), hook(1))
+        assert got == want
+        assert_same_adam(opts[0], opts[1])
+    assert acted[0] == acted[1] and any(acted[0])
+
+
+@pytest.mark.parametrize("update, loss", [
+    (adv.discriminator_step, lambda d, mem, cur: -adv._core_loss(d, mem, cur)),
+    (adv._probe_step, adv._bce)], ids=["discriminator_step", "probe_step"])
+def test_discriminator_updates_equal_the_written_out_sequence(update, loss):
+    """Three updates of the discriminator: the returned loss (L_D for the
+    game's step, the plain BCE for the probe's), the parameters and both
+    moments equal the oracle's bit for bit."""
+    rng = ad.seeded_rng(10)
+    mem, cur = rng.normal(size=(8, DESK.hidden)) + 0.5, rng.normal(size=(6, DESK.hidden))
+    discs = [adv.Discriminator(DESK.hidden, ad.seeded_rng(11)) for _ in range(2)]
+    opts = [ad.Adam(d.flat, lr=1e-2) for d in discs]
+    for _ in range(3):
+        got = update(discs[0], opts[0], mem, cur)
+        want = reference_update(opts[1], loss(discs[1], Tensor(mem), Tensor(cur)))
+        assert got == want
+        assert_same_adam(opts[0], opts[1])
+    assert not np.array_equal(discs[0].flat.data, adv.Discriminator(
+        DESK.hidden, ad.seeded_rng(11)).flat.data)
 
 
 def test_agem_hook_equals_the_concatenate_project_split_path():
@@ -161,9 +226,12 @@ def test_checkpoint_body_is_the_flat_vector(tmp_path):
 
 
 def test_no_copy_shares_the_live_vector(tmp_path, monkeypatch):
-    """The KL teacher, forward_chunks' untracked copy, a loaded checkpoint
-    and upper's fresh draw share no memory with the student's vectors, and an
-    Adam step on the student leaves each of them byte-identical."""
+    """The KL teacher, forward_chunks' untracked copy, a loaded checkpoint,
+    upper's fresh draw and the game's frozen discriminator share no memory
+    with their live model's vectors, and an update of the live models leaves
+    each of them byte-identical. The encoder's backward through the game's
+    copy leaves the live discriminator's gradient zero and its parameters
+    as they were."""
     stream = generate_cdaq_stream(GenConfig(setting="cdaq", n_domains=2, train_size=8,
                                             test_size=4, vocab_size=100, l_max=32, seed=6,
                                             passage_len=(10, 18)))
@@ -185,31 +253,42 @@ def test_no_copy_shares_the_live_vector(tmp_path, monkeypatch):
     np.testing.assert_array_equal(student.flat.data, fresh.flat.data)
 
     copies = []
-    copy = BackboneModel.copy
-    monkeypatch.setattr(BackboneModel, "copy", lambda self: copies.append(copy(self))
-                        or copies[-1])
+    for cls in (BackboneModel, adv.Discriminator):
+        monkeypatch.setattr(cls, "copy", lambda self: copies.append(ad.FlatModel.copy(self))
+                            or copies[-1])
     teacher = distill.snapshot_teacher(student)
     train = stream.domains[0].train
     next(student.forward_chunks([s.input_ids for s in train]))
     assert copies[0] is teacher and len(copies) == 2
     student.save(tmp_path / "s.ckpt")
     loaded = BackboneModel.load(tmp_path / "s.ckpt")
+    disc = adv.Discriminator(engine.model_cfg.hidden, ad.seeded_rng(8))
+    h, _, _, _ = student.forward_batch([s.input_ids for s in train])
+    l_t = eng.adversarial_term(disc, h, 4)
+    assert len(copies) == 3 and isinstance(copies[2], adv.Discriminator)
 
-    others = {"teacher": teacher, "chunk_copy": copies[1], "loaded": loaded,
-              "upper_draw": fresh}
-    before = {k: m.flat.data.copy() for k, m in others.items()}
-    live = [student.flat.data, student.flat.grad]
-    for name, other in others.items():
+    others = {"teacher": (teacher, student), "chunk_copy": (copies[1], student),
+              "loaded": (loaded, student), "upper_draw": (fresh, student),
+              "game_disc": (copies[2], disc)}
+    before = {k: m.flat.data.copy() for k, (m, _) in others.items()}
+    for name, (other, owner) in others.items():
+        live = [owner.flat.data, owner.flat.grad]
         mine = [other.flat.data, other.flat.grad] + [p.data for p in other.params.values()]
         assert not any(np.shares_memory(a, b) for a in mine if a is not None for b in live), \
             name
 
-    opt = ad.Adam(student.flat, lr=1e-2)
-    opt.zero_grad()
-    ad.backward(span_loss(student, train))
-    opt.step()
+    pooled = h.data[:, 0]
+    adv.discriminator_step(disc, ad.Adam(disc.flat, lr=1e-2), pooled[4:], pooled[:4])
+    assert not np.array_equal(disc.flat.data, before["game_disc"])
+    stepped = disc.flat.data.copy()
+    disc.zero_grad()
+    ad.backward(l_t)
+    assert student.flat.grad.any() and not disc.flat.grad.any()
+    assert disc.flat.data.tobytes() == stepped.tobytes()
+
+    ad.Adam(student.flat, lr=1e-2).update(span_loss(student, train))
     assert not np.array_equal(student.flat.data, before["loaded"])
-    for name, other in others.items():
+    for name, (other, _) in others.items():
         assert other.flat.data.tobytes() == before[name].tobytes(), name
         for p in other.params.values():
             assert p.data.base is other.flat.data, name
