@@ -21,7 +21,13 @@
 # run full 64-row chunks, as the benchmark's evaluation does, and on
 # OUT/raggedstream, a copy of it cut to 65 and 97 test rows in its first two
 # domains, so the last chunks hold 1 and 33 rows: a batch too small to split
-# and one that splits into odd halves. It trains the
+# and one that splits into odd halves. OUT/textstream is OUT/stream with every
+# token record rewritten as a text record (its question, passage and answer
+# are its vocab tokens joined by spaces, and answer_char_start points at the
+# answer's first token), plus one record in the first domain's training file
+# whose answer_char_start lies past its passage, which the load drops; the
+# full method trains on it (ma_mrc_text) and `eval` scores that run's final
+# checkpoint on it (eval_text.json). It trains the
 # full method on OUT/cdaqstream too, a tiny question-shift stream, so the
 # paper's second setting is covered as well. Two runs take their settings from
 # a --config manifest: the full method with no adversarial game, a halved KL
@@ -46,7 +52,7 @@
 # may split a product differently and so round it differently, and both
 # sides of a comparison must round alike.
 #
-# The second form compares the four streams, every report, checkpoint (init.ckpt
+# The second form compares the five streams, every report, checkpoint (init.ckpt
 # too) and saved memory, gradcheck.txt and trace_counts.json, prints the files
 # that differ (a file missing on one side differs) and their count, and exits
 # 1 if any differ. A differing JSON
@@ -65,7 +71,7 @@ usage() {
 
 outputs() {
     (cd "$1" && shopt -s nullglob &&
-        printf '%s\n' stream/* deskstream/* raggedstream/* cdaqstream/* *.json \
+        printf '%s\n' stream/* textstream/* deskstream/* raggedstream/* cdaqstream/* *.json \
             */report*.json */init.ckpt */step*.ckpt */step*.memory.jsonl gradcheck.txt)
 }
 
@@ -160,6 +166,40 @@ with open(sys.argv[1], "w", encoding="utf-8") as f:
     head -n 97 deskstream/cdac_d1.test.jsonl >raggedstream/cdac_d1.test.jsonl
     contspan eval_ragged eval --checkpoint ma_mrc/step3.ckpt --data raggedstream \
         --report eval_ragged.json
+    python3 - stream textstream <<'EOF'
+import json
+import shutil
+import sys
+from pathlib import Path
+
+src, dst = Path(sys.argv[1]), Path(sys.argv[2])
+dst.mkdir()
+for name in ("manifest.json", "vocab.txt"):
+    shutil.copy(src / name, dst / name)
+with open(src / "vocab.txt", encoding="utf-8") as f:
+    token = {int(tid): tok for tok, tid in (line.rstrip("\n").split("\t") for line in f)}
+for path in sorted(src.glob("*.jsonl")):
+    out = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        rec = json.loads(line)
+        q, p = rec["question_ids"], rec["passage_ids"]
+        lo = rec["answer_start"] - len(q) - 2  # passage-local answer indices
+        hi = rec["answer_end"] - len(q) - 2
+        words = [token[i] for i in p]
+        out.append({"id": rec["id"], "domain": rec["domain"],
+                    "question": " ".join(token[i] for i in q), "passage": " ".join(words),
+                    "answer_text": " ".join(words[lo:hi + 1]),
+                    "answer_char_start": len(" ".join(words[:lo] + [""]))})
+    if path.name.endswith("_d0.train.jsonl"):  # its answer lies past its passage
+        out.append(dict(out[0], id="past-the-passage",
+                        answer_char_start=len(out[0]["passage"]) + 1))
+    (dst / path.name).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in out),
+                                 encoding="utf-8")
+EOF
+    contspan ma_mrc_text run --data textstream --method ma_mrc --memory-size 12 --epochs 2 \
+        --report ma_mrc_text.json --out-dir ma_mrc_text
+    contspan eval_text eval --checkpoint ma_mrc_text/step3.ckpt --data textstream \
+        --report eval_text.json
     contspan gencdaq gen --setting cdaq --domains 3 --train-size 48 --test-size 16 \
         --seed 0 --out cdaqstream
     contspan ma_mrc_cdaq run --data cdaqstream --method ma_mrc --memory-size 12 --epochs 2 \

@@ -137,17 +137,11 @@ class BackboneModel(ad.FlatModel):
     def _encode(self, id_lists, l: int) -> tuple[Tensor, np.ndarray]:
         """The encoder over id_lists padded to width l: the packed rows of
         the valid tokens, in row-major order, and the (B, l) mask."""
-        for ids in id_lists:
-            self._check_ids(np.asarray(ids, dtype=np.int64))
-        batch = np.zeros((len(id_lists), l), dtype=np.int64)
-        mask = np.zeros((len(id_lists), l))
-        for i, ids in enumerate(id_lists):
-            batch[i, :len(ids)] = ids
-            mask[i, :len(ids)] = 1.0
-
+        ids = self._check_ids(id_lists)
+        valid = np.arange(l) < np.array([len(row) for row in id_lists])[:, None]
+        mask = valid.astype(np.float64)
         P = self.params
-        valid = mask > 0
-        x = ad.embedding(P["tok_emb"], batch[valid]) \
+        x = ad.embedding(P["tok_emb"], ids) \
             + ad.embedding(P["pos_emb"], np.nonzero(valid)[1])
         x = ad.layer_norm(x, P["ln_emb_g"], P["ln_emb_b"])
         attn_bias = NEG_INF * (1.0 - mask)[:, None, None, :]
@@ -168,13 +162,18 @@ class BackboneModel(ad.FlatModel):
         ff = lin(ad.gelu(lin(x, "1")), "2")
         return ad.layer_norm(x + ff, P[f"blk{i}.ln2_g"], P[f"blk{i}.ln2_b"])
 
-    def _check_ids(self, ids: np.ndarray):
-        if ids.ndim != 1 or ids.size < 1:
-            raise ValueError("input must be a non-empty 1-d id sequence")
-        if ids.size > self.config.l_max:
-            raise ValueError(f"sequence length {ids.size} exceeds l_max={self.config.l_max}")
+    def _check_ids(self, id_lists) -> np.ndarray:
+        """The rows joined end to end, once each row's shape, length and ids pass."""
+        rows = [np.asarray(ids, dtype=np.int64) for ids in id_lists]
+        for ids in rows:
+            if ids.ndim != 1 or ids.size < 1:
+                raise ValueError("input must be a non-empty 1-d id sequence")
+            if ids.size > self.config.l_max:
+                raise ValueError(f"sequence length {ids.size} exceeds l_max={self.config.l_max}")
+        ids = np.concatenate(rows)
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise ValueError(f"token id out of range for vocab {self.config.vocab_size}")
+        return ids
 
     def span_logits_batch(self, h: Tensor, mask: np.ndarray) -> tuple[Tensor, Tensor]:
         """Batched head; padded positions get an additive -1e9 bias."""

@@ -398,16 +398,14 @@ def read_jsonl_samples(path, domain: int, l_max: int, vocab: dict[str, int]):
                            if not 0 <= i < len(vocab)]:
                     raise ValueError(f"{where}: token id {bad[0]} is outside the "
                                      f"vocab's ids 0..{len(vocab) - 1}")
-                try:
-                    samples.append(sample.assemble(l_max))
-                except ValueError:
-                    dropped += 1
             else:
-                sample = _sample_from_text(rec, vocab, l_max)
+                sample = _sample_from_text(rec, vocab)
+            try:
                 if sample is None:
-                    dropped += 1
-                else:
-                    samples.append(sample)
+                    raise ValueError("answer text not in the passage")
+                samples.append(sample.assemble(l_max))
+            except ValueError:
+                dropped += 1
     if not samples:
         log.warning("%s: no usable samples (%d dropped)", path, dropped)
     return samples, dropped
@@ -426,7 +424,8 @@ def _tokenize(text: str, vocab: dict[str, int]):
     return ids, spans
 
 
-def _sample_from_text(rec, vocab, l_max):
+def _sample_from_text(rec, vocab) -> Sample | None:
+    """A text record's unassembled sample; None if its answer is not in the passage."""
     q_ids, _ = _tokenize(rec["question"], vocab)
     p_ids, p_spans = _tokenize(rec["passage"], vocab)
     char_start = rec["answer_char_start"]
@@ -444,10 +443,5 @@ def _sample_from_text(rec, vocab, l_max):
             and " ".join(rec["answer_text"].split()) not in recovered:
         return None
     offset = passage_offset(q_ids)
-    sample = Sample(id=str(rec["id"]), domain=rec["domain"],
-                    question_ids=q_ids, passage_ids=p_ids,
-                    answer_start=tok_start + offset, answer_end=tok_end + offset)
-    try:
-        return sample.assemble(l_max)
-    except ValueError:
-        return None
+    return Sample(id=str(rec["id"]), domain=rec["domain"], question_ids=q_ids,
+                  passage_ids=p_ids, answer_start=tok_start + offset, answer_end=tok_end + offset)

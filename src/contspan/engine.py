@@ -254,8 +254,6 @@ class ContinualEngine:
             "setting": self.stream.setting,
         })
         out = Path(out_dir) if out_dir is not None else None
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
 
         model = BackboneModel(self.model_cfg, self._rng(_S_INIT))
         if out is not None:
@@ -324,7 +322,7 @@ class ContinualEngine:
         results, and the memory and Fisher state replayed from each step's
         checkpoint. Returns the last committed model and the saved report."""
         saved = EvalReport.load(path := out / "report.partial.json")
-        if saved.metadata.get("config_hash") != report.metadata["config_hash"]:
+        if saved.metadata != report.metadata:
             raise ValueError(f"{path}: resume config does not match the saved run")
         for t in range(1, len(saved.steps) + 1):
             model = BackboneModel.load(out / f"step{t}.ckpt")

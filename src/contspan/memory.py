@@ -51,19 +51,17 @@ def _score(chunk: list[MemoryItem], sl, el, kind: str):
     """
     ps = ad.softmax(sl).data
     pe = ad.softmax(el).data
-    for i, it in enumerate(chunk):
-        u = _uncertainty_value(ps[i], pe[i],
-                               it.sample.answer_start, it.sample.answer_end, kind)
-        it.last_uncertainty = u
-        it.best_uncertainty = max(it.best_uncertainty, u)
-
-
-def _uncertainty_value(ps, pe, y_s, y_e, kind: str) -> float:
     if kind == "entropy":
-        return float(np.log(max(ps[y_s], 1e-300)) + np.log(max(pe[y_e], 1e-300)))
-    if kind == "prob":
-        return float(ps.max() + pe.max())
-    raise ValueError(f"unknown uncertainty kind {kind!r}")
+        rows = np.arange(len(chunk))
+        u = (np.log(np.maximum(ps[rows, [it.sample.answer_start for it in chunk]], 1e-300))
+             + np.log(np.maximum(pe[rows, [it.sample.answer_end for it in chunk]], 1e-300)))
+    elif kind == "prob":
+        u = ps.max(axis=1) + pe.max(axis=1)
+    else:
+        raise ValueError(f"unknown uncertainty kind {kind!r}")
+    for it, value in zip(chunk, u.tolist()):
+        it.last_uncertainty = value
+        it.best_uncertainty = max(it.best_uncertainty, value)
 
 
 def _observe(model: BackboneModel, items: list[MemoryItem], kind: str):

@@ -60,8 +60,9 @@ def require_fields(rec, kinds: dict[str, str], where: str):
 
 @contextmanager
 def atomic_write(path, mode="w", **kwargs):
-    """Open a temp file beside path and rename it onto path once the block
-    ends, so a crash mid-write leaves no truncated file at path."""
+    """Open a temp file beside path, in its directory (made if missing), and
+    rename it onto path once the block ends: a crash leaves no truncated file."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(f"{path}.tmp", mode, **kwargs) as f:
         yield f
     os.replace(f"{path}.tmp", path)

@@ -227,31 +227,44 @@ def test_untracked_forward_equals_the_tracked_one_bit_for_bit(monkeypatch, confi
     assert output_bytes(untracked) == output_bytes(tracked)
 
 
-@pytest.mark.parametrize("bad_row", ["first", "last"])
-def test_an_error_in_either_half_reaches_the_caller(monkeypatch, bad_row):
-    """An id beyond the vocab in the worker's half (the last row) reaches the
-    caller as the very ValueError the worker raised, as one in the caller's
-    half (the first row) does; either way, both halves have ended when it
-    does, and the next split pass runs as before."""
+BAD_ROWS = {  # a row _check_ids rejects, made from a good one, and its error
+    "vocab": (lambda ids: np.concatenate([ids[:3], [50], ids[4:]]),
+              r"^token id out of range for vocab 50$"),
+    "empty": (lambda ids: ids[:0], r"^input must be a non-empty 1-d id sequence$"),
+    "long": (lambda ids: np.concatenate([ids, ids[:1]]), r"^sequence length 65 exceeds l_max=64$"),
+}
+
+
+@pytest.mark.parametrize("bad_row,kind", [
+    pytest.param(row, kind, id=row if kind == "vocab" else f"{row}-{kind}")
+    for kind in BAD_ROWS for row in ("first", "last")])
+def test_an_error_in_either_half_reaches_the_caller(monkeypatch, bad_row, kind):
+    """An id beyond the vocab, an empty row or a row longer than l_max in the
+    worker's half (the last row) reaches the caller as the very ValueError
+    the worker raised, as one in the caller's half (the first row) does;
+    either way, both halves have ended when it does, and the next split pass
+    runs as before."""
     model = BackboneModel(ModelConfig(vocab_size=50), ad.seeded_rng(7)).copy()
     rng = ad.seeded_rng(9)
     id_lists = [rng.integers(0, 50, size=64) for _ in range(40)]
     expected = output_bytes(model.forward_batch(id_lists))
-    bad = [ids.copy() for ids in id_lists]
-    bad[0 if bad_row == "first" else -1][3] = 50
+    bad = list(id_lists)
+    make_bad, message = BAD_ROWS[kind]
+    row = 0 if bad_row == "first" else -1
+    bad[row] = make_bad(bad[row])
     raised = []
     check = BackboneModel._check_ids
 
-    def recording(self, ids):
+    def recording(self, rows):
         try:
-            check(self, ids)
+            return check(self, rows)
         except ValueError as e:
             raised.append((threading.current_thread().name, e))
             raise
 
     monkeypatch.setattr(BackboneModel, "_check_ids", recording)
     ended = encoder_threads(monkeypatch)
-    with pytest.raises(ValueError, match=r"^token id out of range for vocab 50$") as excinfo:
+    with pytest.raises(ValueError, match=message) as excinfo:
         model.forward_batch(bad)
     assert sorted(ended) == ["MainThread", "contspan-encode_0"]
     ((thread, error),) = raised

@@ -88,6 +88,19 @@ def test_run_writes_report_and_table(dataset, tmp_path, capsys):
     assert "F1_avg" in out and "report written" in out
 
 
+def test_run_and_eval_write_into_missing_directories(dataset, tmp_path):
+    """A run whose --report lay in a missing directory once trained every
+    step and then exited 1 on writing the report's temp file."""
+    report_path, ckpt_dir = tmp_path / "new" / "r.json", tmp_path / "a" / "ck"
+    assert main(run_args(dataset, report_path, out_dir=ckpt_dir)) == 0
+    assert len(EvalReport.load(report_path).steps) == 2
+    assert (ckpt_dir / "report.json").read_bytes() == report_path.read_bytes()
+    eval_path = tmp_path / "e" / "eval.json"
+    assert main(["eval", "--checkpoint", str(ckpt_dir / "step2.ckpt"), "--data", str(dataset),
+                 "--report", str(eval_path)]) == 0
+    assert len(EvalReport.load(eval_path).steps) == 1
+
+
 def test_run_order_flag_recorded(dataset, tmp_path):
     report_path = tmp_path / "r.json"
     assert main(run_args(dataset, report_path, order="1,0")) == 0
@@ -410,6 +423,35 @@ def test_stream_record_of_another_domain_exits_1_at_load(stream3, tmp_path, caps
     assert line == (f"error: {data / name}.train.jsonl:1: domain {got} is not {position}, "
                     f"the file's position in the stream manifest")
     assert sorted(tmp_path.iterdir()) == [data]
+
+
+@pytest.mark.parametrize("saved,resumed", [(3, 2), (2, 3)])
+def test_resume_with_a_stream_of_another_length_exits_1(stream3, tmp_path, capsys, saved,
+                                                         resumed):
+    """The config hash records nothing about the stream, and resume once
+    compared only it: a finished 3-domain run resumed with the stream's first
+    two domains ended in an IndexError traceback, and a 2-domain run resumed
+    with all three exited 0 after training domain 2 under a report whose
+    order was [0, 1]. Now the saved metadata must be the run's, and nothing
+    is written."""
+    two = tmp_path / "two"
+    shutil.copytree(stream3, two)
+    manifest = json.loads((two / "manifest.json").read_text())
+    (two / "manifest.json").write_text(json.dumps({**manifest,
+                                                   "domains": manifest["domains"][:2]}))
+    data = {3: stream3, 2: two}
+    ckpt_dir = tmp_path / "ck"
+    args = ["run", "--method", "lower", "--epochs", "1", "--out-dir", str(ckpt_dir)]
+    assert main(args + ["--data", str(data[saved]), "--report", str(tmp_path / "r.json")]) == 0
+    files = {path.name: path.read_bytes() for path in ckpt_dir.iterdir()}
+    capsys.readouterr()
+    assert main(args + ["--data", str(data[resumed]), "--report", str(tmp_path / "again.json"),
+                        "--resume"]) == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line == (f"error: {ckpt_dir / 'report.partial.json'}: resume config does not "
+                    f"match the saved run")
+    assert {path.name: path.read_bytes() for path in ckpt_dir.iterdir()} == files
+    assert not (tmp_path / "again.json").exists()
 
 
 def test_run_config_that_is_not_json_exits_1(dataset, tmp_path, capsys):

@@ -276,6 +276,28 @@ def test_ingest_drops_irrecoverable_span(tmp_path):
     assert samples == [] and dropped == 1
 
 
+def test_both_record_kinds_assemble_and_drop_alike(tmp_path):
+    """A token record and the text record of the same words load to the
+    same sample; a record of either kind whose answer the l_max truncation
+    cuts away is dropped, and counted with a text record whose answer is not
+    in its passage."""
+    path = tmp_path / "d.jsonl"
+    tok = {"id": "tok", "domain": 0, "question_ids": [10, 11],
+           "passage_ids": list(range(20, 30)), "answer_start": 6, "answer_end": 7}
+    text = {"id": "text", "domain": 0, "question": "w10 w11",
+            "passage": " ".join(f"w{i}" for i in range(20, 30)), "answer_text": "w22 w23",
+            "answer_char_start": 8}
+    _write_jsonl(path, [tok, dict(tok, id="cut", answer_start=13, answer_end=13), text,
+                        dict(text, id="cut", answer_text="w29", answer_char_start=36),
+                        dict(text, id="absent", answer_text="w99")])
+    vocab = token_vocab()
+    samples, dropped = dat.read_jsonl_samples(path, 0, 12, vocab)
+    assert [s.id for s in samples] == ["tok", "text"] and dropped == 3
+    assert samples[0].input_ids == samples[1].input_ids == [0, 10, 11, 1, *range(20, 27), 1]
+    assert samples[0].answer_ids == samples[1].answer_ids == [22, 23]
+    assert vocab == token_vocab()
+
+
 def test_ingest_empty_file_warns_not_raises(tmp_path, caplog):
     path = tmp_path / "d.jsonl"
     path.write_text("")

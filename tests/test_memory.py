@@ -63,9 +63,52 @@ def test_entropy_uncertainty_uniform_length_8():
     assert item.last_uncertainty == u and item.best_uncertainty == u
 
 
+def uncertainty_oracle(ps, pe, y_s, y_e, kind: str) -> float:
+    """The per-row uncertainty formula, from one row's start and end
+    probabilities and gold indices."""
+    if kind == "entropy":
+        return float(np.log(max(ps[y_s], 1e-300)) + np.log(max(pe[y_e], 1e-300)))
+    return float(ps.max() + pe.max())
+
+
+def span_item(answer_start, answer_end, best=-math.inf):
+    return mem.MemoryItem(sample=Sample(id="s", domain=0, question_ids=[3], passage_ids=[4],
+                                        answer_start=answer_start, answer_end=answer_end),
+                          best_uncertainty=best)
+
+
 def test_entropy_uncertainty_is_zero_at_full_confidence():
-    assert mem._uncertainty_value(np.eye(5)[2], np.eye(5)[3], 2, 3, "entropy") \
-        == pytest.approx(0.0, abs=1e-12)
+    # a row whose only unmasked position is the gold one has probability 1 there
+    sl, el = (ad.Tensor(np.where(np.eye(5)[y] > 0, 0.0, -1e9)[None]) for y in (2, 3))
+    item = span_item(2, 3)
+    mem._score([item], sl, el, "entropy")
+    assert item.last_uncertainty == 0.0
+
+
+@pytest.mark.parametrize("kind", ["entropy", "prob"])
+def test_chunk_scores_equal_the_per_row_formula_bit_for_bit(kind):
+    """_score's chunk-wide scores equal the per-row formula on every row, on
+    ragged rows whose logits span 1e-3 to 1e3, so that gold probabilities
+    run from near 1 down to underflow (the 1e-300 floor); each item's best
+    is its running max."""
+    rng = ad.seeded_rng(11)
+    for scale in (1e-3, 1.0, 30.0, 1e3):
+        lens = rng.integers(1, 65, size=300)
+        l = int(lens.max())
+        pad = np.where(np.arange(l) < lens[:, None], 0.0, -1e9)
+        sl, el = (ad.Tensor(scale * rng.standard_normal((len(lens), l)) + pad) for _ in "se")
+        best = rng.normal(-3.0, 3.0, size=len(lens))
+        chunk = [span_item(int(rng.integers(0, n)), int(rng.integers(0, n)), b)
+                 for n, b in zip(lens, best)]
+        mem._score(chunk, sl, el, kind)
+        ps, pe = ad.softmax(sl).data, ad.softmax(el).data
+        for i, (it, b) in enumerate(zip(chunk, best)):
+            u = uncertainty_oracle(ps[i], pe[i], it.sample.answer_start, it.sample.answer_end,
+                                   kind)
+            assert it.last_uncertainty == u and type(it.last_uncertainty) is float
+            assert it.best_uncertainty == max(b, u)
+        if scale == 1e3 and kind == "entropy":
+            assert min(it.last_uncertainty for it in chunk) == 2 * math.log(1e-300)
 
 
 def test_prob_uncertainty_uniform_matches_brute_force():
@@ -81,7 +124,8 @@ def test_prob_uncertainty_uniform_matches_brute_force():
 
 def test_unknown_uncertainty_kind_rejected():
     with pytest.raises(ValueError, match="unknown uncertainty"):
-        mem._uncertainty_value(np.ones(2), np.ones(2), 0, 0, "bogus")
+        mem._score([span_item(0, 0)], ad.Tensor(np.ones((1, 2))), ad.Tensor(np.ones((1, 2))),
+                   "bogus")
 
 
 def test_best_uncertainty_is_running_max():
