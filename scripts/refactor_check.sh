@@ -15,9 +15,10 @@
 # run over the finished ma_mrc directory replays every committed step's
 # memory and writes OUT/ma_mrc_resume.json; another resumes a copy of that
 # directory cut back to two committed steps (ma_mrc_cut), so step 3 trains on
-# the replayed memory. It also scores
-# that checkpoint on OUT/deskstream, made with the same generator settings
-# (so the same vocab) but 256 test rows per domain: forward-only passes then
+# the replayed memory. `contspan report --csv` writes the F1 curve of the
+# ma_mrc run to OUT/ma_mrc.csv. It also scores the full method's final
+# checkpoint on OUT/deskstream, made with the same generator settings (so
+# the same vocab) but 256 test rows per domain: forward-only passes then
 # run full 64-row chunks, as the benchmark's evaluation does, and on
 # OUT/raggedstream, a copy of it cut to 65 and 97 test rows in its first two
 # domains, so the last chunks hold 1 and 33 rows: a batch too small to split
@@ -53,14 +54,16 @@
 # sides of a comparison must round alike.
 #
 # The second form compares the five streams, every report, checkpoint (init.ckpt
-# too) and saved memory, gradcheck.txt and trace_counts.json, prints the files
-# that differ (a file missing on one side differs) and their count, and exits
-# 1 if any differ. A differing JSON
-# file that is equal once metadata.config_hash and metadata.config are dropped,
-# as after a config field is renamed or removed, is marked so; it still counts
-# as differing. Logs and timing.json hold wall times and are left out, and
-# so is src_lines.txt: the comparison prints both sides' line counts instead
-# ("missing" for a run that wrote none).
+# too) and saved memory, the CSV, gradcheck.txt and trace_counts.json, prints
+# the files that differ (a file missing on one side differs) and their count,
+# and exits 1 if any differ. A differing JSON file that is equal once
+# metadata.config_hash and metadata.config are dropped, as after a config
+# field is renamed or removed, is marked so; it still counts as differing. A
+# differing checkpoint whose header is the same on both sides is printed with
+# how many of its parameters differ and the largest absolute difference, so a
+# change that only moves rounding reads as one. Logs and timing.json hold
+# wall times and are left out, and so is src_lines.txt: the comparison prints
+# both sides' line counts instead ("missing" for a run that wrote none).
 set -euo pipefail
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
@@ -72,7 +75,7 @@ usage() {
 outputs() {
     (cd "$1" && shopt -s nullglob &&
         printf '%s\n' stream/* textstream/* deskstream/* raggedstream/* cdaqstream/* *.json \
-            */report*.json */init.ckpt */step*.ckpt */step*.memory.jsonl gradcheck.txt)
+            *.csv */report*.json */init.ckpt */step*.ckpt */step*.memory.jsonl gradcheck.txt)
 }
 
 # exit 0 if two JSON reports are equal without metadata.config_hash and
@@ -95,18 +98,45 @@ sys.exit(load(sys.argv[1]) != load(sys.argv[2]))
 EOF
 }
 
+# print how many parameters two checkpoints of one header hold apart and the
+# largest absolute difference; exit 1 if their headers or lengths differ
+param_diff() {
+    python3 - "$1" "$2" 2>/dev/null <<'EOF'
+import struct
+import sys
+
+import numpy as np
+
+
+def load(path):
+    with open(path, "rb") as f:
+        raw = f.read()
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    return raw[:20 + hlen], np.frombuffer(raw[20 + hlen:], dtype="<f8")
+
+
+(head_a, a), (head_b, b) = load(sys.argv[1]), load(sys.argv[2])
+if head_a != head_b or a.size != b.size:
+    sys.exit(1)
+print(f"{np.count_nonzero(a != b):,} of {a.size:,} parameters differ, "
+      f"by at most {np.max(np.abs(a - b)):.2e}")
+EOF
+}
+
 src_lines() {
     cat "$1/src_lines.txt" 2>/dev/null || echo missing
 }
 
 compare() {
-    local old=$1 new=$2 n=0 total=0 f
+    local old=$1 new=$2 n=0 total=0 f detail
     echo "src/contspan lines: $(src_lines "$old") in $old, $(src_lines "$new") in $new"
     for f in $({ outputs "$old"; outputs "$new"; } | sort -u); do
         total=$((total + 1))
         if ! cmp -s "$old/$f" "$new/$f"; then
             if [[ $f == *.json ]] && equal_without_config "$old/$f" "$new/$f"; then
                 echo "differs: $f (equal without metadata.config_hash and metadata.config)"
+            elif [[ $f == *.ckpt ]] && detail=$(param_diff "$old/$f" "$new/$f"); then
+                echo "differs: $f ($detail)"
             else
                 echo "differs: $f"
             fi
@@ -142,6 +172,7 @@ run_set() {
     done
     contspan ma_mrc_resume run --data stream --method ma_mrc --memory-size 12 --epochs 2 \
         --report ma_mrc_resume.json --out-dir ma_mrc --resume
+    contspan ma_mrc_csv report --input ma_mrc.json --csv ma_mrc.csv
     cp -r ma_mrc ma_mrc_cut
     rm ma_mrc_cut/step3.* ma_mrc_cut/report.json
     python3 -c 'import json, sys

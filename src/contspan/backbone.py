@@ -246,6 +246,8 @@ class BackboneModel(ad.FlatModel):
             if entries != [(name, shape) for name, shape, _ in param_spec(config)]:
                 raise ValueError(f"malformed checkpoint header: {path} (params do not fit config)")
             n = sum(math.prod(shape) for _, shape in entries)
+            if (extra := size - f.tell() - 8 * n) > 0:
+                raise ValueError(f"malformed checkpoint: {path} ({extra} trailing bytes)")
             vec = np.frombuffer(read(8 * n), dtype="<f8").astype(np.float64)
         model = cls.__new__(cls)
         model.config = config

@@ -13,7 +13,7 @@ from . import gradcheck
 from .engine import ContinualConfig, ContinualEngine, METHODS, NORM_STRATEGIES, \
     UNCERTAINTY_KINDS
 from .backbone import BackboneModel, MAX_ANSWER_LEN
-from .metrics import EvalReport, StepResult, f1_all, f1_avg, parse_json
+from .metrics import EvalReport, parse_json
 
 log = logging.getLogger("contspan")
 
@@ -152,19 +152,15 @@ def cmd_eval(args) -> int:
     model = BackboneModel.load(args.checkpoint)
     engine = ContinualEngine(stream, ContinualConfig())
     seen = list(range(len(stream)))
-    per_domain, pooled = engine.evaluate(model, seen)
     report = EvalReport(metadata={
         "checkpoint": args.checkpoint, "max_answer_len": MAX_ANSWER_LEN,
         "method": "eval", "order": seen,
         "domains": [d.name for d in stream.domains], "setting": stream.setting})
-    report.steps.append(StepResult(
-        step=1, trained_domain=-1, per_domain=per_domain,
-        f1_avg=f1_avg([e["f1"] for e in per_domain]), f1_all=f1_all(pooled)))
+    result = report.add_step(1, -1, *engine.evaluate(model, seen))
     report.save(args.report)
-    for e in per_domain:
+    for e in result.per_domain:
         print(f"domain {e['domain']}: EM={e['em'] * 100:.2f} F1={e['f1'] * 100:.2f}")
-    print(f"F1_avg={report.steps[0].f1_avg * 100:.2f} "
-          f"F1_all={report.steps[0].f1_all * 100:.2f}")
+    print(f"F1_avg={result.f1_avg * 100:.2f} F1_all={result.f1_all * 100:.2f}")
     return 0
 
 

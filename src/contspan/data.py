@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import seeded_rng
-from .metrics import parse_json, require_fields
+from .metrics import atomic_write, parse_json, require_fields
 
 log = logging.getLogger(__name__)
 
@@ -317,16 +317,15 @@ def generate_cdac_stream(cfg: GenConfig) -> DomainStream:
 
 def write_stream(stream: DomainStream, out_dir) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for dom in stream.domains:
         for split, samples in (("train", dom.train), ("test", dom.test)):
-            with open(out / f"{dom.name}.{split}.jsonl", "w", encoding="utf-8") as f:
+            with atomic_write(out / f"{dom.name}.{split}.jsonl", encoding="utf-8") as f:
                 for s in samples:
                     f.write(json.dumps(s.record(), sort_keys=True) + "\n")
-    with open(out / "vocab.txt", "w", encoding="utf-8") as f:
+    with atomic_write(out / "vocab.txt", encoding="utf-8") as f:
         for tok, tid in sorted(stream.vocab.items(), key=lambda kv: kv[1]):
             f.write(f"{tok}\t{tid}\n")
-    with open(out / "manifest.json", "w", encoding="utf-8") as f:
+    with atomic_write(out / "manifest.json", encoding="utf-8") as f:
         json.dump({
             "setting": stream.setting,
             "l_max": stream.l_max,

@@ -28,7 +28,7 @@ from .autodiff import Tensor
 from .backbone import BackboneModel, ModelConfig, MAX_ANSWER_LEN, NEG_INF, \
     decode_answer, span_loss_batch
 from .data import DomainData, DomainStream, Sample
-from .metrics import JSON_TYPES, EvalReport, StepResult, em_f1, f1_avg, f1_all, config_hash
+from .metrics import JSON_TYPES, EvalReport, atomic_write, config_hash, em_f1
 
 log = logging.getLogger(__name__)
 
@@ -128,15 +128,13 @@ def agem_project_grad(model: BackboneModel, memory: list[Sample]):
 
 
 def ewc_penalty(model: BackboneModel, states: list[FisherState], lam: float) -> Tensor:
-    """(lam/2) * sum over recorded tasks of F * (theta - anchor)^2."""
+    """(lam/2) * sum over recorded tasks of F * (theta - anchor)^2, one term
+    per task over the model's flat parameter vector."""
     if not states:
         raise ValueError("no Fisher state recorded")
     total = Tensor(0.0)
-    shapes = [p.data.shape for p in model.params.values()]
     for st in states:
-        for p, f, a in zip(model.params.values(), ad.views(st.fisher, shapes),
-                           ad.views(st.anchor, shapes)):
-            total = total + ad.tsum(Tensor(f) * ad.square(p - Tensor(a)))
+        total = total + ad.tsum(Tensor(st.fisher) * ad.square(model.flat - Tensor(st.anchor)))
     return total * (lam / 2.0)
 
 
@@ -279,12 +277,9 @@ class ContinualEngine:
             self.timings.append(time.perf_counter() - tic)
 
             per_domain, pooled = self.evaluate(model, self.order[:t])
-            report.steps.append(StepResult(
-                step=t, trained_domain=self.order[t - 1], per_domain=per_domain,
-                f1_avg=f1_avg([e["f1"] for e in per_domain]),
-                f1_all=f1_all(pooled), extra=extra))
+            result = report.add_step(t, self.order[t - 1], per_domain, pooled, extra)
             if on_step is not None:
-                on_step(t, model, self.memory, report.steps[-1])
+                on_step(t, model, self.memory, result)
 
             # report.partial.json goes last: it commits the step for --resume
             if out is not None:
@@ -295,7 +290,7 @@ class ContinualEngine:
 
         if out is not None:
             report.save(out / "report.json")
-            with open(out / "timing.json", "w", encoding="utf-8") as f:
+            with atomic_write(out / "timing.json", encoding="utf-8") as f:
                 json.dump({"step_seconds": self.timings}, f, indent=2)
         return model, report
 
@@ -331,6 +326,11 @@ class ContinualEngine:
         return model, saved
 
     # -- shared machinery ---------------------------------------------------
+
+    def _replay(self, rng: np.random.Generator, k: int) -> list[mem.MemoryItem]:
+        """Up to k memory items, drawn by rng without replacement."""
+        items = self.memory.items
+        return [items[i] for i in rng.choice(len(items), size=min(k, len(items)), replace=False)]
 
     def _fit(self, model: BackboneModel, samples: list[Sample],
              rng: np.random.Generator, loss_fn=None, grad_hook=None) -> list[float]:
@@ -395,44 +395,36 @@ class ContinualEngine:
 
     def agem_step(self, model, t):
         rng = self._rng(_S_TRAIN, t)
-        mem_items = self.memory.items
 
         def project():
-            k = min(self.cfg.batch_size, len(mem_items))
-            pick = rng.choice(len(mem_items), size=k, replace=False)
-            agem_project_grad(model, [mem_items[i].sample for i in pick])
+            agem_project_grad(model, [it.sample for it in self._replay(rng, self.cfg.batch_size)])
 
         self._fit(model, self._domain(t).train, rng, grad_hook=project)
 
     def der_step(self, model, t):
         """Logit replay; the plus-plus variant adds gold-label replay."""
         rng = self._rng(_S_TRAIN, t)
-        mem_items = self.memory.items
         beta = self.cfg.derpp_beta if self.cfg.method == "derpp" else 0.0
 
         def loss_fn(batch):
             loss = span_loss(model, batch)
-            k = min(self.cfg.batch_size, len(mem_items))
-            pick = rng.choice(len(mem_items), size=k, replace=False)
-            return loss + der_replay_loss(model, [mem_items[i] for i in pick], beta)
+            return loss + der_replay_loss(model, self._replay(rng, self.cfg.batch_size), beta)
 
         self._fit(model, self._domain(t).train, rng, loss_fn=loss_fn)
 
     def incremental_step(self, model, t) -> dict:
         """Full method: mixed-batch replay + adversarial game + distillation."""
         cfg = self.cfg
-        mem_items = self.memory.items
         rng = self._rng(_S_TRAIN, t)
         teacher = distill.snapshot_teacher(model)
         disc = adv.Discriminator(cfg.hidden, self._rng(_S_DISC, t))
         disc_opt = ad.Adam(disc.flat, lr=DISC_LR)
-        k = min(max(1, math.ceil(cfg.batch_size * MEMORY_FRAC)), len(mem_items))
+        k = max(1, math.ceil(cfg.batch_size * MEMORY_FRAC))
 
         def loss_fn(cur):
-            # the mixed batch: the n current rows, then k replayed memory rows
+            # the mixed batch: the n current rows, then up to k replayed memory rows
             n = len(cur)
-            pick = rng.choice(len(mem_items), size=k, replace=False)
-            batch = cur + [mem_items[i].sample for i in pick]
+            batch = cur + [it.sample for it in self._replay(rng, k)]
             h, _, sl, el = model.forward_batch([s.input_ids for s in batch])
             loss = gold_span_loss(sl, el, batch)
             if cfg.adv_weight != 0.0:

@@ -121,6 +121,14 @@ class EvalReport:
     metadata: dict
     steps: list[StepResult] = field(default_factory=list)
 
+    def add_step(self, step, trained_domain, per_domain, pooled, extra=None) -> StepResult:
+        """Append and return the result of one step from its per-domain
+        scores ([{domain, em, f1}]) and its per-sample F1s by domain."""
+        self.steps.append(StepResult(step, trained_domain, per_domain,
+                                     f1_avg([e["f1"] for e in per_domain]), f1_all(pooled),
+                                     extra or {}))
+        return self.steps[-1]
+
     def forgetting_matrix(self) -> list[list[float]]:
         """Lower-triangular per-step rows of per-domain F1."""
         return [[e["f1"] for e in s.per_domain] for s in self.steps]
@@ -180,7 +188,7 @@ class EvalReport:
 
     def write_csv(self, path):
         """F1-vs-step curve: step, domain, f1, em, f1_avg, f1_all."""
-        with open(path, "w", newline="", encoding="utf-8") as f:
+        with atomic_write(path, newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
             writer.writerow(["step", "domain", "f1", "em", "f1_avg", "f1_all"])
             for s in self.steps:

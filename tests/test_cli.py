@@ -546,6 +546,18 @@ def test_resume_without_a_committed_checkpoint_exits_1(dataset, tmp_path, capsys
     assert "step1.ckpt" in capsys.readouterr().err
 
 
+def test_resume_from_a_checkpoint_with_trailing_bytes_exits_1(dataset, tmp_path, capsys):
+    ckpt_dir = tmp_path / "ckpts"
+    args = run_args(dataset, tmp_path / "r.json", out_dir=ckpt_dir)
+    assert main(args) == 0
+    with open(ckpt_dir / "step2.ckpt", "ab") as f:
+        f.write(b"\n")
+    capsys.readouterr()
+    assert main(args + ["--resume"]) == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line == f"error: malformed checkpoint: {ckpt_dir / 'step2.ckpt'} (1 trailing bytes)"
+
+
 def test_resume_without_an_out_dir_exits_2(dataset, tmp_path, capsys):
     """--resume has nothing to resume from without --out-dir: an error, not a
     silent run from scratch."""
@@ -608,16 +620,19 @@ def test_eval_checkpoint_header_that_is_not_json_exits_1(dataset, tmp_path, caps
     assert not (tmp_path / "eval.json").exists()
 
 
-@pytest.mark.parametrize("config, expected", [
-    ({"vocab_size": 50_000}, "truncated checkpoint: {path}"),
-    ({"vocab_size": 100.0}, "malformed checkpoint header: {path} (ValueError('vocab_size "
-                            "must be an int >= 1, got 100.0'))"),
-    ({"l_max": -1}, "malformed checkpoint header: {path} (ValueError('l_max must be an int "
-                    ">= 1, got -1'))")], ids=["vocab-50000", "float-vocab", "negative-l_max"])
+@pytest.mark.parametrize("config, tail, expected", [
+    ({"vocab_size": 50_000}, b"", "truncated checkpoint: {path}"),
+    ({"vocab_size": 100.0}, b"", "malformed checkpoint header: {path} (ValueError('vocab_size "
+                                 "must be an int >= 1, got 100.0'))"),
+    ({"l_max": -1}, b"", "malformed checkpoint header: {path} (ValueError('l_max must be an "
+                         "int >= 1, got -1'))"),
+    ({}, bytes(22), "malformed checkpoint: {path} (22 trailing bytes)")],
+    ids=["vocab-50000", "float-vocab", "negative-l_max", "trailing-bytes"])
 def test_eval_checkpoint_header_beyond_its_file_exits_1_before_allocating(
-        dataset, tmp_path, capsys, config, expected):
+        dataset, tmp_path, capsys, config, tail, expected):
     """A 1.3 KB checkpoint whose header claimed a vocab of 400,000 once drew a
-    random model of that size (about 440 MB) before its size was checked."""
+    random model of that size (about 440 MB) before its size was checked. A
+    file that goes on past its vector once loaded, and eval wrote its report."""
     path = tmp_path / "big.ckpt"
     BackboneModel(ModelConfig(vocab_size=100, hidden=16, n_layers=1, n_heads=2, l_max=32),
                   seeded_rng(0)).save(path)
@@ -628,7 +643,7 @@ def test_eval_checkpoint_header_beyond_its_file_exits_1_before_allocating(
     header["params"][0]["shape"][0] = header["config"]["vocab_size"]
     header["params"][1]["shape"][0] = header["config"]["l_max"]
     hb = json.dumps(header).encode("utf-8")
-    path.write_bytes(raw[:12] + struct.pack("<Q", len(hb)) + hb + raw[20 + hlen:])
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(hb)) + hb + raw[20 + hlen:] + tail)
     expected = expected.format(path=path)
     tracemalloc.start()
     try:
@@ -820,6 +835,17 @@ def test_report_renders_table_and_csv(dataset, tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 4  # header + one row per (step, seen domain)
     assert lines[0] == "step,domain,f1,em,f1_avg,f1_all"
+
+
+def test_report_csv_writes_into_a_missing_directory(dataset, tmp_path):
+    """--csv in a missing directory once exited 1 with ENOENT, though --report
+    makes its directory."""
+    report_path = tmp_path / "r.json"
+    assert main(run_args(dataset, report_path)) == 0
+    csv_path = tmp_path / "new" / "curve.csv"
+    assert main(["report", "--input", str(report_path), "--csv", str(csv_path)]) == 0
+    assert csv_path.read_text().splitlines()[0] == "step,domain,f1,em,f1_avg,f1_all"
+    assert os.listdir(csv_path.parent) == ["curve.csv"]
 
 
 @pytest.mark.parametrize("doc, expected", [

@@ -1,13 +1,15 @@
 """One flat parameter vector per model: the named parameters, and their
 gradients, are views into one data vector and one gradient vector.
 
-The per-tensor Adam loop, A-GEM's concatenate/project/split round trip and
-the hand-written zero/backward/hook/step sequence, which the flat vector and
-Adam.update replaced, live on here as oracles: the code that replaced them
-must equal them bit for bit.
+The per-tensor Adam loop, A-GEM's concatenate/project/split round trip,
+the hand-written zero/backward/hook/step sequence and EWC's per-parameter
+penalty terms, which the flat vector and Adam.update replaced, live on here
+as oracles: the code that replaced them must equal them bit for bit (the
+penalty's value, summed in another order, to 1e-12 relative).
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -301,3 +303,99 @@ def test_gradcheck_param_swap_restores_the_view():
     err = gradcheck._param_check(model, "blk0.wq", lambda: span_loss(model, samples))
     assert err < gradcheck.TOLERANCE
     assert model.params["blk0.wq"] is view and np.shares_memory(view.data, model.flat.data)
+
+
+def per_parameter_ewc_penalty(model, states, lam):
+    """EWC's penalty as one term per parameter tensor and Fisher state, as it
+    ran before it read the flat vector: the oracle of eng.ewc_penalty."""
+    total = Tensor(0.0)
+    shapes = [p.data.shape for p in model.params.values()]
+    for st in states:
+        for p, f, a in zip(model.params.values(), ad.views(st.fisher, shapes),
+                           ad.views(st.anchor, shapes)):
+            total = total + ad.tsum(Tensor(f) * ad.square(p - Tensor(a)))
+    return total * (lam / 2.0)
+
+
+def _fisher_states(model, n, rng):
+    size = model.flat.data.size
+    return [eng.FisherState(fisher=np.abs(rng.normal(size=size)),
+                            anchor=model.flat.data + rng.normal(scale=0.1, size=size))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("n_states", [1, 2, 3])
+def test_flat_ewc_penalty_equals_the_per_parameter_terms(n_states):
+    """On the desk model, the flat penalty's gradient equals the per-parameter
+    oracle's bit for bit, and its value agrees to 1e-12 relative."""
+    model = BackboneModel(DESK, ad.seeded_rng(12))
+    states = _fisher_states(model, n_states, ad.seeded_rng(13))
+    got = []
+    for penalty in (eng.ewc_penalty, per_parameter_ewc_penalty):
+        model.zero_grad()
+        loss = penalty(model, states, eng.EWC_LAMBDA)
+        ad.backward(loss)
+        got.append((loss.item(), model.flat.grad.copy()))
+    (value, grad), (want_value, want_grad) = got
+    assert grad.any() and grad.tobytes() == want_grad.tobytes()
+    assert value == pytest.approx(want_value, rel=1e-12)
+
+
+def _tape_nodes(monkeypatch, fn):
+    """The number of tape nodes fn() records."""
+    nodes = []
+    make = ad._make
+
+    def counting_make(*args):
+        out = make(*args)
+        if out._backward is not None:
+            nodes.append(out._op)
+        return out
+
+    monkeypatch.setattr(ad, "_make", counting_make)
+    fn()
+    monkeypatch.setattr(ad, "_make", make)
+    return len(nodes)
+
+
+def test_ewc_batch_records_five_penalty_nodes_per_fisher_state(monkeypatch):
+    """An ewc batch with two Fisher states records its span loss, 5 nodes per
+    state (sub, square, mul, tsum and the add into the total), the penalty's
+    scaling and the sum of the two terms; 38 terms a state recorded 190."""
+    stream = generate_cdaq_stream(GenConfig(setting="cdaq", n_domains=3, train_size=16,
+                                            test_size=1, vocab_size=DESK.vocab_size,
+                                            l_max=DESK.l_max, seed=14))
+    engine = ContinualEngine(stream, ContinualConfig(method="ewc"))
+    model = BackboneModel(engine.model_cfg, ad.seeded_rng(15))
+    engine.fisher_states = _fisher_states(model, 2, ad.seeded_rng(16))
+    fits = []
+    monkeypatch.setattr(ContinualEngine, "_fit", lambda self, *a, **k: fits.append(k))
+    engine.ewc_step(model, 3)
+    (fit,) = fits
+    batch = stream.domains[2].train
+    assert len(batch) == engine.cfg.batch_size
+    span = _tape_nodes(monkeypatch, lambda: span_loss(model, batch))
+    whole = _tape_nodes(monkeypatch, lambda: fit["loss_fn"](batch))
+    assert span == 40 and whole - span == 5 * 2 + 2
+
+
+# Penalties of the flat one's value whose gradient is wrong
+WRONG_GRADIENTS = {
+    # the flat vector read as a constant: a zero gradient
+    "detached": lambda model, states, lam: eng.ewc_penalty(
+        SimpleNamespace(flat=Tensor(model.flat.data)), states, lam),
+    # plus a term of value 0 and gradient 1
+    "plus_one": lambda model, states, lam: eng.ewc_penalty(model, states, lam)
+    + ad.tsum(model.flat) - ad.tsum(Tensor(model.flat.data)),
+}
+
+
+@pytest.mark.parametrize("wrong", list(WRONG_GRADIENTS))
+def test_gradcheck_ewc_check_fails_on_a_wrong_gradient(monkeypatch, wrong):
+    """The check perturbs the vector the penalty reads, so it passes the
+    penalty and fails a wrong gradient; perturbing a named parameter, which
+    the flat penalty does not read, once read 0 and passed."""
+    err = gradcheck.check_ewc_penalty()
+    assert 0.0 < err < gradcheck.TOLERANCE
+    monkeypatch.setattr(gradcheck, "ewc_penalty", WRONG_GRADIENTS[wrong])
+    assert gradcheck.check_ewc_penalty() > 0.1
