@@ -63,7 +63,10 @@
 # how many of its parameters differ and the largest absolute difference, so a
 # change that only moves rounding reads as one. Logs and timing.json hold
 # wall times and are left out, and so is src_lines.txt: the comparison prints
-# both sides' line counts instead ("missing" for a run that wrote none).
+# both sides' line counts instead ("missing" for a run that wrote none). It
+# then parses every *.json and *.jsonl file of NEW (each line of a .jsonl)
+# with a strict JSON parser, which rejects NaN, Infinity and -Infinity, prints
+# each file it rejects and their count, and exits 1 if it rejects any.
 set -euo pipefail
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
@@ -123,12 +126,40 @@ print(f"{np.count_nonzero(a != b):,} of {a.size:,} parameters differ, "
 EOF
 }
 
+# print each *.json and *.jsonl file under a directory that a strict JSON
+# parser rejects, and their count; exit 1 if there is any
+strict_json() {
+    python3 - "$1" <<'EOF'
+import json
+import sys
+from pathlib import Path
+
+
+def reject(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+root, bad, total = Path(sys.argv[1]), 0, 0
+for path in sorted(p for p in root.rglob("*") if p.suffix in (".json", ".jsonl")):
+    total += 1
+    text = path.read_text(encoding="utf-8")
+    try:
+        for line in text.splitlines() if path.suffix == ".jsonl" else [text]:
+            json.loads(line, parse_constant=reject)
+    except ValueError as e:
+        print(f"not strict JSON: {path.relative_to(root)} ({e})")
+        bad += 1
+print(f"{bad} of {total} JSON files in {root} are not strict JSON")
+sys.exit(bad > 0)
+EOF
+}
+
 src_lines() {
     cat "$1/src_lines.txt" 2>/dev/null || echo missing
 }
 
 compare() {
-    local old=$1 new=$2 n=0 total=0 f detail
+    local old=$1 new=$2 n=0 total=0 f detail strict=0
     echo "src/contspan lines: $(src_lines "$old") in $old, $(src_lines "$new") in $new"
     for f in $({ outputs "$old"; outputs "$new"; } | sort -u); do
         total=$((total + 1))
@@ -144,7 +175,8 @@ compare() {
         fi
     done
     echo "$n of $total files differ"
-    [ "$n" -eq 0 ]
+    strict_json "$new" || strict=1
+    [ "$n" -eq 0 ] && [ "$strict" -eq 0 ]
 }
 
 contspan() {

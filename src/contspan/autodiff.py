@@ -24,6 +24,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 BLOCK = 1 << 15  # float64 elements per slice of gelu's and Adam's in-place chains (256 KiB)
 LN_EPS = 1e-5  # layer_norm's variance floor
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator floor
+NEG_INF = -1e9  # additive mask value; finite so tensors stay NaN/Inf-free
 
 
 class Tensor:
@@ -344,19 +345,14 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(data, "sigmoid", (a,), bw)
 
 
-def log(a: Tensor, floor: float = 0.0) -> Tensor:
-    """Natural log; ``floor`` clamps the argument from below first.
-
-    Where the clamp is active the gradient is zero.
-    """
-    x = np.maximum(a.data, floor) if floor > 0.0 else a.data
+def log(a: Tensor, floor: float) -> Tensor:
+    """Natural log of the argument clamped from below at floor; where the
+    clamp is active the gradient is zero."""
+    x = np.maximum(a.data, floor)
     data = np.log(x)
 
     def bw(g, _a=a, _x=x, _floor=floor):
-        grad = g / _x
-        if _floor > 0.0:
-            grad = np.where(_a.data >= _floor, grad, 0.0)
-        yield _a, grad
+        yield _a, np.where(_a.data >= _floor, g / _x, 0.0)
 
     return _make(data, "log", (a,), bw)
 
@@ -396,13 +392,13 @@ def softmax(a: Tensor) -> Tensor:
     return _make(data, "softmax", (a,), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias: np.ndarray,
-              valid: np.ndarray) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, valid: np.ndarray) -> Tensor:
     """softmax(q k^T / sqrt(dh) + bias) v over n_heads heads of padded (B, l, h)
     q, k and v, as one node that keeps the probabilities; returns the packed
-    (n_valid, h) rows of the (B, l) mask valid. It runs the reshape, transpose,
-    matmul and softmax chain's numpy operations in its order on its layouts, so
-    values, gradients and the strides linear's bias gradient sums over match."""
+    (n_valid, h) rows of the (B, l) boolean mask valid; bias is NEG_INF at
+    padded keys and -0.0 at valid ones. It runs the reshape, transpose, matmul
+    and softmax chain's numpy operations in its order on its layouts, so values,
+    gradients and the strides linear's bias gradient sums over match."""
     B, l, h = q.data.shape
     scale = 1.0 / math.sqrt(h // n_heads)
 
@@ -414,7 +410,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias: np.ndarray,
 
     y = split(q.data) @ np.transpose(split(k.data), (0, 1, 3, 2))
     y *= scale
-    y += bias
+    y += NEG_INF * (1.0 - valid)[:, None, None, :]
     data = merge(_softmax(y) @ split(v.data))[valid]
 
     def bw(g, _q=q, _k=k, _v=v, _y=y, _valid=valid):
@@ -686,7 +682,7 @@ class FlatModel:
 class Adam:
     """Standard Adam over one flat parameter tensor (see flat_leaves)."""
 
-    def __init__(self, flat: Tensor, lr: float = 3e-5):
+    def __init__(self, flat: Tensor, lr: float):
         self.flat = flat
         self.lr = lr
         self.t = 0

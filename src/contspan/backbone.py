@@ -22,13 +22,12 @@ from functools import cache
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NEG_INF, Tensor
 from .metrics import atomic_write, parse_json
 
 CHECKPOINT_MAGIC = b"CSPANCKP"
 CHECKPOINT_VERSION = 1
 
-NEG_INF = -1e9  # additive mask value; finite so tensors stay NaN/Inf-free
 EVAL_BATCH = 64  # rows per chunk of a forward-only pass
 # Padded tokens (rows x width) from which a forward-only pass runs as two
 # half-batches. Measured on a 2-vCPU host (one BLAS thread), desk model, rows
@@ -144,20 +143,18 @@ class BackboneModel(ad.FlatModel):
         x = ad.embedding(P["tok_emb"], ids) \
             + ad.embedding(P["pos_emb"], np.nonzero(valid)[1])
         x = ad.layer_norm(x, P["ln_emb_g"], P["ln_emb_b"])
-        attn_bias = NEG_INF * (1.0 - mask)[:, None, None, :]
         for i in range(self.config.n_layers):
-            x = self._block(x, i, attn_bias, valid)
+            x = self._block(x, i, valid)
         return x, mask
 
-    def _block(self, x: Tensor, i: int, attn_bias: np.ndarray, valid: np.ndarray) -> Tensor:
+    def _block(self, x: Tensor, i: int, valid: np.ndarray) -> Tensor:
         """One encoder block on the packed rows of the (B, l) boolean mask valid."""
         P = self.params
 
         def lin(t, nm, padded=False):
             return ad.linear(t, P[f"blk{i}.w{nm}"], P[f"blk{i}.b{nm}"], valid, padded)
 
-        ctx = ad.attention(*(lin(x, nm, padded=True) for nm in "qkv"), self.config.n_heads,
-                           attn_bias, valid)
+        ctx = ad.attention(*(lin(x, nm, padded=True) for nm in "qkv"), self.config.n_heads, valid)
         x = ad.layer_norm(x + lin(ctx, "o"), P[f"blk{i}.ln1_g"], P[f"blk{i}.ln1_b"])
         ff = lin(ad.gelu(lin(x, "1")), "2")
         return ad.layer_norm(x + ff, P[f"blk{i}.ln2_g"], P[f"blk{i}.ln2_b"])

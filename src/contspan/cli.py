@@ -156,7 +156,7 @@ def cmd_eval(args) -> int:
         "checkpoint": args.checkpoint, "max_answer_len": MAX_ANSWER_LEN,
         "method": "eval", "order": seen,
         "domains": [d.name for d in stream.domains], "setting": stream.setting})
-    result = report.add_step(1, -1, *engine.evaluate(model, seen))
+    result = report.add_step(-1, *engine.evaluate(model, seen))
     report.save(args.report)
     for e in result.per_domain:
         print(f"domain {e['domain']}: EM={e['em'] * 100:.2f} F1={e['f1'] * 100:.2f}")

@@ -33,7 +33,7 @@ from .metrics import JSON_TYPES, EvalReport, atomic_write, config_hash, em_f1
 log = logging.getLogger(__name__)
 
 # Each method's step from step 2 on; step 1 is train_initial for every method
-STEPS = {"ma_mrc": "incremental_step", "lower": "lower_bound_step",
+STEPS = {"ma_mrc": "incremental_step", "lower": "train_initial",
          "upper": "upper_bound_step", "ewc": "ewc_step", "online_ewc": "ewc_step",
          "agem": "agem_step", "der": "der_step", "derpp": "der_step"}
 METHODS = tuple(STEPS)
@@ -195,15 +195,15 @@ def adversarial_term(disc: adv.Discriminator, h: Tensor, n: int) -> Tensor:
 
 
 def distill_term(teacher: BackboneModel, mem_rows: list[list[int]], sl: Tensor,
-                 el: Tensor, n: int) -> Tensor:
+                 el: Tensor) -> Tensor:
     """KL from the teacher to the student on a mixed batch's memory rows.
 
     The teacher forwards the memory rows (input ids) alone; its logits are
     padded with NEG_INF to the width of the student's (B, l) logits, whose
-    rows from n on are those memory rows.
+    last len(mem_rows) rows are those memory rows.
     """
     _, _, t_sl, t_el = teacher.forward_batch(mem_rows)
-    width = sl.data.shape[1]
+    n, width = len(sl.data) - len(mem_rows), sl.data.shape[1]
     return distill.kl_distill_loss_batch(
         _pad_logits(t_sl.data, width), _pad_logits(t_el.data, width),
         ad.index(sl, slice(n, None)), ad.index(el, slice(n, None)))
@@ -263,21 +263,16 @@ class ContinualEngine:
 
         for t in range(len(report.steps) + 1, len(self.order) + 1):
             tic = time.perf_counter()
-            extra = {}
-            if t == 1:
-                self.train_initial(model, t)
-            else:
-                step_fn = getattr(self, STEPS[cfg.method])
-                if uses_memory and not self.memory.items:
-                    log.warning("empty memory at step %d; degenerating to plain "
-                                "fine-tuning", t)
-                    step_fn = self.lower_bound_step
-                extra = step_fn(model, t) or {}
+            step_fn = self.train_initial if t == 1 else getattr(self, STEPS[cfg.method])
+            if t > 1 and uses_memory and not self.memory.items:
+                log.warning("empty memory at step %d; degenerating to plain fine-tuning", t)
+                step_fn = self.train_initial
+            extra = step_fn(model, t) or {}
             self._after_step(model, t)
             self.timings.append(time.perf_counter() - tic)
 
             per_domain, pooled = self.evaluate(model, self.order[:t])
-            result = report.add_step(t, self.order[t - 1], per_domain, pooled, extra)
+            result = report.add_step(self.order[t - 1], per_domain, pooled, extra)
             if on_step is not None:
                 on_step(t, model, self.memory, result)
 
@@ -351,14 +346,13 @@ class ContinualEngine:
     # -- per-method steps ---------------------------------------------------
 
     def train_initial(self, model: BackboneModel, t: int):
-        """Step 1 for every method: plain span-loss training."""
+        """Plain span-loss fine-tuning on step t's domain: step 1 for every
+        method, every step of lower, and a replay step with an empty memory."""
         losses = self._fit(model, self._domain(t).train, self._rng(_S_TRAIN, t))
-        log.info("initial training losses per epoch: %s",
-                 [f"{x:.3f}" for x in losses])
-        return losses
+        log.info("step %d training losses per epoch: %s", t, [f"{x:.3f}" for x in losses])
 
-    def lower_bound_step(self, model, t):
-        self._fit(model, self._domain(t).train, self._rng(_S_TRAIN, t))
+    # kept only because the benchmark's tracer (perfbench/traced.py) wraps this name
+    lower_bound_step = train_initial
 
     def upper_bound_step(self, model, t):
         """Joint-training ceiling: restart from the seed's initial parameters
@@ -432,7 +426,7 @@ class ContinualEngine:
                 loss = loss + adversarial_term(disc, h, n) * cfg.adv_weight
             if cfg.kl_weight != 0.0:
                 loss = loss + distill_term(teacher, [s.input_ids for s in batch[n:]],
-                                           sl, el, n) * cfg.kl_weight
+                                           sl, el) * cfg.kl_weight
             return loss
 
         self._fit(model, self._domain(t).train, rng, loss_fn=loss_fn)

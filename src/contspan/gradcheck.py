@@ -102,7 +102,7 @@ def check_kl_loss() -> float:
 
     def loss():
         _, _, sl, el = model.forward_batch(ids)
-        return distill_term(teacher, ids[1:], sl, el, 1)
+        return distill_term(teacher, ids[1:], sl, el)
 
     return max(_param_check(model, "w_end", loss),
                _param_check(model, "blk0.w1", loss))
@@ -151,7 +151,7 @@ def check_combined_loss() -> float:
     def loss():
         h, _, sl, el = model.forward_batch(ids)
         return gold_span_loss(sl, el, samples) + adversarial_term(disc, h, 2) \
-            + distill_term(teacher, ids[2:], sl, el, 2)
+            + distill_term(teacher, ids[2:], sl, el)
 
     return max(_param_check(model, "blk0.wq", loss),
                _param_check(model, "w_start", loss))

@@ -182,12 +182,14 @@ def save_memory(memory: Memory, path):
     with atomic_write(path, encoding="utf-8") as f:
         f.write(json.dumps({"_capacity": memory.capacity}, sort_keys=True) + "\n")
         for it in memory.items:
+            # the random kind never scores an item: its -inf start is written null
+            unscored = it.last_uncertainty == -math.inf
             rec = it.sample.record()
             rec["_memory"] = {
                 "origin_domain": it.sample.domain,
-                "best_uncertainty": it.best_uncertainty,
-                "last_uncertainty": it.last_uncertainty,
+                "best_uncertainty": None if unscored else it.best_uncertainty,
+                "last_uncertainty": None if unscored else it.last_uncertainty,
                 "teacher_start_logits": it.teacher_start_logits.tolist(),
                 "teacher_end_logits": it.teacher_end_logits.tolist(),
             }
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+            f.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")

@@ -121,10 +121,10 @@ class EvalReport:
     metadata: dict
     steps: list[StepResult] = field(default_factory=list)
 
-    def add_step(self, step, trained_domain, per_domain, pooled, extra=None) -> StepResult:
-        """Append and return the result of one step from its per-domain
+    def add_step(self, trained_domain, per_domain, pooled, extra=None) -> StepResult:
+        """Append and return the result of the next step from its per-domain
         scores ([{domain, em, f1}]) and its per-sample F1s by domain."""
-        self.steps.append(StepResult(step, trained_domain, per_domain,
+        self.steps.append(StepResult(len(self.steps) + 1, trained_domain, per_domain,
                                      f1_avg([e["f1"] for e in per_domain]), f1_all(pooled),
                                      extra or {}))
         return self.steps[-1]
@@ -161,9 +161,9 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d, where) -> "EvalReport":
-        """Inverse of ``to_dict``; a report that is not of schema 1, or whose
-        steps, per-domain scores or metadata.order hold a value of another
-        JSON kind, raises an error naming where."""
+        """Inverse of ``to_dict``; a report not of schema 1, with a value of
+        another JSON kind in its steps, scores or metadata.order, or with steps
+        not numbered 1, 2, ..., raises an error naming where."""
         version = d.get("schema_version") if type(d) is dict else None
         if type(version) is not int or version != SCHEMA_VERSION \
                 or type(d.get("metadata")) is not dict:
@@ -175,6 +175,8 @@ class EvalReport:
                            "metadata")
             for i, s in enumerate(d["steps"]):
                 require_fields(s, STEP_FIELDS, f"steps[{i}]")
+                if s["step"] != i + 1:
+                    raise ValueError(f"steps[{i}].step is {s['step']}, not {i + 1}")
                 for j, e in enumerate(s["per_domain"]):
                     require_fields(e, SCORE_FIELDS, f"steps[{i}].per_domain[{j}]")
         except (KeyError, TypeError, ValueError) as e:

@@ -95,7 +95,7 @@ CUR = np.array([[-1.0, 0.0]])
 
 def game_losses(disc):
     """(L_D, L_T) from the two halves of one game alternation."""
-    l_d = adv.discriminator_step(disc, ad.Adam(disc.flat), MEM, CUR)
+    l_d = adv.discriminator_step(disc, ad.Adam(disc.flat, lr=3e-5), MEM, CUR)
     return l_d, adv.encoder_adversarial_loss(disc, Tensor(MEM), Tensor(CUR)).item()
 
 
@@ -122,7 +122,7 @@ def test_adversarial_batch_validation():
     with pytest.raises(ValueError, match="non-empty"):
         adv.encoder_adversarial_loss(d, Tensor(empty), Tensor(one))
     with pytest.raises(ValueError, match="non-empty"):
-        adv.discriminator_step(d, ad.Adam(d.flat), one, empty)
+        adv.discriminator_step(d, ad.Adam(d.flat, lr=3e-5), one, empty)
 
 
 def test_log_floor_keeps_core_finite():

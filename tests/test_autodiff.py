@@ -290,6 +290,16 @@ def test_lean_ops_equal_plain_expressions_across_block_boundaries(i, monkeypatch
     test_lean_backwards_equal_plain_expressions(i)
 
 
+def test_log_gradient_is_zero_where_the_floor_clamps():
+    """log(x, floor) is log(max(x, floor)); its gradient is 1/x from the floor
+    up and 0 below it, where the clamp acts."""
+    x = Tensor(np.array([-1.0, 0.0, 1e-15, 1e-12, 0.5, 2.0]), requires_grad=True)
+    out = ad.log(x, floor=1e-12)
+    np.testing.assert_array_equal(out.data, np.log([1e-12] * 4 + [0.5, 2.0]))
+    ad.backward(ad.tsum(out))
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 1.0 / 1e-12, 2.0, 0.5])
+
+
 def test_attention_equals_the_node_chain():
     """attention on NEG_INF-masked ragged rows, one sequence empty, gives the
     values of the chain of reshape, transpose, matmul and softmax(scores *
@@ -315,7 +325,7 @@ def test_attention_equals_the_node_chain():
         return ad.tsum(ctx * Tensor(weights)), ctx.data[valid]
 
     def node(q, k, v):
-        ctx = ad.attention(q, k, v, nh, bias, valid)
+        ctx = ad.attention(q, k, v, nh, valid)
         return ad.tsum(ctx * Tensor(weights[valid])), ctx.data
 
     runs = []
@@ -341,13 +351,12 @@ def test_attention_gradients_match_finite_differences(name):
     as linear(..., padded=True) leaves them, against central differences."""
     valid = _ragged_valid()
     rng = ad.seeded_rng(14)
-    bias = NEG_INF * (1.0 - valid)[:, None, None, :]
     args = {nm: Tensor(rng.normal(size=(3, 5, 4)) * valid[..., None]) for nm in "qkv"}
     weights = Tensor(rng.normal(size=(int(valid.sum()), 4)))
 
     def f(t):
         q, k, v = {**args, name: t}.values()
-        return ad.tsum(ad.square(ad.attention(q, k, v, 2, bias, valid)) * weights)
+        return ad.tsum(ad.square(ad.attention(q, k, v, 2, valid)) * weights)
 
     assert ad.finite_difference_check(f, args[name]) < 1e-6
 

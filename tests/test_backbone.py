@@ -105,7 +105,7 @@ def padded_forward(model, id_lists):
     dh = cfg.hidden // nh
     x = ad.embedding(P["tok_emb"], batch) + ad.index(P["pos_emb"], slice(0, l))
     x = ad.layer_norm(x, P["ln_emb_g"], P["ln_emb_b"])
-    attn_bias = Tensor(NEG_INF * (1.0 - mask)[:, None, None, :])
+    bias = Tensor(NEG_INF * (1.0 - mask)[:, None, None, :])
     for i in range(cfg.n_layers):
         def lin(t, nm):
             return ad.matmul(t, P[f"blk{i}.w{nm}"]) + P[f"blk{i}.b{nm}"]
@@ -113,7 +113,7 @@ def padded_forward(model, id_lists):
         q, k, v = (ad.transpose(ad.reshape(lin(x, nm), (B, l, nh, dh)), (0, 2, 1, 3))
                    for nm in "qkv")
         scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-        probs = ad.softmax(scores + attn_bias)
+        probs = ad.softmax(scores + bias)
         ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (B, l, cfg.hidden))
         x = ad.layer_norm(x + lin(ctx, "o"), P[f"blk{i}.ln1_g"], P[f"blk{i}.ln1_b"])
         x = ad.layer_norm(x + lin(ad.gelu(lin(x, "1")), "2"),

@@ -848,6 +848,13 @@ def test_report_csv_writes_into_a_missing_directory(dataset, tmp_path):
     assert os.listdir(csv_path.parent) == ["curve.csv"]
 
 
+# Two well-formed steps numbered 1 and 5: a report cut back and renumbered
+# by hand, which once loaded, rendered and resumed
+MISNUMBERED = {"schema_version": 1, "metadata": {}, "steps": [
+    {"step": t, "trained_domain": 0, "per_domain": [{"domain": 0, "em": 0.5, "f1": 0.5}],
+     "f1_avg": 0.5, "f1_all": 0.5, "extra": {}} for t in (1, 5)]}
+
+
 @pytest.mark.parametrize("doc, expected", [
     ([1], "not a report of schema 1"),
     ({"schema_version": 1, "metadata": {}, "steps": [{"x": 1}]},
@@ -860,9 +867,10 @@ def test_report_csv_writes_into_a_missing_directory(dataset, tmp_path):
          "extra": {}}]},
      "malformed report (steps[0]: per_domain must be a non-empty list of objects, got 5)"),
     ({"schema_version": 1, "metadata": {"order": 5}, "steps": []},
-     "malformed report (metadata: order must be a list of ints, got 5)")],
+     "malformed report (metadata: order must be a list of ints, got 5)"),
+    (MISNUMBERED, "malformed report (steps[1].step is 5, not 2)")],
     ids=["list", "unknown-step-key", "metadata-list", "no-steps", "step-int",
-         "per-domain-int", "order-int"])
+         "per-domain-int", "order-int", "misnumbered-steps"])
 def test_report_of_another_shape_exits_1(tmp_path, capsys, doc, expected):
     """[1] once ended in an AttributeError traceback, a step with key x, an
     int per_domain or an int metadata.order in a TypeError traceback."""
@@ -957,7 +965,9 @@ def test_report_of_the_valid_document_renders(tmp_path, capsys):
 @pytest.mark.parametrize("doc, expected", [
     ([1], "not a report of schema 1"),
     ({"schema_version": 1, "metadata": {}, "steps": []},
-     "resume config does not match the saved run")], ids=["list", "no-config-hash"])
+     "resume config does not match the saved run"),
+    (MISNUMBERED, "malformed report (steps[1].step is 5, not 2)")],
+    ids=["list", "no-config-hash", "misnumbered-steps"])
 def test_resume_from_a_partial_report_of_another_shape_exits_1(dataset, tmp_path, capsys, doc,
                                                                expected):
     """A partial report without metadata.config_hash once ended in a KeyError

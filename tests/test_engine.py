@@ -243,6 +243,30 @@ def test_memory_quotas_follow_stream_position():
     assert counts == [mem._quotas(12, t) for t in (1, 2, 3)] == [[12], [6, 6], [4, 4, 4]]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("method, kind", [
+    ("ma_mrc", "entropy"), ("ma_mrc", "prob"), ("ma_mrc", "random"),
+    ("agem", "random"), ("der", "random"), ("derpp", "random")])
+def test_memory_files_are_strict_json(tmp_path, method, kind):
+    """A random-kind memory, which never scores its items, once wrote their
+    -inf uncertainties as -Infinity, which a strict JSON parser rejects: they
+    are null now, and a scored kind's stay floats."""
+    cfg = small_config(method, uncertainty_kind=kind)
+    ContinualEngine(small_stream(n_domains=2), cfg).run(out_dir=tmp_path)
+    paths = sorted(tmp_path.glob("step*.memory.jsonl"))
+    assert [p.name for p in paths] == ["step1.memory.jsonl", "step2.memory.jsonl"]
+    for path in paths:
+        _, *items = [json.loads(line, parse_constant=_reject_constant)
+                     for line in path.read_text().splitlines()]
+        assert items
+        for it in items:
+            us = [it["_memory"][f"{k}_uncertainty"] for k in ("best", "last")]
+            assert all(u is None if kind == "random" else type(u) is float for u in us)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     stream = small_stream()
     for name in ("a", "b"):
@@ -500,6 +524,16 @@ def test_empty_memory_incremental_step_warns_and_finetunes(caplog):
     assert "empty memory" in caplog.text
 
 
+def test_lower_logs_its_epoch_losses_at_every_step(caplog):
+    """Plain fine-tuning is one body, which logs its epoch losses with the
+    step number; they were once logged at step 1 alone."""
+    with caplog.at_level("INFO", logger="contspan.engine"):
+        ContinualEngine(small_stream(), small_config("lower", epochs=2)).run()
+    logged = [r for r in caplog.records if "training losses per epoch" in r.getMessage()]
+    assert [r.args[0] for r in logged] == [1, 2, 3]
+    assert all(len(r.args[1]) == 2 for r in logged)
+
+
 def test_distill_term_pads_short_memory_rows_exactly():
     """Memory rows shorter than the mixed batch's widest row get the KL
     they have when each is forwarded alone at its own width."""
@@ -511,7 +545,7 @@ def test_distill_term_pads_short_memory_rows_exactly():
     rng = ad.seeded_rng(1)
     ids = [rng.integers(3, 40, size=n).tolist() for n in (12, 5, 8)]
     _, _, sl, el = model.forward_batch(ids)
-    got = distill_term(teacher, ids[1:], sl, el, 1).item()
+    got = distill_term(teacher, ids[1:], sl, el).item()
     alone = []
     for row in ids[1:]:
         _, _, t_sl, t_el = teacher.forward_batch([row])
@@ -548,7 +582,7 @@ def test_forward_only_passes_record_no_tape(monkeypatch):
     # the distillation teacher's forward of the memory rows
     rows = [s.input_ids for s in d1[:3]] + [it.sample.input_ids for it in memory.items[:2]]
     _, _, sl, el = model.copy().forward_batch(rows)
-    distill_term(distill.snapshot_teacher(model), rows[3:], sl, el, 3)
+    distill_term(distill.snapshot_teacher(model), rows[3:], sl, el)
     assert nodes == []
 
 
