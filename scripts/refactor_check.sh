@@ -11,7 +11,11 @@
 # first domain's 48 training rows) for ma_mrc, agem and der. agem, derpp and
 # online_ewc run once more with batch size 7 and order 1,2,0, so each method's
 # loss and gradient projection also meet a partial last batch and a stream
-# out of index order; upper and ewc run once more with order 2,0,1. A --resume
+# out of index order; upper and ewc run once more with order 2,0,1. The README's
+# "Library use" path trains the same ma_mrc run in-process (python3 -c, out_dir
+# OUT/library), and the script exits 1 unless its report.json and step
+# checkpoints equal ma_mrc.json and ma_mrc/step*.ckpt byte for byte, so the
+# library and the command run alike. A --resume
 # run over the finished ma_mrc directory replays every committed step's
 # memory and writes OUT/ma_mrc_resume.json; another resumes a copy of that
 # directory cut back to two committed steps (ma_mrc_cut), so step 3 trains on
@@ -201,6 +205,17 @@ run_set() {
     for m in ma_mrc lower upper ewc online_ewc agem der derpp; do
         contspan "$m" run --data stream --method "$m" --memory-size 12 --epochs 2 \
             --report "$m.json" --out-dir "$m"
+    done
+    python3 -c 'from contspan.data import load_stream
+from contspan.engine import ContinualConfig, ContinualEngine
+ContinualEngine(load_stream("stream"), ContinualConfig(method="ma_mrc", memory_size=12,
+                                                       epochs=2)).run(out_dir="library")' \
+        >library.log 2>&1 || { echo "failed: library run (see $OUT/library.log)" >&2; exit 1; }
+    cmp -s library/report.json ma_mrc.json ||
+        { echo "failed: library/report.json differs from ma_mrc.json" >&2; exit 1; }
+    for f in ma_mrc/step*.ckpt; do
+        cmp -s "library/${f#ma_mrc/}" "$f" ||
+            { echo "failed: library/${f#ma_mrc/} differs from $f" >&2; exit 1; }
     done
     contspan ma_mrc_resume run --data stream --method ma_mrc --memory-size 12 --epochs 2 \
         --report ma_mrc_resume.json --out-dir ma_mrc --resume

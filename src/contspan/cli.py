@@ -3,46 +3,17 @@
 from __future__ import annotations
 
 import argparse
-import ctypes
 import logging
-import platform
 import sys
 
 from . import data as dat
 from . import gradcheck
 from .engine import ContinualConfig, ContinualEngine, METHODS, NORM_STRATEGIES, \
     UNCERTAINTY_KINDS
-from .backbone import BackboneModel, MAX_ANSWER_LEN
+from .backbone import BackboneModel, MAX_ANSWER_LEN, _keep_freed_heap
 from .metrics import EvalReport, parse_json
 
 log = logging.getLogger("contspan")
-
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8  # glibc's mallopt numbers
-
-
-def _keep_freed_heap() -> bool:
-    """Have glibc keep freed memory on one heap for reuse.
-
-    A forward-only pass frees its whole working set after every chunk. With
-    glibc's defaults, arrays that large are mmapped, or trimmed back to the
-    OS on free, and page-faulted in again for the next chunk. This sets the
-    mmap threshold to 32 MiB, the ceiling of glibc's own dynamic rule, and
-    the trim threshold to 64 MiB. It also allows one arena: the worker
-    thread of a split forward-only pass (see BackboneModel.encode_batch)
-    would otherwise get an arena of its own, which keeps its half-batch's
-    freed heap beside the main one's and raised the training workloads'
-    peak RSS by 12-14 MB. Returns True if glibc took all three settings;
-    under any other C library it does nothing.
-    """
-    if platform.libc_ver()[0] != "glibc":
-        return False
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is None:
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    return bool(mallopt(M_MMAP_THRESHOLD, 32 << 20) and mallopt(M_TRIM_THRESHOLD, 64 << 20)
-                and mallopt(M_ARENA_MAX, 1))
 
 
 def domain_order(text: str) -> list[int]:
@@ -138,10 +109,10 @@ def cmd_run(args) -> int:
     engine = ContinualEngine(stream, cfg)
     _, report = engine.run(out_dir=args.out_dir, resume=args.resume)
     report.save(args.report)
-    total = sum(engine.timings)
     print(report.format_table())
-    print(f"total training time: {total:.1f}s "
-          f"(per step: {', '.join(f'{x:.1f}s' for x in engine.timings)})")
+    # a step restored by --resume was not timed: "-", and out of the total
+    print(f"total training time: {sum(x for x in engine.timings if x is not None):.1f}s "
+          f"(per step: {', '.join('-' if x is None else f'{x:.1f}s' for x in engine.timings)})")
     print(f"report written to {args.report}")
     return 0
 
@@ -185,7 +156,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     ap = build_parser()
     args = ap.parse_args(argv)
-    _keep_freed_heap()
+    _keep_freed_heap()  # before any stream or checkpoint loads
     handler = {
         "gen": cmd_gen, "run": cmd_run, "eval": cmd_eval,
         "gradcheck": cmd_gradcheck, "report": cmd_report,

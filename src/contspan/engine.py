@@ -26,7 +26,7 @@ from . import distill
 from . import memory as mem
 from .autodiff import Tensor
 from .backbone import BackboneModel, ModelConfig, MAX_ANSWER_LEN, NEG_INF, \
-    decode_answer, span_loss_batch
+    _keep_freed_heap, decode_answer, span_loss_batch
 from .data import DomainData, DomainStream, Sample
 from .metrics import JSON_TYPES, EvalReport, atomic_write, config_hash, em_f1
 
@@ -211,6 +211,7 @@ def distill_term(teacher: BackboneModel, mem_rows: list[list[int]], sl: Tensor,
 
 class ContinualEngine:
     def __init__(self, stream: DomainStream, config: ContinualConfig):
+        _keep_freed_heap()
         config.validate(len(stream))
         self.stream = stream
         self.cfg = config
@@ -222,7 +223,6 @@ class ContinualEngine:
                                      l_max=stream.l_max)
         self.memory: mem.Memory | None = None
         self.fisher_states: list[FisherState] = []
-        self.timings: list[float] = []
 
     def _rng(self, stream_id: int, t: int = 0) -> np.random.Generator:
         return ad.seeded_rng(self.cfg.seed, stream_id, t)
@@ -260,6 +260,7 @@ class ContinualEngine:
                 model, report = self._replay_committed(out, report)
 
         uses_memory = cfg.method in REPLAY_METHODS
+        self.timings: list[float | None] = [None] * len(report.steps)  # None: restored
 
         for t in range(len(report.steps) + 1, len(self.order) + 1):
             tic = time.perf_counter()
@@ -327,11 +328,12 @@ class ContinualEngine:
         items = self.memory.items
         return [items[i] for i in rng.choice(len(items), size=min(k, len(items)), replace=False)]
 
-    def _fit(self, model: BackboneModel, samples: list[Sample],
-             rng: np.random.Generator, loss_fn=None, grad_hook=None) -> list[float]:
-        """Adam epochs over shuffled batches, one Adam.update per batch on
-        loss_fn(batch), the batch's whole loss (by default its span loss).
-        grad_hook() may rewrite the flat gradient before the step (A-GEM)."""
+    def _fit(self, model: BackboneModel, samples: list[Sample], rng: np.random.Generator,
+             *, t: int, loss_fn=None, grad_hook=None):
+        """Step t's Adam epochs over shuffled batches, one Adam.update per
+        batch on loss_fn(batch), the batch's whole loss (by default its span
+        loss). grad_hook() may rewrite the flat gradient before the step
+        (A-GEM). Logs the mean loss of each epoch."""
         cfg = self.cfg
         loss_fn = loss_fn or (lambda batch: span_loss(model, batch))
         opt = ad.Adam(model.flat, lr=cfg.lr)
@@ -341,15 +343,14 @@ class ContinualEngine:
             losses = [opt.update(loss_fn([samples[i] for i in perm[lo:lo + cfg.batch_size]]),
                                  grad_hook) for lo in range(0, len(samples), cfg.batch_size)]
             epoch_losses.append(sum(losses) / max(len(losses), 1))
-        return epoch_losses
+        log.info("step %d training losses per epoch: %s", t, [f"{x:.3f}" for x in epoch_losses])
 
     # -- per-method steps ---------------------------------------------------
 
     def train_initial(self, model: BackboneModel, t: int):
         """Plain span-loss fine-tuning on step t's domain: step 1 for every
         method, every step of lower, and a replay step with an empty memory."""
-        losses = self._fit(model, self._domain(t).train, self._rng(_S_TRAIN, t))
-        log.info("step %d training losses per epoch: %s", t, [f"{x:.3f}" for x in losses])
+        self._fit(model, self._domain(t).train, self._rng(_S_TRAIN, t), t=t)
 
     # kept only because the benchmark's tracer (perfbench/traced.py) wraps this name
     lower_bound_step = train_initial
@@ -359,13 +360,13 @@ class ContinualEngine:
         and train on every seen domain's full training data, in stream order."""
         model.flat.data[...] = BackboneModel(self.model_cfg, self._rng(_S_INIT)).flat.data
         union = [s for i in range(1, t + 1) for s in self._domain(i).train]
-        self._fit(model, union, self._rng(_S_TRAIN, t))
+        self._fit(model, union, self._rng(_S_TRAIN, t), t=t)
 
     def ewc_step(self, model, t):
         def loss_fn(batch):
             return span_loss(model, batch) + ewc_penalty(model, self.fisher_states, EWC_LAMBDA)
 
-        self._fit(model, self._domain(t).train, self._rng(_S_TRAIN, t), loss_fn=loss_fn)
+        self._fit(model, self._domain(t).train, self._rng(_S_TRAIN, t), t=t, loss_fn=loss_fn)
 
     def _record_fisher(self, model: BackboneModel, d_train: list[Sample], t: int):
         """Diagonal Fisher from squared span-loss gradients on small batches.
@@ -393,7 +394,7 @@ class ContinualEngine:
         def project():
             agem_project_grad(model, [it.sample for it in self._replay(rng, self.cfg.batch_size)])
 
-        self._fit(model, self._domain(t).train, rng, grad_hook=project)
+        self._fit(model, self._domain(t).train, rng, t=t, grad_hook=project)
 
     def der_step(self, model, t):
         """Logit replay; the plus-plus variant adds gold-label replay."""
@@ -404,7 +405,7 @@ class ContinualEngine:
             loss = span_loss(model, batch)
             return loss + der_replay_loss(model, self._replay(rng, self.cfg.batch_size), beta)
 
-        self._fit(model, self._domain(t).train, rng, loss_fn=loss_fn)
+        self._fit(model, self._domain(t).train, rng, t=t, loss_fn=loss_fn)
 
     def incremental_step(self, model, t) -> dict:
         """Full method: mixed-batch replay + adversarial game + distillation."""
@@ -429,7 +430,7 @@ class ContinualEngine:
                                            sl, el) * cfg.kl_weight
             return loss
 
-        self._fit(model, self._domain(t).train, rng, loss_fn=loss_fn)
+        self._fit(model, self._domain(t).train, rng, t=t, loss_fn=loss_fn)
         if cfg.adv_weight == 0.0:
             return {}
         # the game discriminator's held-out accuracy and, as the sharper

@@ -1,11 +1,17 @@
+import ctypes
 import inspect
 import json
 import math
+import os
+import platform
 import re
 import struct
+import subprocess
+import sys
 import threading
 import weakref
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -515,3 +521,68 @@ def test_model_is_trainable_on_toy_task():
         opt.update(batch_loss(idx))
     final = batch_loss(np.arange(64)).item()
     assert final < 0.5 * initial
+
+
+def test_allocator_setting_applies_under_glibc_only(monkeypatch):
+    """The settings apply under glibc alone, and once per process: a later
+    call returns the first call's result without loading the C library."""
+    first = backbone._keep_freed_heap()
+    assert first == (platform.libc_ver()[0] == "glibc")
+
+    def no_libc(*args, **kwargs):
+        raise AssertionError("C library loaded outside glibc")
+
+    monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("", ""))
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    assert backbone._keep_freed_heap() == first
+    assert backbone._keep_freed_heap.__wrapped__() is False
+
+
+# In a fresh interpreter: how many mmapped blocks (glibc's mallinfo2().hblks)
+# a new 1 MiB array adds, before and after a ContinualEngine is built
+HEAP_PROBE = """
+import ctypes
+import numpy as np
+from contspan.data import GenConfig, generate_cdaq_stream
+from contspan.engine import ContinualConfig, ContinualEngine
+
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Mallinfo2
+kept = []
+
+
+def mmapped_blocks_of_a_new_mib():
+    before = libc.mallinfo2().hblks
+    kept.append(np.ones(1 << 17))
+    return libc.mallinfo2().hblks - before
+
+
+stream = generate_cdaq_stream(GenConfig(setting="cdaq", n_domains=1, train_size=2,
+                                        test_size=2, vocab_size=100, l_max=32, seed=0))
+unset = mmapped_blocks_of_a_new_mib()
+ContinualEngine(stream, ContinualConfig())
+print(unset, mmapped_blocks_of_a_new_mib())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                    or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+                    reason="the heap settings and mallinfo2 are glibc's (2.33 on)")
+def test_an_engine_runs_with_the_command_line_heap_settings():
+    """Building a ContinualEngine applies the contspan command's heap
+    settings to its process: under glibc's defaults a new 1 MiB array is
+    mmapped, under the engine's 32 MiB threshold it comes from the heap.
+    Once only the command applied them, so in-process runs never had them."""
+    env = {**os.environ, "PYTHONPATH": str(Path(backbone.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "0"]

@@ -1,8 +1,6 @@
-import ctypes
 import json
 import math
 import os
-import platform
 import re
 import shutil
 import struct
@@ -982,18 +980,25 @@ def test_resume_from_a_partial_report_of_another_shape_exits_1(dataset, tmp_path
     assert line == f"error: {ckpt_dir / 'report.partial.json'}: {expected}"
 
 
+def test_resume_prints_a_dash_for_each_restored_step(dataset, tmp_path, capsys):
+    """A step restored by --resume was not timed: it prints "-" and stays out
+    of the total. The re-run steps' seconds once printed as steps 1, 2, ..."""
+    ckpt_dir = tmp_path / "ckpts"
+    args = run_args(dataset, tmp_path / "r.json", out_dir=ckpt_dir)
+    assert main(args) == 0
+    partial = ckpt_dir / "report.partial.json"
+    doc = json.loads(partial.read_text())
+    doc["steps"] = doc["steps"][:1]
+    partial.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(args + ["--resume"]) == 0
+    (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("total")]
+    timed = re.fullmatch(r"total training time: (\d+\.\d)s \(per step: -, (\d+\.\d)s\)", line)
+    assert timed and timed[1] == timed[2], line
+
+
 def test_gradcheck_exits_zero(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
 
-
-def test_allocator_setting_applies_under_glibc_only(monkeypatch):
-    assert cli._keep_freed_heap() == (platform.libc_ver()[0] == "glibc")
-
-    def no_libc(*args, **kwargs):
-        raise AssertionError("C library loaded outside glibc")
-
-    monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("", ""))
-    monkeypatch.setattr(ctypes, "CDLL", no_libc)
-    assert cli._keep_freed_heap() is False

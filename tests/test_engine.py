@@ -13,9 +13,9 @@ from contspan import metrics
 from contspan.autodiff import Tensor
 from contspan.backbone import BackboneModel, ModelConfig
 from contspan.data import GenConfig, Sample, generate_cdaq_stream
-from contspan.engine import (ONLINE_EWC_GAMMA, ContinualConfig, ContinualEngine,
-                             FisherState, agem_project, ewc_penalty, der_replay_mse,
-                             distill_term)
+from contspan.engine import (METHODS, ONLINE_EWC_GAMMA, REPLAY_METHODS, ContinualConfig,
+                             ContinualEngine, FisherState, agem_project, ewc_penalty,
+                             der_replay_mse, distill_term)
 from contspan.metrics import EvalReport
 
 
@@ -327,6 +327,17 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
         == (full_dir / "report.json").read_bytes()
 
 
+def test_timing_writes_null_for_each_step_restored_by_resume(tmp_path):
+    """The restored steps were not timed. timing.json once listed only the
+    re-run steps' seconds, so step 3's read as step 1's."""
+    stream = small_stream()
+    with pytest.raises(Crash):
+        ContinualEngine(stream, small_config("lower")).run(out_dir=tmp_path, on_step=crash_at_3)
+    ContinualEngine(stream, small_config("lower")).run(out_dir=tmp_path, resume=True)
+    seconds = json.loads((tmp_path / "timing.json").read_text())["step_seconds"]
+    assert seconds[:2] == [None, None] and seconds[2] > 0
+
+
 @pytest.mark.parametrize("method", ["ma_mrc", "upper", "ewc"])
 def test_resume_reads_only_the_partial_report_and_step_checkpoints(tmp_path, method):
     """Memory and Fisher state are replayed from the step checkpoints, and
@@ -351,7 +362,8 @@ def test_resume_reads_only_the_partial_report_and_step_checkpoints(tmp_path, met
         assert (crash_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("method", ["ma_mrc", "der", "ewc", "online_ewc"])
+@pytest.mark.parametrize("method", ["ma_mrc", "der", "ewc", "online_ewc", "lower", "upper",
+                                    "agem", "derpp"])
 def test_resume_after_a_crash_at_any_write_matches_uninterrupted_run(
         tmp_path, monkeypatch, method):
     """Crash just before and just after every checkpoint, memory and report
@@ -406,7 +418,7 @@ def test_resume_after_a_crash_at_any_write_matches_uninterrupted_run(
     points = [(k, when) for k in range(1, writes[0] + 1) for when in ("before", "after")]
     # (temp file, its nth open): step 2's partial report, checkpoint and memory
     mid_write = [("report.partial.json.tmp", 2), ("step2.ckpt.tmp", 1)]
-    if method in ("ma_mrc", "der"):
+    if method in REPLAY_METHODS:
         mid_write.append(("step2.memory.jsonl.tmp", 1))
     for i, point in enumerate(points + mid_write):
         out = tmp_path / f"crash{i}"
@@ -524,11 +536,13 @@ def test_empty_memory_incremental_step_warns_and_finetunes(caplog):
     assert "empty memory" in caplog.text
 
 
-def test_lower_logs_its_epoch_losses_at_every_step(caplog):
-    """Plain fine-tuning is one body, which logs its epoch losses with the
-    step number; they were once logged at step 1 alone."""
+@pytest.mark.parametrize("method", METHODS)
+def test_every_step_logs_its_epoch_losses(caplog, method):
+    """The one training loop logs each step's epoch losses with the step
+    number. They were once logged by plain fine-tuning alone, and before
+    that at step 1 alone."""
     with caplog.at_level("INFO", logger="contspan.engine"):
-        ContinualEngine(small_stream(), small_config("lower", epochs=2)).run()
+        ContinualEngine(small_stream(), small_config(method, epochs=2)).run()
     logged = [r for r in caplog.records if "training losses per epoch" in r.getMessage()]
     assert [r.args[0] for r in logged] == [1, 2, 3]
     assert all(len(r.args[1]) == 2 for r in logged)
@@ -611,7 +625,7 @@ def test_fit_frees_each_batch_graph_before_the_next(monkeypatch):
     stream = small_stream()
     engine = ContinualEngine(stream, small_config("lower"))
     model = BackboneModel(engine.model_cfg, ad.seeded_rng(0))
-    engine._fit(model, stream.domains[0].train, ad.seeded_rng(1))
+    engine._fit(model, stream.domains[0].train, ad.seeded_rng(1), t=1)
     assert len(stale) == 2  # 24 rows in batches of 8
     for holding, n_alive in stale:
         assert holding == []
