@@ -4,8 +4,11 @@
 #   scripts/refactor_check.sh OUT                run the refactor set into OUT
 #   scripts/refactor_check.sh --compare OLD NEW  cmp the outputs of two such runs
 #
-# The first form generates a tiny passage-shift stream in OUT/stream and runs,
-# with the package in this checkout's src/: every method, `eval` of the full
+# The first form generates a tiny passage-shift stream in OUT/stream, builds
+# it once more through the library (GenConfig, generate_cdac_stream and
+# write_stream, in OUT/library_stream) and exits 1 unless the two hold the
+# same files, byte for byte. It then runs, with the package in this
+# checkout's src/: every method, `eval` of the full
 # method's final checkpoint, the other uncertainty and retention rules with a
 # domain order and an odd batch size, and capacities 0, 60 and 100 (above the
 # first domain's 48 training rows) for ma_mrc, agem and der. agem, derpp and
@@ -202,6 +205,15 @@ run_set() {
         { echo "failed: contspan gradcheck (see $OUT/gradcheck.txt)" >&2; exit 1; }
     contspan gen gen --setting cdac --domains 3 --train-size 48 --test-size 16 \
         --seed 0 --out stream
+    python3 -c 'from contspan.data import GenConfig, generate_cdac_stream, write_stream
+write_stream(generate_cdac_stream(GenConfig(n_domains=3, train_size=48, test_size=16, seed=0)),
+             "library_stream")' >library_stream.log 2>&1 ||
+        { echo "failed: library stream (see $OUT/library_stream.log)" >&2; exit 1; }
+    for f in stream/*; do
+        cmp -s "library_$f" "$f" || { echo "failed: library_$f differs from $f" >&2; exit 1; }
+    done
+    [ "$(ls library_stream | wc -l)" -eq "$(ls stream | wc -l)" ] ||
+        { echo "failed: library_stream and stream hold different files" >&2; exit 1; }
     for m in ma_mrc lower upper ewc online_ewc agem der derpp; do
         contspan "$m" run --data stream --method "$m" --memory-size 12 --epochs 2 \
             --report "$m.json" --out-dir "$m"

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NEG_INF, Tensor
-from .metrics import atomic_write, parse_json
+from .metrics import atomic_write, parse_json, require_fields
 
 CHECKPOINT_MAGIC = b"CSPANCKP"
 CHECKPOINT_VERSION = 1
@@ -52,8 +52,7 @@ class ModelConfig:
     ff_mult: int = 4
 
     def __post_init__(self):
-        if bad := [k for k, v in asdict(self).items() if type(v) is not int or v < 1]:
-            raise ValueError(f"{bad[0]} must be an int >= 1, got {getattr(self, bad[0])!r}")
+        require_fields(self, rules=dict.fromkeys(vars(self), 1))
         if self.hidden % self.n_heads != 0:
             raise ValueError(f"hidden={self.hidden} not divisible by n_heads={self.n_heads}")
 
@@ -82,6 +81,18 @@ def param_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float | 
             ("b1", (ff,), 0.0), ("w2", (ff, h), None), ("b2", (h,), 0.0),
             ("ln2_g", (h,), 1.0), ("ln2_b", (h,), 0.0))]
     return spec + [("w_start", (h,), None), ("w_end", (h,), None)]
+
+
+def training_bytes(config: ModelConfig, rows: int) -> int:
+    """An estimate of the bytes that training the model takes: its float64
+    parameters, their gradients and Adam's two moments, plus the tape of a
+    batch of rows sequences at l_max tokens, which keeps per layer and token
+    about twelve hidden-wide and two feed-forward-wide vectors and two
+    attention rows per head."""
+    h, l = config.hidden, config.l_max
+    per_token = config.n_layers * (12 * h + 2 * config.ff_mult * h + 2 * config.n_heads * l)
+    return 8 * (4 * sum(math.prod(shape) for _, shape, _ in param_spec(config))
+                + rows * l * per_token)
 
 
 @cache

@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic domain stream")
-    g.add_argument("--setting", choices=["cdac", "cdaq"], required=True)
+    g.add_argument("--setting", choices=dat.GEN_RULES["setting"], required=True)
     g.add_argument("--domains", type=int, default=3)
     g.add_argument("--train-size", type=int, default=512)
     g.add_argument("--test-size", type=int, default=256)
@@ -69,10 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    for flag, val, least in (("--domains", args.domains, 1), ("--train-size", args.train_size, 1),
-                             ("--test-size", args.test_size, 1), ("--seed", args.seed, 0)):
-        if val < least:
-            raise ValueError(f"{flag} must be >= {least}, got {val}")
     cfg = dat.GenConfig(setting=args.setting, n_domains=args.domains,
                         train_size=args.train_size, test_size=args.test_size,
                         vocab_size=args.vocab_size, l_max=args.l_max,

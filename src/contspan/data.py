@@ -36,6 +36,10 @@ PAYLOAD_LEN = (1, 4)  # answer payload after its marker
 CDAC_LEN_LO = (15, 25)
 CDAC_LEN_HI = (40, 55)
 
+# Each GenConfig field's one rule beyond its type: its values, or its least value
+GEN_RULES = {"setting": ("cdac", "cdaq"), "n_domains": 1, "train_size": 1, "test_size": 1,
+             "vocab_size": 1, "l_max": 1, "seed": 0}
+
 
 # The kind of each field of a token record, a text record and a stream manifest
 RECORD_FIELDS = {"id": "str | int", "domain": "int", "question_ids": "list[int]",
@@ -112,7 +116,7 @@ class DomainStream:
 
 @dataclass
 class GenConfig:
-    setting: str = "cdaq"  # cdaq | cdac
+    setting: str = "cdaq"
     n_domains: int = 3
     train_size: int = 512
     test_size: int = 256
@@ -121,6 +125,11 @@ class GenConfig:
     seed: int = 0
     # cdaq passage length range; cdac uses CDAC_LEN_LO..CDAC_LEN_HI
     passage_len: tuple[int, int] = (20, 40)
+
+    def __post_init__(self):
+        require_fields(self, rules=GEN_RULES)
+        if not 1 <= self.passage_len[0] <= self.passage_len[1]:
+            raise ValueError(f"passage_len must be 1 <= lo <= hi, got {self.passage_len!r}")
 
 
 @dataclass

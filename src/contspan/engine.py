@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import time
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,9 @@ from . import distill
 from . import memory as mem
 from .autodiff import Tensor
 from .backbone import BackboneModel, ModelConfig, MAX_ANSWER_LEN, NEG_INF, \
-    _keep_freed_heap, decode_answer, span_loss_batch
+    _keep_freed_heap, decode_answer, span_loss_batch, training_bytes
 from .data import DomainData, DomainStream, Sample
-from .metrics import JSON_TYPES, EvalReport, atomic_write, config_hash, em_f1
+from .metrics import JSON_TYPES, EvalReport, atomic_write, config_hash, em_f1, require_fields
 
 log = logging.getLogger(__name__)
 
@@ -80,17 +81,9 @@ class ContinualConfig:
     n_heads: int = 2
 
     def validate(self, n_domains: int):
-        for f in fields(self):
-            name, value, rule = f.name, getattr(self, f.name), FIELD_RULES.get(f.name)
-            what, typed = JSON_TYPES[f.type]
-            if name == "lr" and not (typed(value) and value > 0):
-                raise ValueError(f"lr must be positive and finite, got {value!r}")
-            if not typed(value):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
-            if isinstance(rule, tuple) and value not in rule:
-                raise ValueError(f"unknown {name} {value!r}; choose from {rule}")
-            if type(rule) is int and value < rule:
-                raise ValueError(f"{name} must be >= {rule}, got {value}")
+        if not (JSON_TYPES["float"][1](self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
+        require_fields(self, rules=FIELD_RULES)
         if sorted(order := self.order(n_domains)) != list(range(n_domains)):
             raise ValueError(f"domain_order {order} is not a permutation of 0..{n_domains - 1}")
 
@@ -242,6 +235,7 @@ class ContinualEngine:
         """
         cfg = self.cfg
         self.stream.require("train", "test")
+        self._require_host_memory()
         report = EvalReport(metadata={
             "config": asdict(cfg),
             "config_hash": config_hash(asdict(cfg)),
@@ -289,6 +283,21 @@ class ContinualEngine:
             with atomic_write(out / "timing.json", encoding="utf-8") as f:
                 json.dump({"step_seconds": self.timings}, f, indent=2)
         return model, report
+
+    def _require_host_memory(self):
+        """Reject, before any allocation, a run whose training_bytes exceed the
+        host's physical memory. Its largest batch is a mixed batch: at most
+        batch_size current rows, no more than the stream's training rows,
+        plus its replayed memory rows."""
+        cfg, mc = self.cfg, self.model_cfg
+        rows = min(cfg.batch_size, sum(len(d.train) for d in self.stream.domains))
+        need = training_bytes(mc, math.ceil(rows * (1 + MEMORY_FRAC)))
+        host = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > host:
+            raise ValueError(f"the run needs about {need / 2 ** 30:.3g} GiB, more than the "
+                             f"host's {host / 2 ** 30:.3g} GiB of memory: lower hidden "
+                             f"({mc.hidden}), n_layers ({mc.n_layers}), l_max ({mc.l_max}), "
+                             f"batch_size ({cfg.batch_size}) or the vocab size ({mc.vocab_size})")
 
     def _after_step(self, model: BackboneModel, t: int):
         """Post-step bookkeeping on the model trained at step t: the replay

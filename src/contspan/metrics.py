@@ -14,7 +14,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 SCHEMA_VERSION = 1
 
@@ -30,6 +30,8 @@ JSON_TYPES = {"int": ("an int", lambda v: type(v) is int),
               "str": ("a str", lambda v: type(v) is str),
               "str | int": ("a str or an int", lambda v: type(v) in (str, int)),
               "list[int]": ("a list of ints", _list_of(int)),
+              "tuple[int, int]": ("a pair of ints", lambda v: type(v) in (tuple, list)
+                                  and len(v) == 2 and all(type(i) is int for i in v)),
               "non-empty list[str]": ("a non-empty list of strs",
                                       lambda v: v != [] and _list_of(str)(v)),
               "list[int] | None": ("a list of ints or None",
@@ -45,17 +47,27 @@ STEP_FIELDS = {"step": "int", "trained_domain": "int",
 SCORE_FIELDS = {"domain": "int", "em": "float", "f1": "float"}
 
 
-def require_fields(rec, kinds: dict[str, str], where: str):
-    """Reject a record that is not a JSON object, lacks a field of kinds or
-    holds a value not of the field's JSON_TYPES kind, naming where it came from."""
+def require_fields(rec, kinds: dict[str, str] | None = None, where="", rules=None):
+    """Reject a record that is not a JSON object, lacks a field of kinds,
+    holds a value not of the field's JSON_TYPES kind or breaks its rule in
+    rules (a tuple of the values it may take, or its least value), naming
+    where it came from, if given. With kinds None, rec is a dataclass config
+    whose fields' annotations are their kinds: every config checks here."""
+    if kinds is None:
+        kinds, rec = {f.name: f.type for f in fields(rec)}, vars(rec)
+    at = f"{where}: " if where else ""
     if type(rec) is not dict:
-        raise ValueError(f"{where}: not a JSON object")
+        raise ValueError(f"{at}not a JSON object")
     for key, kind in kinds.items():
         if key not in rec:
-            raise ValueError(f"{where}: missing field {key!r}")
-        what, typed = JSON_TYPES[kind]
-        if not typed(rec[key]):
-            raise ValueError(f"{where}: {key} must be {what}, got {rec[key]!r}")
+            raise ValueError(f"{at}missing field {key!r}")
+        (what, typed), value, rule = JSON_TYPES[kind], rec[key], (rules or {}).get(key)
+        if not typed(value):
+            raise ValueError(f"{at}{key} must be {what}, got {value!r}")
+        if isinstance(rule, tuple) and value not in rule:
+            raise ValueError(f"{at}unknown {key} {value!r}; choose from {rule}")
+        if type(rule) is int and value < rule:
+            raise ValueError(f"{at}{key} must be >= {rule}, got {value}")
 
 
 @contextmanager

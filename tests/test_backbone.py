@@ -57,6 +57,20 @@ def test_config_rejects_indivisible_heads():
         ModelConfig(vocab_size=10, hidden=10, n_heads=3)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("vocab_size", 0, "vocab_size must be >= 1, got 0"),
+    ("hidden", 16.0, "hidden must be an int, got 16.0"),
+    ("n_layers", True, "n_layers must be an int, got True"),
+    ("n_heads", -2, "n_heads must be >= 1, got -2"),
+    ("l_max", "64", "l_max must be an int, got '64'"),
+    ("ff_mult", 0, "ff_mult must be >= 1, got 0")])
+def test_config_rejects_a_bad_field(field, value, message):
+    """Every field is an int of at least 1, checked by the shared field check."""
+    with pytest.raises(ValueError) as e:
+        ModelConfig(**{"vocab_size": 20, field: value})
+    assert str(e.value) == message
+
+
 def test_encode_zero_embeddings_stays_finite():
     m = make_model()
     m.params["tok_emb"].data[:] = 0.0

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from contspan import autodiff as ad
 from contspan import cli
 from contspan.autodiff import seeded_rng
-from contspan.backbone import BackboneModel, ModelConfig, param_spec
+from contspan.backbone import BackboneModel, ModelConfig, param_spec, training_bytes
 from contspan.cli import main
 from contspan.data import load_stream
 from contspan.engine import METHODS, NORM_STRATEGIES, UNCERTAINTY_KINDS
@@ -43,14 +43,19 @@ def run_args(dataset, report, **extra):
     return args
 
 
-@pytest.mark.parametrize("flag", ["--domains", "--train-size", "--test-size", "--seed"])
+GEN_FIELDS = {"--domains": "n_domains", "--train-size": "train_size",
+              "--test-size": "test_size", "--seed": "seed"}
+
+
+@pytest.mark.parametrize("flag", sorted(GEN_FIELDS))
 def test_gen_rejects_sizes_below_one(tmp_path, capsys, flag):
+    """gen's values meet GenConfig's field check, whose error names the field."""
     least = 0 if flag == "--seed" else 1
     out = tmp_path / "stream"
     rc = main(["gen", "--setting", "cdac", flag, str(least - 1), "--out", str(out)])
     assert rc == 1
     (line,) = error_lines(capsys.readouterr().err)
-    assert line == f"error: {flag} must be >= {least}, got {least - 1}"
+    assert line == f"error: {GEN_FIELDS[flag]} must be >= {least}, got {least - 1}"
     assert not out.exists()
 
 
@@ -621,9 +626,9 @@ def test_eval_checkpoint_header_that_is_not_json_exits_1(dataset, tmp_path, caps
 @pytest.mark.parametrize("config, tail, expected", [
     ({"vocab_size": 50_000}, b"", "truncated checkpoint: {path}"),
     ({"vocab_size": 100.0}, b"", "malformed checkpoint header: {path} (ValueError('vocab_size "
-                                 "must be an int >= 1, got 100.0'))"),
-    ({"l_max": -1}, b"", "malformed checkpoint header: {path} (ValueError('l_max must be an "
-                         "int >= 1, got -1'))"),
+                                 "must be an int, got 100.0'))"),
+    ({"l_max": -1}, b"", "malformed checkpoint header: {path} (ValueError('l_max must be >= "
+                         "1, got -1'))"),
     ({}, bytes(22), "malformed checkpoint: {path} (22 trailing bytes)")],
     ids=["vocab-50000", "float-vocab", "negative-l_max", "trailing-bytes"])
 def test_eval_checkpoint_header_beyond_its_file_exits_1_before_allocating(
@@ -779,13 +784,24 @@ LIMITED_CLI = ("import resource, runpy, sys\n"
                "runpy.run_module('contspan.cli', run_name='__main__')")
 
 
-@pytest.mark.parametrize("hidden", [10 ** 12, 10 ** 6])
-def test_run_out_of_memory_exits_1(dataset, tmp_path, hidden):
-    """A model too large to allocate ends the run with one error line, not a
-    traceback. The run is a subprocess under an address-space limit, so no
-    size can exhaust the host: hidden 10**6 asks for a 0.8 GB embedding,
-    which many hosts could hold but the limit cannot."""
-    (tmp_path / "c.json").write_text(json.dumps({"hidden": hidden, "n_heads": 1}))
+@pytest.mark.parametrize("hidden, bound", [
+    pytest.param(10 ** 12, True, id="1000000000000"), pytest.param(10 ** 6, True, id="1000000"),
+    pytest.param(2500, False, id="2500")])
+def test_run_out_of_memory_exits_1(dataset, tmp_path, hidden, bound):
+    """A model too large for the host ends the run with one error line, not a
+    traceback. The run is a subprocess under a 1 GiB address-space limit, so
+    no size can exhaust the host. Hidden 10**12 and 10**6 need more than any
+    host's memory to train (10**6: about 96 TB for one block's weights,
+    though its 0.8 GB embedding alone would fit many), and are rejected
+    before any allocation, naming the sizes. Hidden 2500 needs about 2.7 GB,
+    within the host, but its 0.6 GB parameter vector (and as much again for
+    its pieces) does not fit the limit, and numpy's allocation fails."""
+    config = {"hidden": hidden, "n_heads": 1, "n_layers": 1}
+    need = training_bytes(ModelConfig(vocab_size=100, l_max=32, **config), 20)
+    host = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > host and not bound:
+        pytest.skip(f"the host has less memory than the run's estimate ({need} bytes)")
+    (tmp_path / "c.json").write_text(json.dumps(config))
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", LIMITED_CLI, "run", "--config",
@@ -794,7 +810,12 @@ def test_run_out_of_memory_exits_1(dataset, tmp_path, hidden):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 1, proc.stderr
     (line,) = error_lines(proc.stderr)
-    assert line.startswith("error: Unable to allocate")
+    if bound:
+        assert line.startswith("error: the run needs about ") and line.endswith(
+            f"lower hidden ({hidden}), n_layers (1), l_max (32), batch_size (16) or the "
+            f"vocab size (100)")
+    else:
+        assert line.startswith("error: Unable to allocate")
     assert not (tmp_path / "r.json").exists()
 
 

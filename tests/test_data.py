@@ -145,6 +145,18 @@ def test_generators_leave_the_callers_config_alone(gen, setting):
     assert cfg == small_cfg(other, n_domains=1, train_size=2, test_size=1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_domains", 0), ("n_domains", True), ("train_size", -3), ("test_size", 0),
+    ("train_size", 2.0), ("seed", -1), ("setting", "cdax"), ("passage_len", (5, 2))])
+def test_gen_config_rejects_a_bad_field(tmp_path, field, value):
+    """A generator config is checked as it is built, so a bad value raises
+    one ValueError that names its field and no stream file is written."""
+    with pytest.raises(ValueError) as e:
+        write_stream(generate_cdac_stream(GenConfig(**{field: value})), tmp_path / "s")
+    assert re.match(rf"(unknown )?{field} ", str(e.value)), str(e.value)
+    assert not (tmp_path / "s").exists()
+
+
 def test_generated_spans_live_in_passage_region():
     stream = dat._generate_stream(small_cfg("cdac"))
     for dom in stream.domains:

@@ -124,6 +124,17 @@ def test_config_rejects_out_of_range_sizes(field, value):
         ContinualEngine(small_stream(), small_config("ma_mrc", **{field: value}))
 
 
+def test_run_beyond_the_host_memory_is_rejected_before_any_file(tmp_path, monkeypatch):
+    """The size bound holds for library callers too: on a host made 1 MiB
+    here, below the small model's estimate, run raises before it writes."""
+    monkeypatch.setattr("os.sysconf", lambda name: 1024)  # 1024 pages of 1 KiB
+    engine = ContinualEngine(small_stream(), small_config("lower"))
+    with pytest.raises(ValueError, match=r"more than the host's 0\.000977 GiB of memory: "
+                                         r"lower hidden \(16\), n_layers \(1\), l_max"):
+        engine.run(out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 # -- reductions -------------------------------------------------------------
 
 def test_ma_mrc_without_memory_reduces_to_lower():
